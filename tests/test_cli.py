@@ -66,6 +66,28 @@ def test_bad_size_range_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-single", "--n", "10", "--csma-p", "1.5"],
+        ["sweep-single", "--n", "0"],
+        ["sweep-single", "--n", "10", "--ratios", "0"],
+        ["sweep-multi", "--n", "10", "--max-layers", "0"],
+    ],
+)
+def test_bad_sweep_values_exit_2(argv, tmp_path, capsys):
+    rc = main(argv + ["--trials", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_exhausted_cycle_budget_exits_3(tmp_path, capsys):
+    rc = main(["sweep-single", "--max-nc", "1", "--n", "20", "--trials", "1",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "simulation error" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
