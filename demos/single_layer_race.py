@@ -15,8 +15,7 @@ def race(n: int, slot_ratio: float, seed: int) -> None:
     print(f"n={n}, slot ratio {slot_ratio}, seed {seed}")
     print(f"  {'protocol':10s} {'total ms':>10s} {'cycles':>7s} {'data frames':>12s} {'preambles':>10s}")
     for protocol in Protocol:
-        cfg = RunConfig(protocol=protocol, n_node=n, slot_ratio=slot_ratio)
-        result = run_formation(protocol, tree, cfg, np.random.default_rng(seed))
+        result = run_formation(protocol, tree, RunConfig(), slot_ratio, np.random.default_rng(seed))
         print(
             f"  {protocol.value:10s} {result.total_us / 1000:10.1f} {result.nc_count:7d} "
             f"{result.data_frames:12d} {result.preambles:10d}"

@@ -25,14 +25,9 @@ from .complexity import (
     pmac_total_frames_closed,
 )
 from .core import (
-    FrameKind,
-    NodeId,
-    PreambleKind,
     Protocol,
     Role,
     RunConfig,
-    Sid,
-    SidAllocator,
     TimingTable,
     default_timing_table,
 )

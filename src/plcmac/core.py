@@ -1,4 +1,4 @@
-"""Shared vocabulary: roles, frame kinds, the slot schedule, and run configuration."""
+"""Shared vocabulary: protocols, roles, the slot schedule, and the model constants."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 from .slot_alloc import AllocParams
-
-Sid = int
 
 
 class Protocol(Enum):
@@ -20,59 +18,6 @@ class Role(Enum):
     CCO = "cco"
     PCO = "pco"
     STA = "sta"
-
-
-class PreambleKind(Enum):
-    """Short preamble signals.
-
-    DAT precedes a payload frame, NET announces a networking cycle,
-    REQ is a PTE join request, ACK confirms a join.
-    """
-
-    DAT = "dat"
-    NET = "net"
-    REQ = "req"
-    ACK = "ack"
-
-
-class FrameKind(Enum):
-    SLOT_COUNT = "slot_count"        # first-cycle announcement carrying the PTE slot count
-    TDF = "tdf"                      # batched time-difference frame (up to tdf_capacity entries)
-    SDF = "sdf"                      # batched SID+MAC frame (up to sdf_capacity entries)
-    MAC_ADDRESS = "mac_address"
-    TIME_DIFF = "time_diff"          # single time-difference report (unbatched variant)
-    SID_FRAME = "sid_frame"          # single SID assignment (unbatched variant)
-    BEACON = "beacon"
-    SDF_REPORT = "sdf_report"
-    CENTRAL_BEACON = "central_beacon"
-    PROXY_BEACON = "proxy_beacon"
-    ASSOC_REQ = "assoc_req"
-    ASSOC_IND = "assoc_ind"
-
-
-@dataclass(frozen=True)
-class NodeId:
-    id: int
-    role: Role = Role.STA
-
-
-class SidAllocator:
-    """Hands out SIDs in strictly increasing order, unique per network."""
-
-    def __init__(self, first: Sid = 1) -> None:
-        if first < 1:
-            raise ValueError("SIDs start at 1 or above")
-        self._next = first
-
-    def allocate(self) -> Sid:
-        sid = self._next
-        self._next += 1
-        return sid
-
-    @property
-    def largest_issued(self) -> Sid | None:
-        """Largest SID handed out so far; carried in beacons so a new PCO can keep allocating."""
-        return self._next - 1 if self._next > 1 else None
 
 
 @dataclass(frozen=True)
@@ -97,10 +42,6 @@ class TimingTable:
             if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ValueError(f"{f.name} must be a positive integer of microseconds")
 
-    def slot_us(self, kind: FrameKind) -> int:
-        """Slot cost of one frame of the given kind."""
-        return getattr(self, _SLOT_FIELD[kind])
-
     def to_dict(self) -> dict[str, int]:
         return asdict(self)
 
@@ -109,57 +50,29 @@ class TimingTable:
         return cls(**data)
 
 
-_SLOT_FIELD: dict[FrameKind, str] = {
-    FrameKind.SLOT_COUNT: "data_frame_slot_us",
-    FrameKind.TDF: "data_frame_slot_us",
-    FrameKind.SDF: "data_frame_slot_us",
-    FrameKind.MAC_ADDRESS: "data_frame_slot_us",
-    FrameKind.TIME_DIFF: "data_frame_slot_us",
-    FrameKind.SID_FRAME: "data_frame_slot_us",
-    FrameKind.BEACON: "data_frame_slot_us",
-    FrameKind.SDF_REPORT: "data_frame_slot_us",
-    FrameKind.CENTRAL_BEACON: "central_beacon_slot_us",
-    FrameKind.PROXY_BEACON: "proxy_beacon_slot_us",
-    FrameKind.ASSOC_REQ: "assoc_req_slot_us",
-    FrameKind.ASSOC_IND: "assoc_ind_slot_us",
-}
-
-
 def default_timing_table() -> TimingTable:
     return TimingTable()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """Everything one formation run needs besides the topology and the rng.
+    """Model constants every formation run of a sweep shares.
 
-    slot_ratio is the experiment's free parameter (PTE slots per pending
-    STA); the sweeps explore 0.5 to 2.0 but any positive value is legal.
+    The topology, the slot ratio and the rng come per run, as arguments
+    of run_formation.
     """
 
-    protocol: Protocol
-    n_node: int
-    slot_ratio: float = 1.0
     timing: TimingTable = field(default_factory=TimingTable)
     alloc: AllocParams = field(default_factory=AllocParams)
     csma_p: float = 0.75
     tdf_capacity: int = 20
     sdf_capacity: int = 10
-    multi_layer: bool = False
-    max_layers: int = 6
     max_nc: int = 100_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_node < 1:
-            raise ValueError("n_node must be at least 1")
-        if not self.slot_ratio > 0:
-            raise ValueError("slot_ratio must be positive")
         if not 0.0 < self.csma_p <= 1.0:
             raise ValueError("csma_p must lie in (0, 1]")
         if self.tdf_capacity < 1 or self.sdf_capacity < 1:
             raise ValueError("frame capacities must be at least 1")
-        if self.max_layers < 1:
-            raise ValueError("max_layers must be at least 1")
         if self.max_nc < 1:
             raise ValueError("max_nc must be at least 1")

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Protocol, RunConfig, SidAllocator, TimingTable
+from .core import Protocol, RunConfig
 from .mac_protocols import PendingSet, simulate_nc_csma, simulate_nc_epmac, simulate_nc_pmac
-from .slot_alloc import AllocParams, ceil_scale, fresh_state, next_slot_count, record_pte
+from .slot_alloc import ceil_scale, fresh_state, next_slot_count, record_pte
 from .topology import CCO_ID, NetworkTree, generate_tree, single_layer
 
 
@@ -42,6 +42,7 @@ def run_formation(
     protocol: Protocol,
     tree: NetworkTree,
     cfg: RunConfig,
+    slot_ratio: float,
     rng: np.random.Generator,
 ) -> FormationResult:
     """Simulate one complete network formation and account for every slot.
@@ -49,16 +50,18 @@ def run_formation(
     Proxy sessions at depth k >= 2 are charged a relay overhead of
     2*(k-1) data-frame slots up front (beacon chain down, report chain
     up); the per-cycle costs come from the protocol simulators.
+
+    slot_ratio is the experiment's free parameter (PTE slots per pending
+    STA); the sweeps explore 0.5 to 2.0 but any positive value is legal.
     """
-    if cfg.protocol is not protocol:
-        raise ValueError("cfg.protocol disagrees with the requested protocol")
+    if not slot_ratio > 0:
+        raise ValueError("slot_ratio must be positive")
     t = cfg.timing
     total_us = 0
     nc_count = 0
     data_frames = 0
     preambles = 0
     joined_total = 0
-    sids = SidAllocator()
 
     sessions: list[tuple[int, tuple[int, ...]]] = []
     queue = deque([CCO_ID])
@@ -77,7 +80,7 @@ def run_formation(
             total_us += overhead * t.data_frame_slot_us
         pending = kids
         if protocol is Protocol.EPMAC:
-            params = replace(cfg.alloc, n0=ceil_scale(cfg.slot_ratio, len(pending)))
+            params = replace(cfg.alloc, n0=ceil_scale(slot_ratio, len(pending)))
             state = fresh_state(params)
         while pending:
             if nc_count >= cfg.max_nc:
@@ -96,12 +99,12 @@ def run_formation(
                 state = record_pte(state, n_slot, len(out.joined))
             elif protocol is Protocol.PMAC:
                 # two contenders in one slot collide forever; floor the window at 2
-                n_slot = ceil_scale(cfg.slot_ratio, len(pending))
+                n_slot = ceil_scale(slot_ratio, len(pending))
                 if len(pending) >= 2:
                     n_slot = max(n_slot, 2)
                 out = simulate_nc_pmac(batch, n_slot, cfg, rng)
             else:
-                n_slot = ceil_scale(cfg.slot_ratio, len(pending))
+                n_slot = ceil_scale(slot_ratio, len(pending))
                 out = simulate_nc_csma(batch, n_slot, cfg, rng)
             nc_count += 1
             total_us += out.elapsed_us
@@ -109,8 +112,6 @@ def run_formation(
             preambles += out.preambles
             if out.joined:
                 joined_total += len(out.joined)
-                for _ in out.joined:
-                    sids.allocate()
                 drained = set(out.joined)
                 pending = tuple(x for x in pending if x not in drained)
 
@@ -145,14 +146,15 @@ CSV_HEADER: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentPlan(RunConfig):
     """A full sweep: protocols x sizes x ratio cells x trials.
 
     Exactly one of ratio_grid / ratio_random is set. In random mode the
     ratio is each cell's first rng draw, so every cell stays a pure
     function of (seed, protocol, n, ratio cell, trial) and results are
-    identical no matter how the work is scheduled.
+    identical no matter how the work is scheduled. The inherited model
+    constants are what every cell's formation run reads.
     """
 
     protocols: tuple[Protocol, ...]
@@ -163,20 +165,20 @@ class ExperimentPlan:
     seed: int = 1
     multi_layer: bool = False
     max_layers: int = 6
-    timing: TimingTable = field(default_factory=TimingTable)
-    alloc: AllocParams = field(default_factory=AllocParams)
-    csma_p: float = 0.75
-    tdf_capacity: int = 20
-    sdf_capacity: int = 10
-    max_nc: int = 100_000
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.protocols or not self.n_values:
             raise ValueError("need at least one protocol and one network size")
+        if min(self.n_values) < 1:
+            raise ValueError("network sizes must be at least 1")
         if (self.ratio_grid is None) == (self.ratio_random is None):
             raise ValueError("set exactly one of ratio_grid / ratio_random")
-        if self.ratio_grid is not None and not self.ratio_grid:
-            raise ValueError("ratio_grid must not be empty")
+        if self.ratio_grid is not None:
+            if not self.ratio_grid:
+                raise ValueError("ratio_grid must not be empty")
+            if not all(r > 0 for r in self.ratio_grid):
+                raise ValueError("grid ratios must be positive")
         if self.ratio_random is not None:
             lo, hi = self.ratio_random
             if not 0 < lo <= hi:
@@ -185,6 +187,8 @@ class ExperimentPlan:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.max_layers < 1:
+            raise ValueError("max_layers must be at least 1")
 
 
 def _run_cell(plan: ExperimentPlan, proto_idx: int, n: int, ratio_idx: int, trial: int) -> ResultRow:
@@ -201,22 +205,8 @@ def _run_cell(plan: ExperimentPlan, proto_idx: int, n: int, ratio_idx: int, tria
         tree = generate_tree(n, plan.max_layers, rng)
     else:
         tree = single_layer(n)
-    cfg = RunConfig(
-        protocol=protocol,
-        n_node=n,
-        slot_ratio=ratio,
-        timing=plan.timing,
-        alloc=plan.alloc,
-        csma_p=plan.csma_p,
-        tdf_capacity=plan.tdf_capacity,
-        sdf_capacity=plan.sdf_capacity,
-        multi_layer=plan.multi_layer,
-        max_layers=plan.max_layers,
-        max_nc=plan.max_nc,
-        seed=plan.seed,
-    )
     try:
-        result = run_formation(protocol, tree, cfg, rng)
+        result = run_formation(protocol, tree, plan, ratio, rng)
     except NonTermination as exc:
         raise NonTermination(
             f"{exc} [cell protocol={protocol.value} n={n} ratio_index={ratio_idx} trial={trial}]"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -12,7 +11,9 @@ class ZeroSlots(ValueError):
     """Raised when asked for a follow-up slot count after a zero-slot PTE."""
 
 
-@lru_cache(maxsize=None)
+# One formation reads only its slot ratio and the controller's k1 and k2;
+# a bound keeps random-ratio sweeps from holding one entry per cell.
+@lru_cache(maxsize=8)
 def _as_fraction(factor: float) -> Fraction:
     # str() round-trips the decimal literal the user typed, so 1.1 stays 11/10
     return Fraction(str(factor))
@@ -24,7 +25,8 @@ def ceil_scale(factor: float, n: int) -> int:
     Plain float multiplication can overshoot an integer product
     (1.1 * 10 == 11.000000000000002) and inflate the ceiling by one slot.
     """
-    return math.ceil(_as_fraction(factor) * n)
+    f = _as_fraction(factor)
+    return -(-f.numerator * n // f.denominator)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NodeId, Role
+from .core import Role
 
 CCO_ID = 0
 
@@ -38,7 +38,6 @@ class NetworkTree:
     depth: dict[int, int]                     # node id -> depth, root 0
     children: dict[int, tuple[int, ...]]      # parent id -> child ids ascending
     layers: tuple[tuple[int, ...], ...]       # layers[d] = ids at depth d
-    nodes: tuple[NodeId, ...] = field(default=())
 
     @property
     def max_depth(self) -> int:
@@ -97,17 +96,12 @@ def _build(n_sta: int, parent: dict[int, int]) -> NetworkTree:
     layers: list[list[int]] = [[] for _ in range(max(depth.values()) + 1)]
     for node, d in depth.items():
         layers[d].append(node)
-    nodes = tuple(
-        NodeId(i, Role.CCO if i == CCO_ID else (Role.PCO if i in children else Role.STA))
-        for i in range(n_sta + 1)
-    )
     return NetworkTree(
         n_sta=n_sta,
         parent=dict(parent),
         depth=depth,
         children={p: tuple(sorted(k)) for p, k in children.items()},
         layers=tuple(tuple(sorted(layer)) for layer in layers),
-        nodes=nodes,
     )
 
 

@@ -164,7 +164,8 @@ def test_a03_collision_free_frame_counts_hit_the_closed_forms():
         pm = run_formation(
             Protocol.PMAC,
             single_layer(n),
-            RunConfig(protocol=Protocol.PMAC, n_node=n),
+            RunConfig(),
+            1.0,
             CollisionFreeRng(),
         )
         if pm.data_frames != 3 * n or pm.nc_count != 1:
@@ -172,7 +173,8 @@ def test_a03_collision_free_frame_counts_hit_the_closed_forms():
         ep = run_formation(
             Protocol.EPMAC,
             single_layer(n),
-            RunConfig(protocol=Protocol.EPMAC, n_node=n),
+            RunConfig(),
+            1.0,
             CollisionFreeRng(),
         )
         expected = epmac_single_layer_frames(n)

@@ -1,36 +1,15 @@
-"""Shared vocabulary: SIDs, slot schedule, run configuration."""
+"""Shared vocabulary: slot schedule, model constants."""
 
 import pytest
 
 from plcmac import (
     AllocParams,
-    FrameKind,
     Protocol,
     Role,
     RunConfig,
-    SidAllocator,
     TimingTable,
     default_timing_table,
 )
-
-
-def test_sid_allocation_is_strictly_increasing():
-    sids = SidAllocator()
-    assert sids.largest_issued is None
-    assert [sids.allocate() for _ in range(5)] == [1, 2, 3, 4, 5]
-    assert sids.largest_issued == 5
-
-
-def test_sid_allocator_can_resume_from_a_beacon_value():
-    # a proxy learns the largest SID from the beacon and continues after it
-    sids = SidAllocator(first=8)
-    assert sids.allocate() == 8
-    assert sids.largest_issued == 8
-
-
-def test_sid_allocator_rejects_nonpositive_start():
-    with pytest.raises(ValueError):
-        SidAllocator(first=0)
 
 
 def test_default_slot_schedule_values():
@@ -41,17 +20,6 @@ def test_default_slot_schedule_values():
     assert t.proxy_beacon_slot_us == 12000
     assert t.assoc_req_slot_us == 20000
     assert t.assoc_ind_slot_us == 20000
-
-
-def test_every_frame_kind_has_a_slot_cost():
-    t = TimingTable()
-    for kind in FrameKind:
-        assert t.slot_us(kind) > 0
-    assert t.slot_us(FrameKind.TDF) == t.data_frame_slot_us
-    assert t.slot_us(FrameKind.SLOT_COUNT) == t.data_frame_slot_us
-    assert t.slot_us(FrameKind.CENTRAL_BEACON) == t.central_beacon_slot_us
-    assert t.slot_us(FrameKind.PROXY_BEACON) == t.proxy_beacon_slot_us
-    assert t.slot_us(FrameKind.ASSOC_REQ) == t.assoc_req_slot_us
 
 
 @pytest.mark.parametrize("bad", [0, -1, 20.5, True])
@@ -66,8 +34,7 @@ def test_timing_table_dict_round_trip():
 
 
 def test_run_config_defaults_are_usable():
-    cfg = RunConfig(protocol=Protocol.EPMAC, n_node=10)
-    assert cfg.slot_ratio == 1.0
+    cfg = RunConfig()
     assert cfg.csma_p == 0.75
     assert cfg.tdf_capacity == 20
     assert cfg.sdf_capacity == 10
@@ -77,20 +44,20 @@ def test_run_config_defaults_are_usable():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"n_node": 0},
-        {"n_node": 5, "slot_ratio": 0.0},
-        {"n_node": 5, "slot_ratio": -1.0},
-        {"n_node": 5, "csma_p": 0.0},
-        {"n_node": 5, "csma_p": 1.5},
-        {"n_node": 5, "tdf_capacity": 0},
-        {"n_node": 5, "sdf_capacity": 0},
-        {"n_node": 5, "max_layers": 0},
-        {"n_node": 5, "max_nc": 0},
+        {"csma_p": 0.0},
+        {"csma_p": -0.25},
+        {"csma_p": float("nan")},
+        {"csma_p": 1.5},
+        {"tdf_capacity": 0},
+        {"sdf_capacity": 0},
+        {"sdf_capacity": -1},
+        {"max_nc": 0},
+        {"max_nc": -1},
     ],
 )
 def test_run_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
-        RunConfig(protocol=Protocol.PMAC, **kwargs)
+        RunConfig(**kwargs)
 
 
 def test_protocol_and_role_values():

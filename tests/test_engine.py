@@ -23,20 +23,16 @@ def _chain():
     return tree_from_parents({1: 0, 2: 1})
 
 
-def _cfg(protocol, **kwargs):
-    return RunConfig(protocol=protocol, n_node=kwargs.pop("n_node", 2), **kwargs)
-
-
 def test_batched_chain_run_is_fully_accounted():
     """Root session 80800 us, then 2 relay frames plus a second session 80800 us."""
-    result = run_formation(Protocol.EPMAC, _chain(), _cfg(Protocol.EPMAC), np.random.default_rng(0))
+    result = run_formation(Protocol.EPMAC, _chain(), RunConfig(), 1.0, np.random.default_rng(0))
     assert result == FormationResult(
         total_us=201600, nc_count=2, data_frames=10, preambles=4, joined=2
     )
 
 
 def test_unbatched_chain_run_is_fully_accounted():
-    result = run_formation(Protocol.PMAC, _chain(), _cfg(Protocol.PMAC), np.random.default_rng(0))
+    result = run_formation(Protocol.PMAC, _chain(), RunConfig(), 1.0, np.random.default_rng(0))
     assert result == FormationResult(
         total_us=222400, nc_count=2, data_frames=11, preambles=6, joined=2
     )
@@ -44,17 +40,15 @@ def test_unbatched_chain_run_is_fully_accounted():
 
 def test_association_chain_run_is_fully_accounted():
     # association pays hop relays per STA instead of per-session overhead
-    cfg = _cfg(Protocol.IEEE1901, csma_p=1.0)
-    result = run_formation(Protocol.IEEE1901, _chain(), cfg, np.random.default_rng(0))
+    cfg = RunConfig(csma_p=1.0)
+    result = run_formation(Protocol.IEEE1901, _chain(), cfg, 1.0, np.random.default_rng(0))
     assert result == FormationResult(
         total_us=144000, nc_count=2, data_frames=8, preambles=0, joined=2
     )
 
 
 def test_single_layer_first_cycle_matches_the_per_cycle_trace(collision_free_rng):
-    result = run_formation(
-        Protocol.EPMAC, single_layer(2), _cfg(Protocol.EPMAC), collision_free_rng
-    )
+    result = run_formation(Protocol.EPMAC, single_layer(2), RunConfig(), 1.0, collision_free_rng)
     assert result == FormationResult(
         total_us=101600, nc_count=1, data_frames=5, preambles=4, joined=2
     )
@@ -64,9 +58,7 @@ def test_every_run_joins_every_sta():
     for protocol in Protocol:
         for seed in range(4):
             rng = np.random.default_rng(seed)
-            tree = single_layer(25)
-            cfg = _cfg(protocol, n_node=25, slot_ratio=0.5)
-            result = run_formation(protocol, tree, cfg, rng)
+            result = run_formation(protocol, single_layer(25), RunConfig(), 0.5, rng)
             assert result.joined == 25
             assert result.total_us > 0
 
@@ -78,35 +70,33 @@ def test_multi_layer_runs_join_every_sta():
         for seed in range(4):
             rng = np.random.default_rng(seed)
             tree = generate_tree(25, 4, rng)
-            cfg = _cfg(protocol, n_node=25, multi_layer=True, max_layers=4)
-            result = run_formation(protocol, tree, cfg, rng)
+            result = run_formation(protocol, tree, RunConfig(), 1.0, rng)
             assert result.joined == 25
 
 
 def test_tight_window_at_the_low_ratio_edge_still_terminates():
     # 2 pending at ratio 0.5 is the worst legal grid point
-    cfg = _cfg(Protocol.PMAC, slot_ratio=0.5)
-    result = run_formation(Protocol.PMAC, single_layer(2), cfg, np.random.default_rng(0))
+    result = run_formation(Protocol.PMAC, single_layer(2), RunConfig(), 0.5, np.random.default_rng(0))
     assert result.joined == 2
 
 
 def test_runs_are_deterministic_per_seed():
-    cfg = _cfg(Protocol.EPMAC, n_node=30, slot_ratio=0.75)
-    a = run_formation(Protocol.EPMAC, single_layer(30), cfg, np.random.default_rng(11))
-    b = run_formation(Protocol.EPMAC, single_layer(30), cfg, np.random.default_rng(11))
+    cfg = RunConfig()
+    a = run_formation(Protocol.EPMAC, single_layer(30), cfg, 0.75, np.random.default_rng(11))
+    b = run_formation(Protocol.EPMAC, single_layer(30), cfg, 0.75, np.random.default_rng(11))
     assert a == b
 
 
 def test_cycle_budget_violation_raises():
-    cfg = _cfg(Protocol.EPMAC, slot_ratio=0.5, max_nc=1)
+    cfg = RunConfig(max_nc=1)
     with pytest.raises(NonTermination):
-        run_formation(Protocol.EPMAC, single_layer(2), cfg, np.random.default_rng(0))
+        run_formation(Protocol.EPMAC, single_layer(2), cfg, 0.5, np.random.default_rng(0))
 
 
-def test_protocol_config_mismatch_is_rejected():
-    cfg = _cfg(Protocol.EPMAC)
-    with pytest.raises(ValueError):
-        run_formation(Protocol.PMAC, _chain(), cfg, np.random.default_rng(0))
+@pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan")])
+def test_nonpositive_slot_ratio_is_rejected(ratio):
+    with pytest.raises(ValueError, match="slot_ratio"):
+        run_formation(Protocol.PMAC, _chain(), RunConfig(), ratio, np.random.default_rng(0))
 
 
 def test_experiment_rows_follow_cell_order():
@@ -176,6 +166,16 @@ def test_plan_validation():
         ExperimentPlan(**base, ratio_grid=(1.0,), trials=0)
     with pytest.raises(ValueError):
         ExperimentPlan(protocols=(), n_values=(10,), ratio_grid=(1.0,))
+    # sizes, grid ratios, the depth cap and the model constants are checked when the plan is built
+    with pytest.raises(ValueError):
+        ExperimentPlan(protocols=(Protocol.EPMAC,), n_values=(10, 0), ratio_grid=(1.0,))
+    for grid in ((0.0,), (1.0, -1.0)):
+        with pytest.raises(ValueError):
+            ExperimentPlan(**base, ratio_grid=grid)
+    with pytest.raises(ValueError):
+        ExperimentPlan(**base, ratio_grid=(1.0,), max_layers=0)
+    with pytest.raises(ValueError):
+        ExperimentPlan(**base, ratio_grid=(1.0,), csma_p=1.5)
 
 
 def test_nontermination_names_the_offending_cell():

@@ -5,17 +5,12 @@ import pytest
 
 from plcmac import (
     PendingSet,
-    Protocol,
     RunConfig,
     contend,
     simulate_nc_csma,
     simulate_nc_epmac,
     simulate_nc_pmac,
 )
-
-
-def _cfg(protocol=Protocol.EPMAC, **kwargs):
-    return RunConfig(protocol=protocol, n_node=kwargs.pop("n_node", 10), **kwargs)
 
 
 def test_pending_set_normalizes_and_validates():
@@ -63,7 +58,7 @@ def test_batched_cycle_first_round_trace(collision_free_rng):
     announcement data frame + 2 preamble slots + 1 TDF + 2 address
     frames + 1 SDF + 2 ACK preambles = 101600 us.
     """
-    out = simulate_nc_epmac(PendingSet((1, 2)), 2, True, _cfg(), collision_free_rng)
+    out = simulate_nc_epmac(PendingSet((1, 2)), 2, True, RunConfig(), collision_free_rng)
     assert out.joined == (1, 2)
     assert out.elapsed_us == 101600
     assert out.data_frames == 5
@@ -73,7 +68,7 @@ def test_batched_cycle_first_round_trace(collision_free_rng):
 
 def test_batched_cycle_later_round_trace():
     # announcement shrinks to a preamble after the first cycle
-    out = simulate_nc_epmac(PendingSet((7,)), 1, False, _cfg(), np.random.default_rng(0))
+    out = simulate_nc_epmac(PendingSet((7,)), 1, False, RunConfig(), np.random.default_rng(0))
     assert out.joined == (7,)
     assert out.elapsed_us == 61200
     assert out.data_frames == 3
@@ -81,12 +76,12 @@ def test_batched_cycle_later_round_trace():
 
 
 def test_batched_cycle_total_collision_charges_only_the_window():
-    out = simulate_nc_epmac(PendingSet((1, 2)), 1, True, _cfg(), np.random.default_rng(3))
+    out = simulate_nc_epmac(PendingSet((1, 2)), 1, True, RunConfig(), np.random.default_rng(3))
     assert out.joined == ()
     assert out.elapsed_us == 20400
     assert out.data_frames == 1
     assert out.preambles == 1
-    out = simulate_nc_epmac(PendingSet((1, 2)), 1, False, _cfg(), np.random.default_rng(3))
+    out = simulate_nc_epmac(PendingSet((1, 2)), 1, False, RunConfig(), np.random.default_rng(3))
     assert out.elapsed_us == 800
     assert out.data_frames == 0
     assert out.preambles == 2
@@ -94,13 +89,13 @@ def test_batched_cycle_total_collision_charges_only_the_window():
 
 def test_batched_cycle_respects_frame_capacities(collision_free_rng):
     # 25 joins: 2 TDFs of 20, 3 SDFs of 10
-    out = simulate_nc_epmac(PendingSet(tuple(range(1, 26))), 25, True, _cfg(), collision_free_rng)
+    out = simulate_nc_epmac(PendingSet(tuple(range(1, 26))), 25, True, RunConfig(), collision_free_rng)
     assert out.data_frames == 1 + 2 + 25 + 3
     assert out.preambles == 25 + 25
 
 
 def test_unbatched_cycle_trace(collision_free_rng):
-    out = simulate_nc_pmac(PendingSet((1, 2)), 2, _cfg(Protocol.PMAC), collision_free_rng)
+    out = simulate_nc_pmac(PendingSet((1, 2)), 2, RunConfig(), collision_free_rng)
     assert out.joined == (1, 2)
     assert out.elapsed_us == 122000
     assert out.data_frames == 6
@@ -108,13 +103,13 @@ def test_unbatched_cycle_trace(collision_free_rng):
 
 
 def test_unbatched_cycle_scales_frames_with_depth(collision_free_rng):
-    out = simulate_nc_pmac(PendingSet((9,), depth=2), 1, _cfg(Protocol.PMAC), collision_free_rng)
+    out = simulate_nc_pmac(PendingSet((9,), depth=2), 1, RunConfig(), collision_free_rng)
     assert out.data_frames == 6
     assert out.elapsed_us == 121200
 
 
 def test_unbatched_cycle_collision_costs_preambles_only():
-    out = simulate_nc_pmac(PendingSet((1, 2, 3)), 1, _cfg(Protocol.PMAC), np.random.default_rng(0))
+    out = simulate_nc_pmac(PendingSet((1, 2, 3)), 1, RunConfig(), np.random.default_rng(0))
     assert out.joined == ()
     assert out.elapsed_us == 800
     assert out.data_frames == 0
@@ -122,7 +117,7 @@ def test_unbatched_cycle_collision_costs_preambles_only():
 
 
 def test_association_cycle_singleton_trace():
-    cfg = _cfg(Protocol.IEEE1901, csma_p=1.0)
+    cfg = RunConfig(csma_p=1.0)
     out = simulate_nc_csma(PendingSet((1,)), 1, cfg, np.random.default_rng(0))
     assert out.joined == (1,)
     assert out.elapsed_us == 52000
@@ -131,7 +126,7 @@ def test_association_cycle_singleton_trace():
 
 
 def test_association_cycle_collision_still_pays_every_request_slot():
-    cfg = _cfg(Protocol.IEEE1901, csma_p=1.0)
+    cfg = RunConfig(csma_p=1.0)
     out = simulate_nc_csma(PendingSet((1, 2)), 1, cfg, np.random.default_rng(0))
     assert out.joined == ()
     assert out.elapsed_us == 32000
@@ -139,7 +134,7 @@ def test_association_cycle_collision_still_pays_every_request_slot():
 
 
 def test_association_cycle_relays_per_extra_hop(collision_free_rng):
-    cfg = _cfg(Protocol.IEEE1901)
+    cfg = RunConfig()
     out = simulate_nc_csma(PendingSet((5,), depth=3), 2, cfg, collision_free_rng)
     assert out.elapsed_us == 12000 + 2 * 20000 + 20000 + 2 * (20000 + 20000)
     assert out.data_frames == 1 + 1 + 1 + 4
@@ -147,7 +142,7 @@ def test_association_cycle_relays_per_extra_hop(collision_free_rng):
 
 def test_association_cycle_deferral():
     """With a small transmit probability a lone STA often sits a cycle out."""
-    cfg = _cfg(Protocol.IEEE1901, csma_p=0.05)
+    cfg = RunConfig(csma_p=0.05)
     outcomes = [
         simulate_nc_csma(PendingSet((1,)), 1, cfg, np.random.default_rng(seed)).joined
         for seed in range(200)
@@ -163,5 +158,5 @@ def test_association_cycle_deferral():
 
 
 def test_joined_ids_follow_input_order(collision_free_rng):
-    out = simulate_nc_epmac(PendingSet((27, 3, 9)), 3, True, _cfg(), collision_free_rng)
+    out = simulate_nc_epmac(PendingSet((27, 3, 9)), 3, True, RunConfig(), collision_free_rng)
     assert out.joined == (3, 9, 27)

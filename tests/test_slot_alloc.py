@@ -4,13 +4,17 @@ import pytest
 
 from plcmac import (
     AllocParams,
+    ExperimentPlan,
+    Protocol,
     SlotAllocState,
     ZeroSlots,
     ceil_scale,
     fresh_state,
     next_slot_count,
     record_pte,
+    run_experiment,
 )
+from plcmac.slot_alloc import _as_fraction
 
 
 @pytest.mark.parametrize(
@@ -28,6 +32,16 @@ from plcmac import (
 )
 def test_ceil_scale_is_exact_for_decimal_factors(factor, n, expected):
     assert ceil_scale(factor, n) == expected
+
+
+def test_ratio_cache_stays_bounded_over_a_random_ratio_sweep():
+    maxsize = _as_fraction.cache_info().maxsize
+    assert maxsize is not None
+    plan = ExperimentPlan(protocols=(Protocol.EPMAC,), n_values=(5,), ratio_random=(0.5, 2.0),
+                          trials=3 * maxsize, seed=4)
+    rows = run_experiment(plan)
+    assert len({r.ratio for r in rows}) > maxsize
+    assert _as_fraction.cache_info().currsize <= maxsize
 
 
 def test_params_validation():

@@ -75,7 +75,6 @@ def test_validate_catches_corrupt_depth():
         depth={**good.depth, 2: 3},
         children=good.children,
         layers=good.layers,
-        nodes=good.nodes,
     )
     with pytest.raises(ValueError):
         broken.validate()
@@ -89,7 +88,6 @@ def test_validate_catches_disagreeing_children_map():
         depth=good.depth,
         children={0: (1, 2)},
         layers=good.layers,
-        nodes=good.nodes,
     )
     with pytest.raises(ValueError):
         broken.validate()
