@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from typing import IO, Sequence
 
@@ -24,7 +25,7 @@ from .engine import (
     NonTermination,
     ResultRow,
     run_experiment,
-    summarize,
+    summarize_groups,
 )
 from .phy_timing import (
     FdplcPhyParams,
@@ -279,11 +280,10 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
             key = (row["protocol"], row["n_node"], row["ratio"])
         groups.setdefault(key, []).append(row["elapsed_us"])
 
-    chosen: list[tuple[tuple, object]] = []
+    all_stats = summarize_groups(list(groups.values()))
     if args.best_ratio:
         per_cell: dict[tuple, tuple] = {}
-        for key, samples in groups.items():
-            stats = summarize(samples)
+        for key, stats in zip(groups, all_stats):
             cell = key[:2]
             if cell not in per_cell or stats.mean < per_cell[cell][1].mean:
                 per_cell[cell] = (key, stats)
@@ -291,7 +291,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                 per_cell[cell] = (key, stats)
         chosen = [per_cell[cell] for cell in sorted(per_cell)]
     else:
-        chosen = [(key, summarize(samples)) for key, samples in sorted(groups.items(), key=str)]
+        chosen = list(zip(groups, all_stats))
         chosen.sort(key=lambda item: (item[0][0], item[0][1], item[0][2] if item[0][2] is not None else -1.0))
 
     out_fh = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
@@ -354,9 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: each build leaves objects in reference cycles."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import filterfalse
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,32 +64,36 @@ def run_formation(
     preambles = 0
     joined_total = 0
 
+    # BFS over coordinators only: the session order decides how the rng is consumed
+    coordinators = tree.children
     sessions: list[tuple[int, tuple[int, ...]]] = []
     queue = deque([CCO_ID])
     while queue:
         node = queue.popleft()
-        kids = tree.children.get(node)
+        kids = coordinators.get(node)
         if kids:
             sessions.append((node, kids))
-            queue.extend(kids)
+            if len(sessions) < len(coordinators):  # else every coordinator has its session
+                queue.extend(filter(coordinators.__contains__, kids))
 
+    max_nc = cfg.max_nc
     for coordinator, kids in sessions:
         depth_k = tree.depth[coordinator] + 1
         if depth_k >= 2 and protocol is not Protocol.IEEE1901:
             overhead = 2 * (depth_k - 1)
             data_frames += overhead
             total_us += overhead * t.data_frame_slot_us
-        pending = kids
         if protocol is Protocol.EPMAC:
-            params = replace(cfg.alloc, n0=ceil_scale(slot_ratio, len(pending)))
+            params = replace(cfg.alloc, n0=ceil_scale(slot_ratio, len(kids)))
             state = fresh_state(params)
-        while pending:
-            if nc_count >= cfg.max_nc:
+        batch = PendingSet(kids, depth_k)
+        while True:
+            pending = batch.stas
+            if nc_count >= max_nc:
                 raise NonTermination(
-                    f"{protocol.value} run exceeded max_nc={cfg.max_nc} with "
+                    f"{protocol.value} run exceeded max_nc={max_nc} with "
                     f"{len(pending)} STA(s) still pending at depth {depth_k}"
                 )
-            batch = PendingSet(pending, depth_k)
             if protocol is Protocol.EPMAC:
                 n_slot = next_slot_count(state)
                 if n_slot == 0:
@@ -110,10 +115,11 @@ def run_formation(
             total_us += out.elapsed_us
             data_frames += out.data_frames
             preambles += out.preambles
-            if out.joined:
+            if out.joined:  # a cycle without joins keeps its batch
                 joined_total += len(out.joined)
-                drained = set(out.joined)
-                pending = tuple(x for x in pending if x not in drained)
+                if len(out.joined) == len(pending):
+                    break
+                batch = PendingSet(tuple(filterfalse(set(out.joined).__contains__, pending)), depth_k)
 
     if joined_total != tree.n_sta:
         raise RuntimeError("formation ended with unjoined STAs despite empty sessions")
@@ -268,17 +274,28 @@ class SummaryStats:
         return self.q3 - self.q1
 
 
-def summarize(samples: Iterable[float] | Sequence[float]) -> SummaryStats:
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
+def summarize_groups(groups: Sequence[Sequence[float]]) -> list[SummaryStats]:
+    """SummaryStats for each group, in input order.
+
+    Groups of one size are stacked into one array, so the percentiles,
+    mean, min and max cost one numpy call each per distinct size.
+    """
+    rows_by_size: dict[int, list[int]] = {}
+    for i, group in enumerate(groups):
+        rows_by_size.setdefault(len(group), []).append(i)
+    if 0 in rows_by_size:
         raise EmptySample("cannot summarize an empty sample")
-    q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-    return SummaryStats(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        min=float(arr.min()),
-        q1=float(q1),
-        median=float(median),
-        q3=float(q3),
-        max=float(arr.max()),
-    )
+    stats = [None] * len(groups)
+    for size, rows in rows_by_size.items():
+        block = np.array([groups[i] for i in rows], dtype=float)
+        q1, median, q3 = np.percentile(block, [25.0, 50.0, 75.0], axis=1).tolist()
+        columns = zip(
+            block.mean(axis=1).tolist(), block.min(axis=1).tolist(), q1, median, q3, block.max(axis=1).tolist()
+        )
+        for i, values in zip(rows, columns):
+            stats[i] = SummaryStats(size, *values)
+    return stats
+
+
+def summarize(samples: Iterable[float] | Sequence[float]) -> SummaryStats:
+    return summarize_groups([list(samples)])[0]

@@ -9,6 +9,7 @@ frame air times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -58,11 +59,11 @@ def contend(pending_count: int, n_slot: int, rng: np.random.Generator) -> tuple[
     slots = np.asarray(rng.integers(0, n_slot, size=pending_count))
     counts = np.bincount(slots, minlength=n_slot)
     flags = counts[slots] == 1
-    return int(flags.sum()), flags
+    return int(np.count_nonzero(flags)), flags
 
 
 def _joined(pending: PendingSet, flags: np.ndarray) -> tuple[int, ...]:
-    return tuple(sta for sta, ok in zip(pending.stas, flags) if ok)
+    return tuple(compress(pending.stas, flags.tolist()))
 
 
 def simulate_nc_epmac(
@@ -144,10 +145,10 @@ def simulate_nc_csma(
     else:
         counts = np.bincount(slots[transmit], minlength=n_slot)
         flags = transmit & (counts[slots] == 1)
-    s = int(flags.sum())
+    s = int(np.count_nonzero(flags))
     beacon = t.central_beacon_slot_us if k == 1 else t.proxy_beacon_slot_us
     elapsed = beacon + n_slot * t.assoc_req_slot_us + s * t.assoc_ind_slot_us
-    data = 1 + int(transmit.sum()) + s
+    data = 1 + int(np.count_nonzero(transmit)) + s
     if k > 1:
         elapsed += s * (k - 1) * (t.assoc_req_slot_us + t.assoc_ind_slot_us)
         data += 2 * s * (k - 1)

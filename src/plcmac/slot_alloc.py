@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -105,8 +105,8 @@ def record_pte(state: SlotAllocState, n_slot_used: int, n_joined: int) -> SlotAl
         raise ValueError("a PTE round uses at least one slot")
     if not 0 <= n_joined <= n_slot_used:
         raise ValueError("joins must lie in [0, n_slot_used]")
-    return replace(
-        state,
+    return SlotAllocState(
+        params=state.params,
         n_slot=n_slot_used,
         n_sta=n_joined,
         t_f=0 if n_joined > 0 else state.t_f + 1,

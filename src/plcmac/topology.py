@@ -86,10 +86,8 @@ class NetworkTree:
                 raise ValueError("first layer is thinner than the coverage bound allows")
 
 
-def _build(n_sta: int, parent: dict[int, int]) -> NetworkTree:
-    depth = {CCO_ID: 0}
-    for node in sorted(parent):  # ids are placed in order, so parents resolve first
-        depth[node] = depth[parent[node]] + 1
+def _build(n_sta: int, parent: dict[int, int], depth: dict[int, int]) -> NetworkTree:
+    """Assemble a tree from maps whose keys ascend, so children and layers come out sorted."""
     children: dict[int, list[int]] = {}
     for child, par in parent.items():
         children.setdefault(par, []).append(child)
@@ -98,10 +96,10 @@ def _build(n_sta: int, parent: dict[int, int]) -> NetworkTree:
         layers[d].append(node)
     return NetworkTree(
         n_sta=n_sta,
-        parent=dict(parent),
+        parent=parent,
         depth=depth,
-        children={p: tuple(sorted(k)) for p, k in children.items()},
-        layers=tuple(tuple(sorted(layer)) for layer in layers),
+        children={p: tuple(k) for p, k in children.items()},
+        layers=tuple(map(tuple, layers)),
     )
 
 
@@ -110,7 +108,11 @@ def tree_from_parents(parent: dict[int, int]) -> NetworkTree:
     n_sta = len(parent)
     if set(parent) != set(range(1, n_sta + 1)):
         raise ValueError("parent map must cover ids 1..n exactly")
-    tree = _build(n_sta, parent)
+    parent = {node: parent[node] for node in sorted(parent)}
+    depth = {CCO_ID: 0}
+    for node, par in parent.items():  # ids are placed in order, so parents resolve first
+        depth[node] = depth[par] + 1
+    tree = _build(n_sta, parent, depth)
     tree.validate()
     return tree
 
@@ -119,7 +121,16 @@ def single_layer(n_sta: int) -> NetworkTree:
     """Star topology: every STA is a direct child of the CCO."""
     if n_sta < 1:
         raise ValueError("n_sta must be at least 1")
-    return _build(n_sta, {i: CCO_ID for i in range(1, n_sta + 1)})
+    stas = tuple(range(1, n_sta + 1))
+    depth = dict.fromkeys(range(n_sta + 1), 1)
+    depth[CCO_ID] = 0
+    return NetworkTree(
+        n_sta=n_sta,
+        parent=dict.fromkeys(stas, CCO_ID),
+        depth=depth,
+        children={CCO_ID: stas},
+        layers=((CCO_ID,), stas),
+    )
 
 
 def generate_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> NetworkTree:
@@ -136,17 +147,18 @@ def generate_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> Netw
         raise ValueError("max_layers must be at least 1")
     target_depth = int(rng.integers(1, max_layers + 1))
     first = int(rng.integers(min_first_layer(n_sta, max_layers), n_sta + 1))
-    parent = {i: CCO_ID for i in range(1, first + 1)}
-    depth = {CCO_ID: 0, **{i: 1 for i in range(1, first + 1)}}
+    parent = dict.fromkeys(range(1, first + 1), CCO_ID)
+    depth = dict.fromkeys(range(first + 1), 1)
+    depth[CCO_ID] = 0
     eligible = [CCO_ID]
     if target_depth > 1:
         eligible.extend(range(1, first + 1))
-    draws = rng.random(n_sta - first)
-    for offset, u in enumerate(draws):
-        node = first + 1 + offset
+    # Python floats multiply exactly as numpy's float64 scalars do, only faster
+    draws = rng.random(n_sta - first).tolist()
+    for node, u in enumerate(draws, start=first + 1):
         par = eligible[int(u * len(eligible))]
         parent[node] = par
-        depth[node] = depth[par] + 1
-        if depth[node] < target_depth:
+        d = depth[node] = depth[par] + 1
+        if d < target_depth:
             eligible.append(node)
-    return _build(n_sta, parent)
+    return _build(n_sta, parent, depth)

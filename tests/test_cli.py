@@ -1,6 +1,7 @@
 """Command-line interface: sweeps, summaries, tables, config files, exit codes."""
 
 import csv
+import gc
 
 import pytest
 
@@ -161,6 +162,32 @@ def test_summarize_flag_conflict_and_missing_file(tmp_path, capsys):
           "--trials", "1", "--seed", "4", "--out", str(out)])
     assert main(["summarize", str(out), "--best-ratio", "--pool-ratios"]) == 2
     assert main(["summarize", str(tmp_path / "nope.csv")]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "results, extra, code",
+    [
+        ("rows.csv", [], 0),
+        ("rows.csv", ["--pool-ratios"], 0),
+        ("rows.csv", ["--best-ratio"], 0),
+        ("rows.csv", ["--best-ratio", "--pool-ratios"], 2),
+        ("nope.csv", [], 2),
+    ],
+    ids=["default", "pool-ratios", "best-ratio", "flag-conflict", "missing-file"],
+)
+def test_summarize_leaves_no_reference_cycles(results, extra, code, tmp_path, capsys):
+    main(["sweep-single", "--protocols", "pmac", "--n", "10", "--ratios", "0.5", "1.0",
+          "--trials", "2", "--seed", "4", "--out", str(tmp_path / "rows.csv")])
+    argv = ["summarize", str(tmp_path / results), *extra]
+    main(argv)  # warm-up
+    gc.disable()  # an automatic collection during the call would hide its garbage
+    try:
+        gc.collect()
+        assert main(argv) == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     capsys.readouterr()
 
 

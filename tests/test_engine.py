@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from plcmac import engine
 from plcmac import (
     EmptySample,
     ExperimentPlan,
@@ -16,6 +17,7 @@ from plcmac import (
     summarize,
     tree_from_parents,
 )
+from plcmac.engine import summarize_groups
 
 
 def _chain():
@@ -52,6 +54,22 @@ def test_single_layer_first_cycle_matches_the_per_cycle_trace(collision_free_rng
     assert result == FormationResult(
         total_us=101600, nc_count=1, data_frames=5, preambles=4, joined=2
     )
+
+
+def test_sessions_run_in_breadth_first_order(monkeypatch, collision_free_rng):
+    # at depth 2 BFS meets 4 (child of 1) before 3 (child of 2): not ascending-id order
+    tree = tree_from_parents({1: 0, 2: 0, 3: 2, 4: 1, 5: 3, 6: 4})
+    seen = []
+    kernel = engine.simulate_nc_pmac
+
+    def recording(pending, *args):
+        seen.append((pending.stas, pending.depth))
+        return kernel(pending, *args)
+
+    monkeypatch.setattr(engine, "simulate_nc_pmac", recording)
+    result = run_formation(Protocol.PMAC, tree, RunConfig(), 1.0, collision_free_rng)
+    assert seen == [((1, 2), 1), ((4,), 2), ((3,), 2), ((6,), 3), ((5,), 3)]
+    assert result.nc_count == 5
 
 
 def test_every_run_joins_every_sta():
@@ -212,3 +230,24 @@ def test_summary_invariants_on_random_data():
     stats = summarize(rng.random(101) * 1000)
     assert stats.min <= stats.q1 <= stats.median <= stats.q3 <= stats.max
     assert stats.n == 101
+
+
+def test_batched_summaries_equal_per_group_numpy():
+    rng = np.random.default_rng(9)
+    groups = [
+        [5],
+        [9, 3],
+        [4, 4, 1, 8, 4, 2, 8],
+        rng.integers(0, 50, 100).tolist(),  # unsorted, many ties
+        [7, 7],
+        rng.integers(0, 10**9, 100).tolist(),
+    ]
+    for group, stats in zip(groups, summarize_groups(groups)):
+        arr = np.asarray(group, dtype=float)
+        q1, median, q3 = np.percentile(arr, [25, 50, 75])
+        assert stats.n == len(group)
+        assert stats.mean == arr.mean()
+        assert (stats.min, stats.max) == (arr.min(), arr.max())
+        assert (stats.q1, stats.median, stats.q3) == (q1, median, q3)
+    with pytest.raises(EmptySample):
+        summarize_groups([[1, 2], []])
