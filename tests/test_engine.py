@@ -17,7 +17,6 @@ from plcmac import (
     summarize,
     tree_from_parents,
 )
-from plcmac.engine import summarize_groups
 
 
 def _chain():
@@ -242,7 +241,7 @@ def test_batched_summaries_equal_per_group_numpy():
         [7, 7],
         rng.integers(0, 10**9, 100).tolist(),
     ]
-    for group, stats in zip(groups, summarize_groups(groups)):
+    for group, stats in zip(groups, engine.summarize_groups(groups)):
         arr = np.asarray(group, dtype=float)
         q1, median, q3 = np.percentile(arr, [25, 50, 75])
         assert stats.n == len(group)
@@ -250,4 +249,4 @@ def test_batched_summaries_equal_per_group_numpy():
         assert (stats.min, stats.max) == (arr.min(), arr.max())
         assert (stats.q1, stats.median, stats.q3) == (q1, median, q3)
     with pytest.raises(EmptySample):
-        summarize_groups([[1, 2], []])
+        engine.summarize_groups([[1, 2], []])
