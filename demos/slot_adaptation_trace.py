@@ -10,8 +10,8 @@ from plcmac import AllocParams, fresh_state, next_slot_count, record_pte
 
 
 def run_trace(n0: int, joins_script: list[int]) -> None:
-    params = AllocParams(n0=n0)
-    state = fresh_state(params)
+    params = AllocParams()
+    state = fresh_state(params, n0)
     print(f"  round  window  joined  eta    idle-streak  next-branch")
     for round_no, joins in enumerate(joins_script, start=1):
         window = next_slot_count(state)

@@ -253,6 +253,9 @@ def _read_rows(path: str) -> list[dict]:
                 raise UsageError(f"{path}: header does not match {','.join(CSV_HEADER)}")
             rows = []
             for raw in reader:
+                # DictReader fills a short row with None and files a long row's extras under None
+                if len(raw) != len(CSV_HEADER) or None in raw.values():
+                    raise UsageError(f"{path}: line {reader.line_num} does not have {len(CSV_HEADER)} fields")
                 rows.append(
                     {
                         "protocol": raw["protocol"],

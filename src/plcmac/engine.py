@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import filterfalse
 from typing import Iterable, Sequence
 
@@ -84,8 +85,8 @@ def run_formation(
             data_frames += overhead
             total_us += overhead * t.data_frame_slot_us
         if protocol is Protocol.EPMAC:
-            params = replace(cfg.alloc, n0=ceil_scale(slot_ratio, len(kids)))
-            state = fresh_state(params)
+            n0 = ceil_scale(slot_ratio, len(kids))
+            state = fresh_state(cfg.alloc, n0)
         batch = PendingSet(kids, depth_k)
         while True:
             pending = batch.stas
@@ -98,7 +99,7 @@ def run_formation(
                 n_slot = next_slot_count(state)
                 if n_slot == 0:
                     # probe budget exhausted with STAs left: forced restart, fresh first PTE
-                    state = fresh_state(params)
+                    state = fresh_state(cfg.alloc, n0)
                     n_slot = next_slot_count(state)
                 out = simulate_nc_epmac(batch, n_slot, state.t_pte == 0, cfg, rng)
                 state = record_pte(state, n_slot, len(out.joined))
@@ -197,6 +198,13 @@ class ExperimentPlan(RunConfig):
             raise ValueError("max_layers must be at least 1")
 
 
+@lru_cache(maxsize=1)
+def _star(n: int) -> NetworkTree:
+    # run_experiment visits all cells of one (protocol, n) in a row, and
+    # run_formation only reads its tree, so one star serves them all
+    return single_layer(n)
+
+
 def _run_cell(plan: ExperimentPlan, proto_idx: int, n: int, ratio_idx: int, trial: int) -> ResultRow:
     protocol = plan.protocols[proto_idx]
     rng = np.random.default_rng(
@@ -210,7 +218,7 @@ def _run_cell(plan: ExperimentPlan, proto_idx: int, n: int, ratio_idx: int, tria
     if plan.multi_layer:
         tree = generate_tree(n, plan.max_layers, rng)
     else:
-        tree = single_layer(n)
+        tree = _star(n)
     try:
         result = run_formation(protocol, tree, plan, ratio, rng)
     except NonTermination as exc:

@@ -45,6 +45,21 @@ class NcOutcome:
     slots_used: int
 
 
+def _winners(stas: tuple[int, ...], slots: np.ndarray, n_slot: int) -> tuple[int, ...]:
+    """The ids of stas whose slot (slots[i] for stas[i]) no other id drew, in input order."""
+    counts = np.bincount(slots, minlength=n_slot)
+    return tuple(compress(stas, (counts[slots] == 1).tolist()))
+
+
+def _contend(stas: tuple[int, ...], n_slot: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Uniform slotted contention over stas; a lone contender wins without a draw."""
+    if n_slot < 1:
+        raise ValueError("need at least one slot")
+    if len(stas) == 1:
+        return stas
+    return _winners(stas, rng.integers(0, n_slot, size=len(stas)), n_slot)
+
+
 def contend(pending_count: int, n_slot: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Uniform slotted contention: each STA draws one slot, alone-in-slot wins.
 
@@ -52,18 +67,9 @@ def contend(pending_count: int, n_slot: int, rng: np.random.Generator) -> tuple[
     """
     if pending_count < 1:
         raise ValueError("need at least one contender")
-    if n_slot < 1:
-        raise ValueError("need at least one slot")
-    if pending_count == 1:
-        return 1, np.ones(1, dtype=bool)
-    slots = np.asarray(rng.integers(0, n_slot, size=pending_count))
-    counts = np.bincount(slots, minlength=n_slot)
-    flags = counts[slots] == 1
+    flags = np.zeros(pending_count, dtype=bool)
+    flags[list(_contend(tuple(range(pending_count)), n_slot, rng))] = True
     return int(np.count_nonzero(flags)), flags
-
-
-def _joined(pending: PendingSet, flags: np.ndarray) -> tuple[int, ...]:
-    return tuple(compress(pending.stas, flags.tolist()))
 
 
 def simulate_nc_epmac(
@@ -81,7 +87,8 @@ def simulate_nc_epmac(
     ceil(s/sdf_capacity) SDFs, and one ACK preamble each.
     """
     t = cfg.timing
-    s, flags = contend(len(pending.stas), n_slot, rng)
+    joined = _contend(pending.stas, n_slot, rng)
+    s = len(joined)
     if first_nc:
         data, preambles = 1, 0
         elapsed = t.data_frame_slot_us
@@ -96,7 +103,7 @@ def simulate_nc_epmac(
         data += tdf + s + sdf
         preambles += s
         elapsed += (tdf + s + sdf) * t.data_frame_slot_us + s * t.preamble_slot_us
-    return NcOutcome(_joined(pending, flags), elapsed, data, preambles, n_slot)
+    return NcOutcome(joined, elapsed, data, preambles, n_slot)
 
 
 def simulate_nc_pmac(
@@ -112,11 +119,12 @@ def simulate_nc_pmac(
     ACK preamble per winner.
     """
     t = cfg.timing
-    s, flags = contend(len(pending.stas), n_slot, rng)
+    joined = _contend(pending.stas, n_slot, rng)
+    s = len(joined)
     data = 3 * pending.depth * s
     preambles = 1 + n_slot + s
     elapsed = preambles * t.preamble_slot_us + data * t.data_frame_slot_us
-    return NcOutcome(_joined(pending, flags), elapsed, data, preambles, n_slot)
+    return NcOutcome(joined, elapsed, data, preambles, n_slot)
 
 
 def simulate_nc_csma(
@@ -135,21 +143,25 @@ def simulate_nc_csma(
     """
     t = cfg.timing
     k = pending.depth
-    m = len(pending.stas)
+    stas = pending.stas
     if n_slot < 1:
         raise ValueError("need at least one slot")
-    slots = np.asarray(rng.integers(0, n_slot, size=m))
-    transmit = np.asarray(rng.random(m)) < cfg.csma_p
-    if m == 1:
-        flags = transmit.copy()
+    if len(stas) == 1:
+        # scalar draws consume the same stream as size=1 ones, without numpy's size handling
+        rng.integers(0, n_slot)
+        joined = stas if rng.random() < cfg.csma_p else ()
+        transmitters = len(joined)
     else:
-        counts = np.bincount(slots[transmit], minlength=n_slot)
-        flags = transmit & (counts[slots] == 1)
-    s = int(np.count_nonzero(flags))
+        slots = rng.integers(0, n_slot, size=len(stas))
+        transmit = rng.random(len(stas)) < cfg.csma_p
+        sending = tuple(compress(stas, transmit.tolist()))
+        joined = _winners(sending, slots[transmit], n_slot)
+        transmitters = len(sending)
+    s = len(joined)
     beacon = t.central_beacon_slot_us if k == 1 else t.proxy_beacon_slot_us
     elapsed = beacon + n_slot * t.assoc_req_slot_us + s * t.assoc_ind_slot_us
-    data = 1 + int(np.count_nonzero(transmit)) + s
+    data = 1 + transmitters + s
     if k > 1:
         elapsed += s * (k - 1) * (t.assoc_req_slot_us + t.assoc_ind_slot_us)
         data += 2 * s * (k - 1)
-    return NcOutcome(_joined(pending, flags), elapsed, data, 0, n_slot)
+    return NcOutcome(joined, elapsed, data, 0, n_slot)

@@ -33,20 +33,16 @@ def ceil_scale(factor: float, n: int) -> int:
 class AllocParams:
     """Controller constants.
 
-    n0 is the first-PTE slot count, normally chosen by the experiment as
-    ceil(slot_ratio * pending). k1 stretches the window when the success
-    ratio is positive but thin, k2 doubles down after a fully collided PTE.
+    k1 stretches the window when the success ratio is positive but thin,
+    k2 doubles down after a fully collided PTE.
     """
 
-    n0: int = 1
     t_f_max: int = 3
     eta_min: float = 0.35
     k1: float = 1.3
     k2: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.n0 < 0:
-            raise ValueError("n0 must be non-negative")
         if self.t_f_max < 0:
             raise ValueError("t_f_max must be non-negative")
         if not 0.0 < self.eta_min < 1.0:
@@ -60,15 +56,21 @@ class SlotAllocState:
     """What the controller remembers after t_pte completed PTE rounds."""
 
     params: AllocParams
-    n_slot: int = 0  # slots used in the previous PTE
+    n_slot: int = 0  # slots used in the previous PTE; before the first, n0
     n_sta: int = 0   # joins observed in the previous PTE
     t_f: int = 0     # consecutive PTEs with zero joins
     t_pte: int = 0   # completed PTEs this session
 
 
-def fresh_state(params: AllocParams) -> SlotAllocState:
-    """State before any PTE has run."""
-    return SlotAllocState(params=params)
+def fresh_state(params: AllocParams, n0: int) -> SlotAllocState:
+    """State before any PTE has run.
+
+    n0 is the first-PTE slot count, normally chosen by the experiment as
+    ceil(slot_ratio * pending).
+    """
+    if n0 < 0:
+        raise ValueError("n0 must be non-negative")
+    return SlotAllocState(params=params, n_slot=n0)
 
 
 def next_slot_count(state: SlotAllocState) -> int:
@@ -81,9 +83,9 @@ def next_slot_count(state: SlotAllocState) -> int:
     t_f_max idle rounds have passed, at which point 0 signals that the
     session should stop probing.
     """
-    p = state.params
     if state.t_pte == 0:
-        return p.n0
+        return state.n_slot
+    p = state.params
     if state.n_slot <= 0:
         raise ZeroSlots("previous PTE ran with no slots; cannot derive a follow-up count")
     if state.n_sta > 0:

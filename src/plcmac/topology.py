@@ -110,9 +110,18 @@ def tree_from_parents(parent: dict[int, int]) -> NetworkTree:
         raise ValueError("parent map must cover ids 1..n exactly")
     parent = {node: parent[node] for node in sorted(parent)}
     depth = {CCO_ID: 0}
-    for node, par in parent.items():  # ids are placed in order, so parents resolve first
-        depth[node] = depth[par] + 1
-    tree = _build(n_sta, parent, depth)
+    for node in parent:
+        chain = []  # node and its unresolved ancestors, deepest first
+        while node not in depth:
+            if node not in parent:
+                raise ValueError(f"node {chain[-1]} has unknown parent {node}")
+            if len(chain) == n_sta:
+                raise ValueError("parent map has a cycle")
+            chain.append(node)
+            node = parent[node]
+        for d, node in enumerate(reversed(chain), start=depth[node] + 1):
+            depth[node] = d
+    tree = _build(n_sta, parent, {node: depth[node] for node in range(n_sta + 1)})
     tree.validate()
     return tree
 

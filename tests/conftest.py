@@ -23,6 +23,7 @@ class CollisionFreeRng:
 
     integers() deals slots round-robin, so m <= n_slot draws are all
     distinct; random() returns zeros, so any transmit probability passes.
+    Like numpy, a call without size returns a Python scalar.
     """
 
     def integers(self, low, high=None, size=None):
@@ -33,7 +34,7 @@ class CollisionFreeRng:
         return out if size is not None else int(out[0])
 
     def random(self, size=None):
-        return np.zeros(1 if size is None else size)
+        return 0.0 if size is None else np.zeros(size)
 
 
 @pytest.fixture

@@ -197,6 +197,14 @@ def test_summarize_rejects_foreign_headers(tmp_path):
     assert main(["summarize", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("row", ["epmac,10,1.0", "epmac,10,1.0,0,5,1,1,1,1,extra"])
+def test_summarize_rejects_rows_of_the_wrong_width(row, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(",".join(CSV_HEADER) + "\nepmac,10,1.0,0,5,1,1,1,1\n" + row + "\n")
+    assert main(["summarize", str(bad)]) == 2
+    assert "line 3 does not have 9 fields" in capsys.readouterr().err
+
+
 def test_complexity_table(capsys):
     assert main(["complexity"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -55,6 +55,14 @@ def test_single_layer_first_cycle_matches_the_per_cycle_trace(collision_free_rng
     )
 
 
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_formation_leaves_its_tree_unchanged(protocol):
+    # sweeps hand one star to every cell of a size, so a run must not alter it
+    tree = single_layer(40)
+    run_formation(protocol, tree, RunConfig(), 0.75, np.random.default_rng(3))
+    assert tree == single_layer(40)
+
+
 def test_sessions_run_in_breadth_first_order(monkeypatch, collision_free_rng):
     # at depth 2 BFS meets 4 (child of 1) before 3 (child of 2): not ascending-id order
     tree = tree_from_parents({1: 0, 2: 0, 3: 2, 4: 1, 5: 3, 6: 4})

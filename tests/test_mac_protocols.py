@@ -133,6 +133,20 @@ def test_association_cycle_collision_still_pays_every_request_slot():
     assert out.data_frames == 3  # beacon and both doomed requests
 
 
+@pytest.mark.parametrize("csma_p", [0.05, 0.75, 1.0])
+@pytest.mark.parametrize("n_slot", [1, 3, 40])
+def test_lone_association_contender_consumes_the_size_one_stream(csma_p, n_slot):
+    """A lone contender's scalar draws leave the stream where size=1 draws would."""
+    cfg = RunConfig(csma_p=csma_p)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        out = simulate_nc_csma(PendingSet((4,)), n_slot, cfg, rng)
+        ref = np.random.default_rng(seed)
+        ref.integers(0, n_slot, size=1)
+        assert out.joined == ((4,) if ref.random(1)[0] < csma_p else ())
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_association_cycle_relays_per_extra_hop(collision_free_rng):
     cfg = RunConfig()
     out = simulate_nc_csma(PendingSet((5,), depth=3), 2, cfg, collision_free_rng)

@@ -46,7 +46,7 @@ def test_ratio_cache_stays_bounded_over_a_random_ratio_sweep():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        AllocParams(n0=-1)
+        fresh_state(AllocParams(), -1)
     with pytest.raises(ValueError):
         AllocParams(t_f_max=-1)
     with pytest.raises(ValueError):
@@ -60,8 +60,7 @@ def test_params_validation():
 
 
 def test_first_round_uses_n0():
-    params = AllocParams(n0=9)
-    assert next_slot_count(fresh_state(params)) == 9
+    assert next_slot_count(fresh_state(AllocParams(), 9)) == 9
 
 
 def test_healthy_ratio_keeps_the_window():
@@ -101,7 +100,7 @@ def test_follow_up_after_zero_slot_round_is_an_error():
 
 
 def test_record_pte_transitions():
-    state = fresh_state(AllocParams(n0=10))
+    state = fresh_state(AllocParams(), 10)
     state = record_pte(state, 10, 2)
     assert (state.n_slot, state.n_sta, state.t_f, state.t_pte) == (10, 2, 0, 1)
     state = record_pte(state, 13, 0)
@@ -113,7 +112,7 @@ def test_record_pte_transitions():
 
 
 def test_record_pte_validation():
-    state = fresh_state(AllocParams())
+    state = fresh_state(AllocParams(), 1)
     with pytest.raises(ValueError):
         record_pte(state, 0, 0)
     with pytest.raises(ValueError):
@@ -127,8 +126,7 @@ def test_controller_trajectory_is_deterministic():
 
     n0=10, joins 2 (thin), 0 (idle), 26 (healthy), 0, 0, 0, 0 (budget gone).
     """
-    params = AllocParams(n0=10)
-    state = fresh_state(params)
+    state = fresh_state(AllocParams(), 10)
     windows = []
     for joins in (2, 0, 26, 0, 0, 0, 0):
         n_slot = next_slot_count(state)

@@ -62,6 +62,25 @@ def test_tree_from_parents_rejects_gappy_ids():
         tree_from_parents({1: 0, 3: 1})
 
 
+def test_tree_from_parents_accepts_parents_with_larger_ids():
+    tree = tree_from_parents({1: 2, 2: 0, 3: 4, 4: 1, 5: 2})
+    tree.validate()
+    assert tree.depth == {0: 0, 1: 2, 2: 1, 3: 4, 4: 3, 5: 2}
+    assert tree.layers == ((0,), (2,), (1, 5), (4,), (3,))
+    assert tree.children == {2: (1, 5), 0: (2,), 4: (3,), 1: (4,)}
+
+
+@pytest.mark.parametrize("parent", [{1: 2, 2: 1}, {1: 1}, {1: 0, 2: 3, 3: 4, 4: 2}])
+def test_tree_from_parents_rejects_cycles(parent):
+    with pytest.raises(ValueError, match="cycle"):
+        tree_from_parents(parent)
+
+
+def test_tree_from_parents_rejects_unknown_parents():
+    with pytest.raises(ValueError, match="unknown parent 7"):
+        tree_from_parents({1: 0, 2: 7})
+
+
 def test_edge_list_is_sorted_by_child():
     tree = tree_from_parents({1: 0, 2: 1, 3: 0})
     assert tree.to_edge_list() == "1 0 1\n2 1 2\n3 0 1"
