@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from plcmac import (
+    Protocol,
+    RunConfig,
     TreeShape,
     delta_sta_approx,
     delta_sta_exact,
@@ -15,6 +17,8 @@ from plcmac import (
     pmac_session_frames,
     pmac_total_frames,
     pmac_total_frames_closed,
+    run_formation,
+    tree_from_parents,
 )
 
 
@@ -97,3 +101,47 @@ def test_single_layer_frame_count_custom_capacities():
         epmac_single_layer_frames(0)
     with pytest.raises(ValueError):
         epmac_single_layer_frames(10, tdf_capacity=0)
+
+
+def _uniform_tree(shape):
+    """Every coordinator in layers 0..k-1 gets m children; ids ascend layer by layer."""
+    parents = {}
+    layer = [0]
+    for _ in range(shape.k):
+        below = []
+        for par in layer:
+            for _ in range(shape.m):
+                below.append(len(parents) + 1)
+                parents[below[-1]] = par
+        layer = below
+    return tree_from_parents(parents)
+
+
+UNIFORM_SHAPES = [TreeShape(m, k) for m in range(2, 11) for k in range(1, 4)]
+
+
+def test_engine_frame_counts_match_the_complexity_analysis(collision_free_rng):
+    """Collision-free runs on uniform trees send exactly the frames the analysis counts.
+
+    E-PMAC adds one frame per session: its first cycle's slot-count
+    announcement, which the per-session count m + 2*layer leaves out.
+    """
+    for shape in UNIFORM_SHAPES:
+        tree = _uniform_tree(shape)
+        sessions = len(tree.children)
+        assert sessions == (shape.m**shape.k - 1) // (shape.m - 1)
+        pmac = run_formation(Protocol.PMAC, tree, RunConfig(), 1.0, collision_free_rng)
+        epmac = run_formation(Protocol.EPMAC, tree, RunConfig(), 1.0, collision_free_rng)
+        assert pmac.data_frames == pmac_total_frames(shape), shape
+        assert epmac.data_frames == epmac_total_frames(shape) + sessions, shape
+        assert pmac.nc_count == epmac.nc_count == sessions, shape
+
+
+def test_batched_count_holds_only_while_one_sdf_covers_a_session(collision_free_rng):
+    """At m > sdf_capacity every session sends a second SDF the analysis does not count."""
+    shape = TreeShape(11, 2)
+    cfg = RunConfig()
+    assert shape.m == cfg.sdf_capacity + 1
+    epmac = run_formation(Protocol.EPMAC, _uniform_tree(shape), cfg, 1.0, collision_free_rng)
+    sessions = 1 + shape.m
+    assert epmac.data_frames == epmac_total_frames(shape) + 2 * sessions == 202

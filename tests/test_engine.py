@@ -11,6 +11,7 @@ from plcmac import (
     NonTermination,
     Protocol,
     RunConfig,
+    TimingTable,
     run_experiment,
     run_formation,
     single_layer,
@@ -46,6 +47,38 @@ def test_association_chain_run_is_fully_accounted():
     assert result == FormationResult(
         total_us=144000, nc_count=2, data_frames=8, preambles=0, joined=2
     )
+
+
+# one power of 1000 per slot kind, so each kind's count reads off as its own digit group
+PER_KIND = TimingTable(
+    preamble_slot_us=1,
+    data_frame_slot_us=10**3,
+    central_beacon_slot_us=10**6,
+    proxy_beacon_slot_us=10**9,
+    assoc_req_slot_us=10**12,
+    assoc_ind_slot_us=10**15,
+)
+CHAIN_2 = {1: 0, 2: 1}
+CHAIN_3 = {1: 0, 2: 1, 3: 2}
+
+
+@pytest.mark.parametrize(
+    "parents, protocol, expected",
+    [
+        (CHAIN_2, Protocol.EPMAC, FormationResult(10_004, 2, 10, 4, 2)),
+        (CHAIN_2, Protocol.PMAC, FormationResult(11_006, 2, 11, 6, 2)),
+        (CHAIN_2, Protocol.IEEE1901, FormationResult(3_003_001_001_000_000, 2, 8, 0, 2)),
+        (CHAIN_3, Protocol.EPMAC, FormationResult(18_006, 3, 18, 6, 3)),
+        (CHAIN_3, Protocol.PMAC, FormationResult(24_009, 3, 24, 9, 3)),
+        (CHAIN_3, Protocol.IEEE1901, FormationResult(6_006_002_001_000_000, 3, 15, 0, 3)),
+    ],
+    ids=["chain2-epmac", "chain2-pmac", "chain2-ieee1901", "chain3-epmac", "chain3-pmac", "chain3-ieee1901"],
+)
+def test_each_slot_kind_is_charged_its_own_length(parents, protocol, expected):
+    """Chains run under six distinct slot lengths, so a count charged to the wrong kind moves a digit group."""
+    cfg = RunConfig(timing=PER_KIND)
+    result = run_formation(protocol, tree_from_parents(parents), cfg, 1.0, np.random.default_rng(0))
+    assert result == expected
 
 
 def test_single_layer_first_cycle_matches_the_per_cycle_trace(collision_free_rng):

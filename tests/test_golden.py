@@ -1,4 +1,4 @@
-"""Golden output: frozen sha256 digests of sweep CSVs and of their summaries.
+"""Golden output: frozen sha256 digests of sweep CSVs, their summaries and the demos' stdout.
 
 A digest changes only when the random stream or the model changes on
 purpose; such a change re-freezes the value and says why.
@@ -6,6 +6,8 @@ purpose; such a change re-freezes the value and says why.
 
 import hashlib
 import io
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +80,25 @@ def test_summary_digests_are_frozen(name, tmp_path, capsys):
         assert cli.main(["summarize", str(path), *extra]) == 0
         digests.append(_sha256(capsys.readouterr().out))
     assert tuple(digests) == SUMMARY_GOLDEN[name]
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+DEMO_GOLDEN = {
+    "calibration_walkthrough": "db90ad3e368a384a861f9517a98ec14e36e24edf9691f2b9a8b7fb31807832bc",
+    "frame_airtimes": "148b38177ff50ac2e7f4d9c33f57345ffed6a71894728c057f5b4a7adaa18f8c",
+    "ratio_sweep_snapshot": "7fb2b3c9df6cad8d8492b937e0ed816509144d1657e743310410d3ad347bf5da",
+    "single_layer_race": "d91ba97e122955748119b040b5e649a6fa6570abce0be4a23f6f7b00105bf1d1",
+    "slot_adaptation_trace": "ea7a241508c985ad5a85fce91fadc879e10c0eb277afdc8cc039aad22719c72a",
+    "topology_sampler": "f7200fbd850c8d3356b049f8cd608a01641656170e483b87f00153670d293a94",
+}
+
+
+def test_every_demo_is_frozen():
+    assert sorted(path.stem for path in DEMOS.glob("*.py")) == sorted(DEMO_GOLDEN)
+
+
+@pytest.mark.parametrize("name", list(DEMO_GOLDEN))
+def test_demo_stdout_digest_is_frozen(name, capsys):
+    capsys.readouterr()
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    assert _sha256(capsys.readouterr().out) == DEMO_GOLDEN[name]

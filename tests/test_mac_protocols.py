@@ -6,6 +6,7 @@ import pytest
 from plcmac import (
     PendingSet,
     RunConfig,
+    TimingTable,
     contend,
     simulate_nc_csma,
     simulate_nc_epmac,
@@ -174,3 +175,33 @@ def test_association_cycle_deferral():
 def test_joined_ids_follow_input_order(collision_free_rng):
     out = simulate_nc_epmac(PendingSet((27, 3, 9)), 3, True, RunConfig(), collision_free_rng)
     assert out.joined == (3, 9, 27)
+
+
+# one power of 1000 per slot kind, so each kind's count reads off as its own digit group
+PER_KIND = TimingTable(
+    preamble_slot_us=1,
+    data_frame_slot_us=10**3,
+    central_beacon_slot_us=10**6,
+    proxy_beacon_slot_us=10**9,
+    assoc_req_slot_us=10**12,
+    assoc_ind_slot_us=10**15,
+)
+
+
+def _cycle_us(out, cfg):
+    return out.elapsed_us
+
+
+def test_each_kernel_charges_each_slot_kind_its_own_length():
+    cfg = RunConfig(timing=PER_KIND, csma_p=1.0)
+    trio = PendingSet((1, 2, 3))
+    out = simulate_nc_epmac(trio, 4, True, cfg, np.random.default_rng(1))
+    assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 6_007)
+    out = simulate_nc_epmac(trio, 4, False, cfg, np.random.default_rng(1))
+    assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 5_008)
+    out = simulate_nc_pmac(PendingSet((1, 2, 3), depth=2), 4, cfg, np.random.default_rng(1))
+    assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 18_008)
+    out = simulate_nc_csma(trio, 4, cfg, np.random.default_rng(1))
+    assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 3_004_000_001_000_000)
+    out = simulate_nc_csma(PendingSet((1, 2, 3), depth=3), 4, cfg, np.random.default_rng(1))
+    assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 9_010_001_000_000_000)
