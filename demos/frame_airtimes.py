@@ -8,7 +8,7 @@ parameters, and the simulator deliberately trusts the slot schedule.
 from plcmac import (
     FdplcPhyParams,
     Ieee1901PhyParams,
-    default_timing_table,
+    TimingTable,
     fdplc_data_frame_time,
     fdplc_preamble_time,
     ieee1901_frame_time,
@@ -35,7 +35,7 @@ def main() -> None:
     print(f"  frame, fractional symbols {fdplc_data_frame_time(fd):8.2f} us")
     print(f"  frame, whole symbols      {fdplc_data_frame_time(fd, integer_symbols=True):8.2f} us\n")
 
-    table = default_timing_table()
+    table = TimingTable()
     print("slot schedule the simulator charges (us):")
     for name, value in table.to_dict().items():
         print(f"  {name:24s} {value:6d}")

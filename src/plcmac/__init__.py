@@ -24,13 +24,7 @@ from .complexity import (
     pmac_total_frames,
     pmac_total_frames_closed,
 )
-from .core import (
-    Protocol,
-    Role,
-    RunConfig,
-    TimingTable,
-    default_timing_table,
-)
+from .core import Protocol, RunConfig, TimingTable
 from .engine import (
     CSV_HEADER,
     EmptySample,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
+import operator
 import sys
 from typing import IO, Sequence
 
@@ -17,7 +19,7 @@ from .complexity import (
     pmac_total_frames,
     pmac_total_frames_closed,
 )
-from .core import Protocol, TimingTable, default_timing_table
+from .core import Protocol, TimingTable
 from .engine import (
     CSV_HEADER,
     EmptySample,
@@ -240,9 +242,11 @@ def _cmd_timing(_args: argparse.Namespace) -> int:
     print(f"fdplc data frame, fractional symbols: {fdplc_data_frame_time(fd):.2f} us")
     print(f"fdplc data frame, whole symbols: {fdplc_data_frame_time(fd, integer_symbols=True):.2f} us")
     print(f"fdplc preamble: {fdplc_preamble_time(fd):.2f} us")
-    table = default_timing_table()
-    print("slot schedule (us): " + " ".join(f"{k}={v}" for k, v in table.to_dict().items()))
+    print("slot schedule (us): " + " ".join(f"{k}={v}" for k, v in TimingTable().to_dict().items()))
     return 0
+
+
+_INT_FIELDS = operator.itemgetter("n_node", "elapsed_us", "trial", "nc_count", "data_frames", "preambles", "layers")
 
 
 def _read_rows(path: str) -> list[dict]:
@@ -256,14 +260,15 @@ def _read_rows(path: str) -> list[dict]:
                 # DictReader fills a short row with None and files a long row's extras under None
                 if len(raw) != len(CSV_HEADER) or None in raw.values():
                     raise UsageError(f"{path}: line {reader.line_num} does not have {len(CSV_HEADER)} fields")
-                rows.append(
-                    {
-                        "protocol": raw["protocol"],
-                        "n_node": int(raw["n_node"]),
-                        "ratio": float(raw["ratio"]),
-                        "elapsed_us": int(raw["elapsed_us"]),
-                    }
-                )
+                try:
+                    # every integer column must parse, though only n_node and elapsed_us are kept
+                    n_node, elapsed_us, *_ = map(int, _INT_FIELDS(raw))
+                    ratio = float(raw["ratio"])
+                except ValueError as exc:
+                    raise UsageError(f"{path}: line {reader.line_num}: {exc}") from exc
+                if not math.isfinite(ratio):
+                    raise UsageError(f"{path}: line {reader.line_num}: ratio {raw['ratio']!r} is not finite")
+                rows.append({"protocol": raw["protocol"], "n_node": n_node, "ratio": ratio, "elapsed_us": elapsed_us})
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not rows:

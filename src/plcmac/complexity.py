@@ -13,7 +13,12 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class TreeShape:
-    """Uniform tree: every coordinator in layers 0..k-1 has exactly m children."""
+    """Uniform tree: every coordinator in layers 0..k-1 has exactly m children.
+
+    The batched counts assume one TDF and one SDF per session, so they
+    hold for m <= sdf_capacity (10 by default, with tdf_capacity >= it);
+    past that, every session sends frames they do not count.
+    """
 
     m: int
     k: int
@@ -46,7 +51,7 @@ def pmac_session_frames(shape: TreeShape, layer: int) -> int:
 
 
 def epmac_session_frames(shape: TreeShape, layer: int) -> int:
-    """Data frames one batched session at this layer needs: m + 2*layer."""
+    """Data frames one batched session at this layer needs: m + 2*layer (m <= sdf_capacity)."""
     _check_layer(shape, layer)
     return shape.m + 2 * layer
 

@@ -1,9 +1,11 @@
-"""Shared vocabulary: protocols, roles, the slot schedule, and the model constants."""
+"""Shared vocabulary: protocols, the slot schedule and its prices, and the model constants."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from operator import attrgetter, mul
+from typing import Sequence
 
 from .slot_alloc import AllocParams
 
@@ -14,19 +16,14 @@ class Protocol(Enum):
     IEEE1901 = "ieee1901"
 
 
-class Role(Enum):
-    CCO = "cco"
-    PCO = "pco"
-    STA = "sta"
-
-
 @dataclass(frozen=True)
 class TimingTable:
-    """Slot schedule in integer microseconds.
+    """Slot schedule in integer microseconds, one field per slot kind.
 
     Slot lengths are scheduling quantities: every occupied or reserved
     slot of a kind costs its full slot time regardless of the actual
-    frame air time inside it.
+    frame air time inside it. The simulator counts slots by kind, in
+    field order, and cost() is the one place counts become time.
     """
 
     preamble_slot_us: int = 400
@@ -45,13 +42,15 @@ class TimingTable:
     def to_dict(self) -> dict[str, int]:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict[str, int]) -> "TimingTable":
-        return cls(**data)
+    def cost(self, counts: Sequence[int]) -> int:
+        """Microseconds for counts[i] slots of the kind of the i-th field."""
+        lengths = _slot_lengths(self)
+        if len(counts) != len(lengths):
+            raise ValueError(f"need one count per slot kind ({len(lengths)}), got {len(counts)}")
+        return sum(map(mul, counts, lengths))
 
 
-def default_timing_table() -> TimingTable:
-    return TimingTable()
+_slot_lengths = attrgetter(*(f.name for f in fields(TimingTable)))
 
 
 @dataclass(frozen=True, kw_only=True)

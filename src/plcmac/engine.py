@@ -51,18 +51,18 @@ def run_formation(
 
     Proxy sessions at depth k >= 2 are charged a relay overhead of
     2*(k-1) data-frame slots up front (beacon chain down, report chain
-    up); the per-cycle costs come from the protocol simulators.
+    up); the per-cycle slots come from the protocol simulators. The run
+    adds up slot counts by kind and prices them once, with
+    cfg.timing.cost.
 
     slot_ratio is the experiment's free parameter (PTE slots per pending
     STA); the sweeps explore 0.5 to 2.0 but any positive value is legal.
     """
     if not slot_ratio > 0:
         raise ValueError("slot_ratio must be positive")
-    t = cfg.timing
-    total_us = 0
+    paid: list[tuple[int, ...]] = []  # slot counts by kind, one entry per cycle or relay overhead
     nc_count = 0
     data_frames = 0
-    preambles = 0
     joined_total = 0
 
     # BFS over coordinators only: the session order decides how the rng is consumed
@@ -83,7 +83,7 @@ def run_formation(
         if depth_k >= 2 and protocol is not Protocol.IEEE1901:
             overhead = 2 * (depth_k - 1)
             data_frames += overhead
-            total_us += overhead * t.data_frame_slot_us
+            paid.append((0, overhead, 0, 0, 0, 0))
         if protocol is Protocol.EPMAC:
             n0 = ceil_scale(slot_ratio, len(kids))
             state = fresh_state(cfg.alloc, n0)
@@ -113,9 +113,8 @@ def run_formation(
                 n_slot = ceil_scale(slot_ratio, len(pending))
                 out = simulate_nc_csma(batch, n_slot, cfg, rng)
             nc_count += 1
-            total_us += out.elapsed_us
+            paid.append(out.slot_counts)
             data_frames += out.data_frames
-            preambles += out.preambles
             if out.joined:  # a cycle without joins keeps its batch
                 joined_total += len(out.joined)
                 if len(out.joined) == len(pending):
@@ -124,7 +123,8 @@ def run_formation(
 
     if joined_total != tree.n_sta:
         raise RuntimeError("formation ended with unjoined STAs despite empty sessions")
-    return FormationResult(total_us, nc_count, data_frames, preambles, joined_total)
+    counts = list(map(sum, zip(*paid)))  # one total per slot kind
+    return FormationResult(cfg.timing.cost(counts), nc_count, data_frames, counts[0], joined_total)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Each simulator runs one networking cycle for one coordinator session:
 slotted contention in the PTE window, then the protocol's framing for
-whoever got through. Durations come from the slot schedule, never from
-frame air times.
+whoever got through. A cycle reports the slots it paid for by kind;
+core.TimingTable.cost turns slot counts into time, never frame air times.
 """
 
 from __future__ import annotations
@@ -36,12 +36,18 @@ class PendingSet:
 
 @dataclass(frozen=True)
 class NcOutcome:
-    """One networking cycle's result for one session."""
+    """One networking cycle's result for one session.
+
+    slot_counts holds the slots the cycle paid for, one count per
+    TimingTable field in field order: (preamble, data frame, central
+    beacon, proxy beacon, association request, association indication).
+    data_frames counts frames sent, which for association is not the
+    slots paid: every request slot costs, used or not.
+    """
 
     joined: tuple[int, ...]
-    elapsed_us: int
+    slot_counts: tuple[int, int, int, int, int, int]
     data_frames: int
-    preambles: int
     slots_used: int
 
 
@@ -86,24 +92,14 @@ def simulate_nc_epmac(
     s winners: ceil(s/tdf_capacity) TDFs, s MAC-address frames,
     ceil(s/sdf_capacity) SDFs, and one ACK preamble each.
     """
-    t = cfg.timing
     joined = _contend(pending.stas, n_slot, rng)
     s = len(joined)
-    if first_nc:
-        data, preambles = 1, 0
-        elapsed = t.data_frame_slot_us
-    else:
-        data, preambles = 0, 1
-        elapsed = t.preamble_slot_us
-    elapsed += n_slot * t.preamble_slot_us  # every PTE slot is paid for, landed or not
-    preambles += n_slot
+    # the announcement plus every PTE slot, landed or not
+    data, preambles = (1, n_slot) if first_nc else (0, 1 + n_slot)
     if s:
-        tdf = -(-s // cfg.tdf_capacity)
-        sdf = -(-s // cfg.sdf_capacity)
-        data += tdf + s + sdf
+        data += -(-s // cfg.tdf_capacity) + s + -(-s // cfg.sdf_capacity)
         preambles += s
-        elapsed += (tdf + s + sdf) * t.data_frame_slot_us + s * t.preamble_slot_us
-    return NcOutcome(joined, elapsed, data, preambles, n_slot)
+    return NcOutcome(joined, (preambles, data, 0, 0, 0, 0), data, n_slot)
 
 
 def simulate_nc_pmac(
@@ -118,13 +114,10 @@ def simulate_nc_pmac(
     (time difference, MAC address, SID) each crossing k hops, and one
     ACK preamble per winner.
     """
-    t = cfg.timing
     joined = _contend(pending.stas, n_slot, rng)
     s = len(joined)
     data = 3 * pending.depth * s
-    preambles = 1 + n_slot + s
-    elapsed = preambles * t.preamble_slot_us + data * t.data_frame_slot_us
-    return NcOutcome(joined, elapsed, data, preambles, n_slot)
+    return NcOutcome(joined, (1 + n_slot + s, data, 0, 0, 0, 0), data, n_slot)
 
 
 def simulate_nc_csma(
@@ -141,8 +134,6 @@ def simulate_nc_csma(
     association indication, plus one request/indication pair per extra
     hop. Non-transmitters and collided STAs wait for the next cycle.
     """
-    t = cfg.timing
-    k = pending.depth
     stas = pending.stas
     if n_slot < 1:
         raise ValueError("need at least one slot")
@@ -158,10 +149,7 @@ def simulate_nc_csma(
         joined = _winners(sending, slots[transmit], n_slot)
         transmitters = len(sending)
     s = len(joined)
-    beacon = t.central_beacon_slot_us if k == 1 else t.proxy_beacon_slot_us
-    elapsed = beacon + n_slot * t.assoc_req_slot_us + s * t.assoc_ind_slot_us
-    data = 1 + transmitters + s
-    if k > 1:
-        elapsed += s * (k - 1) * (t.assoc_req_slot_us + t.assoc_ind_slot_us)
-        data += 2 * s * (k - 1)
-    return NcOutcome(joined, elapsed, data, 0, n_slot)
+    relayed = s * (pending.depth - 1)  # a request/indication pair per winner per extra hop
+    req, ind = n_slot + relayed, s + relayed
+    counts = (0, 0, 1, 0, req, ind) if pending.depth == 1 else (0, 0, 0, 1, req, ind)
+    return NcOutcome(joined, counts, 1 + transmitters + s + 2 * relayed, n_slot)

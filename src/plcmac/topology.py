@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Role
-
 CCO_ID = 0
 
 
@@ -42,11 +40,6 @@ class NetworkTree:
     @property
     def max_depth(self) -> int:
         return len(self.layers) - 1
-
-    def role(self, node_id: int) -> Role:
-        if node_id == CCO_ID:
-            return Role.CCO
-        return Role.PCO if self.children.get(node_id) else Role.STA
 
     def to_edge_list(self) -> str:
         """One line per STA: 'child_id parent_id depth', ascending by child."""

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from plcmac import TimingTable
+
 VERDICTS: list[str] = []
 
 
@@ -40,3 +42,16 @@ class CollisionFreeRng:
 @pytest.fixture
 def collision_free_rng():
     return CollisionFreeRng()
+
+
+@pytest.fixture
+def per_kind_timing():
+    """Six distinct slot lengths, one power of 1000 per kind, so each kind's count reads off as its own digit group."""
+    return TimingTable(
+        preamble_slot_us=1,
+        data_frame_slot_us=10**3,
+        central_beacon_slot_us=10**6,
+        proxy_beacon_slot_us=10**9,
+        assoc_req_slot_us=10**12,
+        assoc_ind_slot_us=10**15,
+    )

@@ -205,6 +205,22 @@ def test_summarize_rejects_rows_of_the_wrong_width(row, tmp_path, capsys):
     assert "line 3 does not have 9 fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
+def test_summarize_rejects_non_finite_ratios(ratio, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(",".join(CSV_HEADER) + f"\nepmac,10,1.0,0,5,1,1,1,1\nepmac,10,{ratio},0,5,1,1,1,1\n")
+    assert main(["summarize", str(bad)]) == 2
+    assert f"{bad}: line 3: ratio '{ratio}' is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["epmac,ten,1.0,0,5,1,1,1,1", "epmac,10,x,0,5,1,1,1,1", "epmac,10,1.0,0,5,1,1,1,one"])
+def test_summarize_names_file_and_line_of_a_non_numeric_field(row, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(",".join(CSV_HEADER) + "\nepmac,10,1.0,0,5,1,1,1,1\n" + row + "\n")
+    assert main(["summarize", str(bad)]) == 2
+    assert f"error: {bad}: line 3: " in capsys.readouterr().err
+
+
 def test_complexity_table(capsys):
     assert main(["complexity"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -2,18 +2,11 @@
 
 import pytest
 
-from plcmac import (
-    AllocParams,
-    Protocol,
-    Role,
-    RunConfig,
-    TimingTable,
-    default_timing_table,
-)
+from plcmac import AllocParams, Protocol, RunConfig, TimingTable
 
 
 def test_default_slot_schedule_values():
-    t = default_timing_table()
+    t = TimingTable()
     assert t.preamble_slot_us == 400
     assert t.data_frame_slot_us == 20000
     assert t.central_beacon_slot_us == 12000
@@ -28,9 +21,11 @@ def test_timing_table_rejects_non_positive_or_non_integer_slots(bad):
         TimingTable(data_frame_slot_us=bad)
 
 
-def test_timing_table_dict_round_trip():
-    t = TimingTable(preamble_slot_us=500)
-    assert TimingTable.from_dict(t.to_dict()) == t
+def test_cost_prices_each_count_at_its_own_slot_length(per_kind_timing):
+    assert per_kind_timing.cost((6, 5, 4, 3, 2, 1)) == 1_002_003_004_005_006
+    assert TimingTable().cost((3, 2, 0, 0, 0, 0)) == 3 * 400 + 2 * 20000
+    with pytest.raises(ValueError):
+        per_kind_timing.cost((1, 2, 3))  # one count per slot kind, no fewer
 
 
 def test_run_config_defaults_are_usable():
@@ -60,6 +55,5 @@ def test_run_config_rejects_bad_values(kwargs):
         RunConfig(**kwargs)
 
 
-def test_protocol_and_role_values():
+def test_protocol_values():
     assert {p.value for p in Protocol} == {"epmac", "pmac", "ieee1901"}
-    assert {r.value for r in Role} == {"cco", "pco", "sta"}

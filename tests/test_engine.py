@@ -11,7 +11,6 @@ from plcmac import (
     NonTermination,
     Protocol,
     RunConfig,
-    TimingTable,
     run_experiment,
     run_formation,
     single_layer,
@@ -49,15 +48,6 @@ def test_association_chain_run_is_fully_accounted():
     )
 
 
-# one power of 1000 per slot kind, so each kind's count reads off as its own digit group
-PER_KIND = TimingTable(
-    preamble_slot_us=1,
-    data_frame_slot_us=10**3,
-    central_beacon_slot_us=10**6,
-    proxy_beacon_slot_us=10**9,
-    assoc_req_slot_us=10**12,
-    assoc_ind_slot_us=10**15,
-)
 CHAIN_2 = {1: 0, 2: 1}
 CHAIN_3 = {1: 0, 2: 1, 3: 2}
 
@@ -74,9 +64,9 @@ CHAIN_3 = {1: 0, 2: 1, 3: 2}
     ],
     ids=["chain2-epmac", "chain2-pmac", "chain2-ieee1901", "chain3-epmac", "chain3-pmac", "chain3-ieee1901"],
 )
-def test_each_slot_kind_is_charged_its_own_length(parents, protocol, expected):
+def test_each_slot_kind_is_charged_its_own_length(parents, protocol, expected, per_kind_timing):
     """Chains run under six distinct slot lengths, so a count charged to the wrong kind moves a digit group."""
-    cfg = RunConfig(timing=PER_KIND)
+    cfg = RunConfig(timing=per_kind_timing)
     result = run_formation(protocol, tree_from_parents(parents), cfg, 1.0, np.random.default_rng(0))
     assert result == expected
 

@@ -6,12 +6,17 @@ import pytest
 from plcmac import (
     PendingSet,
     RunConfig,
-    TimingTable,
     contend,
     simulate_nc_csma,
     simulate_nc_epmac,
     simulate_nc_pmac,
 )
+
+
+
+
+def _cycle_us(out, cfg=RunConfig()):
+    return cfg.timing.cost(out.slot_counts)
 
 
 def test_pending_set_normalizes_and_validates():
@@ -61,9 +66,9 @@ def test_batched_cycle_first_round_trace(collision_free_rng):
     """
     out = simulate_nc_epmac(PendingSet((1, 2)), 2, True, RunConfig(), collision_free_rng)
     assert out.joined == (1, 2)
-    assert out.elapsed_us == 101600
+    assert _cycle_us(out) == 101600
     assert out.data_frames == 5
-    assert out.preambles == 4
+    assert out.slot_counts == (4, 5, 0, 0, 0, 0)
     assert out.slots_used == 2
 
 
@@ -71,66 +76,66 @@ def test_batched_cycle_later_round_trace():
     # announcement shrinks to a preamble after the first cycle
     out = simulate_nc_epmac(PendingSet((7,)), 1, False, RunConfig(), np.random.default_rng(0))
     assert out.joined == (7,)
-    assert out.elapsed_us == 61200
+    assert _cycle_us(out) == 61200
     assert out.data_frames == 3
-    assert out.preambles == 3
+    assert out.slot_counts == (3, 3, 0, 0, 0, 0)
 
 
 def test_batched_cycle_total_collision_charges_only_the_window():
     out = simulate_nc_epmac(PendingSet((1, 2)), 1, True, RunConfig(), np.random.default_rng(3))
     assert out.joined == ()
-    assert out.elapsed_us == 20400
+    assert _cycle_us(out) == 20400
     assert out.data_frames == 1
-    assert out.preambles == 1
+    assert out.slot_counts == (1, 1, 0, 0, 0, 0)
     out = simulate_nc_epmac(PendingSet((1, 2)), 1, False, RunConfig(), np.random.default_rng(3))
-    assert out.elapsed_us == 800
+    assert _cycle_us(out) == 800
     assert out.data_frames == 0
-    assert out.preambles == 2
+    assert out.slot_counts == (2, 0, 0, 0, 0, 0)
 
 
 def test_batched_cycle_respects_frame_capacities(collision_free_rng):
     # 25 joins: 2 TDFs of 20, 3 SDFs of 10
     out = simulate_nc_epmac(PendingSet(tuple(range(1, 26))), 25, True, RunConfig(), collision_free_rng)
     assert out.data_frames == 1 + 2 + 25 + 3
-    assert out.preambles == 25 + 25
+    assert out.slot_counts == (25 + 25, 1 + 2 + 25 + 3, 0, 0, 0, 0)
 
 
 def test_unbatched_cycle_trace(collision_free_rng):
     out = simulate_nc_pmac(PendingSet((1, 2)), 2, RunConfig(), collision_free_rng)
     assert out.joined == (1, 2)
-    assert out.elapsed_us == 122000
+    assert _cycle_us(out) == 122000
     assert out.data_frames == 6
-    assert out.preambles == 5
+    assert out.slot_counts == (5, 6, 0, 0, 0, 0)
 
 
 def test_unbatched_cycle_scales_frames_with_depth(collision_free_rng):
     out = simulate_nc_pmac(PendingSet((9,), depth=2), 1, RunConfig(), collision_free_rng)
     assert out.data_frames == 6
-    assert out.elapsed_us == 121200
+    assert _cycle_us(out) == 121200
 
 
 def test_unbatched_cycle_collision_costs_preambles_only():
     out = simulate_nc_pmac(PendingSet((1, 2, 3)), 1, RunConfig(), np.random.default_rng(0))
     assert out.joined == ()
-    assert out.elapsed_us == 800
+    assert _cycle_us(out) == 800
     assert out.data_frames == 0
-    assert out.preambles == 2
+    assert out.slot_counts == (2, 0, 0, 0, 0, 0)
 
 
 def test_association_cycle_singleton_trace():
     cfg = RunConfig(csma_p=1.0)
     out = simulate_nc_csma(PendingSet((1,)), 1, cfg, np.random.default_rng(0))
     assert out.joined == (1,)
-    assert out.elapsed_us == 52000
+    assert _cycle_us(out) == 52000
     assert out.data_frames == 3
-    assert out.preambles == 0
+    assert out.slot_counts == (0, 0, 1, 0, 1, 1)  # no preamble slots at all
 
 
 def test_association_cycle_collision_still_pays_every_request_slot():
     cfg = RunConfig(csma_p=1.0)
     out = simulate_nc_csma(PendingSet((1, 2)), 1, cfg, np.random.default_rng(0))
     assert out.joined == ()
-    assert out.elapsed_us == 32000
+    assert _cycle_us(out) == 32000
     assert out.data_frames == 3  # beacon and both doomed requests
 
 
@@ -151,8 +156,9 @@ def test_lone_association_contender_consumes_the_size_one_stream(csma_p, n_slot)
 def test_association_cycle_relays_per_extra_hop(collision_free_rng):
     cfg = RunConfig()
     out = simulate_nc_csma(PendingSet((5,), depth=3), 2, cfg, collision_free_rng)
-    assert out.elapsed_us == 12000 + 2 * 20000 + 20000 + 2 * (20000 + 20000)
+    assert _cycle_us(out) == 12000 + 2 * 20000 + 20000 + 2 * (20000 + 20000)
     assert out.data_frames == 1 + 1 + 1 + 4
+    assert out.slot_counts == (0, 0, 0, 1, 2 + 2, 1 + 2)
 
 
 def test_association_cycle_deferral():
@@ -168,7 +174,7 @@ def test_association_cycle_deferral():
         simulate_nc_csma(PendingSet((1,)), 1, cfg, np.random.default_rng(seed))
         for seed in range(200)
     ) if not out.joined)
-    assert deferred.elapsed_us == 12000 + 20000
+    assert _cycle_us(deferred) == 12000 + 20000
     assert deferred.data_frames == 1  # the beacon went out, nothing else
 
 
@@ -177,23 +183,8 @@ def test_joined_ids_follow_input_order(collision_free_rng):
     assert out.joined == (3, 9, 27)
 
 
-# one power of 1000 per slot kind, so each kind's count reads off as its own digit group
-PER_KIND = TimingTable(
-    preamble_slot_us=1,
-    data_frame_slot_us=10**3,
-    central_beacon_slot_us=10**6,
-    proxy_beacon_slot_us=10**9,
-    assoc_req_slot_us=10**12,
-    assoc_ind_slot_us=10**15,
-)
-
-
-def _cycle_us(out, cfg):
-    return out.elapsed_us
-
-
-def test_each_kernel_charges_each_slot_kind_its_own_length():
-    cfg = RunConfig(timing=PER_KIND, csma_p=1.0)
+def test_each_kernel_charges_each_slot_kind_its_own_length(per_kind_timing):
+    cfg = RunConfig(timing=per_kind_timing, csma_p=1.0)
     trio = PendingSet((1, 2, 3))
     out = simulate_nc_epmac(trio, 4, True, cfg, np.random.default_rng(1))
     assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 6_007)

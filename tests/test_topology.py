@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plcmac import NetworkTree, Role, generate_tree, min_first_layer, single_layer, tree_from_parents
+from plcmac import NetworkTree, generate_tree, min_first_layer, single_layer, tree_from_parents
 from plcmac.topology import CCO_ID
 
 
@@ -41,8 +41,7 @@ def test_single_layer_is_a_star():
     assert tree.max_depth == 1
     assert tree.children[CCO_ID] == (1, 2, 3, 4, 5)
     assert all(tree.parent[i] == CCO_ID for i in range(1, 6))
-    assert tree.role(CCO_ID) is Role.CCO
-    assert tree.role(3) is Role.STA
+    assert list(tree.children) == [CCO_ID]  # the CCO is the only coordinator
 
 
 def test_tree_from_parents_builds_layers_and_roles():
@@ -50,10 +49,7 @@ def test_tree_from_parents_builds_layers_and_roles():
     tree.validate()
     assert tree.max_depth == 3
     assert tree.layers == ((0,), (1, 2), (3, 4), (5,))
-    assert tree.children[1] == (3, 4)
-    assert tree.role(1) is Role.PCO
-    assert tree.role(3) is Role.PCO
-    assert tree.role(2) is Role.STA
+    assert tree.children == {0: (1, 2), 1: (3, 4), 3: (5,)}  # 1 and 3 are PCOs, 2 is a leaf STA
     assert tree.depth[5] == 3
 
 
