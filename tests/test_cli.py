@@ -197,6 +197,12 @@ def test_summarize_rejects_foreign_headers(tmp_path):
     assert main(["summarize", str(bad)]) == 2
 
 
+def test_summarize_of_a_header_only_csv_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(CSV_HEADER) + "\n")
+    assert main(["summarize", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: no data rows\n"
+
 @pytest.mark.parametrize("row", ["epmac,10,1.0", "epmac,10,1.0,0,5,1,1,1,1,extra"])
 def test_summarize_rejects_rows_of_the_wrong_width(row, tmp_path, capsys):
     bad = tmp_path / "bad.csv"

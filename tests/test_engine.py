@@ -102,6 +102,46 @@ def test_sessions_run_in_breadth_first_order(monkeypatch, collision_free_rng):
     assert result.nc_count == 5
 
 
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch, protocol):
+    # bench/tracer.py swaps these engine globals for wrappers; binding them at import time would hide every call
+    calls = dict.fromkeys(("simulate_nc_epmac", "simulate_nc_pmac", "simulate_nc_csma", "next_slot_count", "ceil_scale"), 0)
+    joined = []
+    firsts = []
+
+    def counting(name):
+        original = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            out = original(*args)
+            if name.startswith("simulate_nc_"):
+                firsts.append(args[0])
+                joined.append(len(out.joined))
+            return out
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counting(name))
+    from plcmac import generate_tree
+
+    tree = generate_tree(120, 5, np.random.default_rng(2))
+    assert tree.max_depth == 5
+    result = run_formation(protocol, tree, RunConfig(), 0.75, np.random.default_rng(5))
+    kernel = {Protocol.EPMAC: "simulate_nc_epmac", Protocol.PMAC: "simulate_nc_pmac",
+              Protocol.IEEE1901: "simulate_nc_csma"}[protocol]
+    assert calls[kernel] == result.nc_count
+    assert sum(calls[name] for name in calls if name.startswith("simulate_nc_")) == result.nc_count
+    assert sum(joined) == tree.n_sta == result.joined
+    assert all(hasattr(first, "stas") for first in firsts)
+    if protocol is Protocol.EPMAC:
+        assert calls["ceil_scale"] == len(tree.children)  # one first window per session
+        assert calls["next_slot_count"] >= result.nc_count
+    else:
+        assert calls["ceil_scale"] == result.nc_count  # one window per cycle
+        assert calls["next_slot_count"] == 0
+
 def test_every_run_joins_every_sta():
     for protocol in Protocol:
         for seed in range(4):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from plcmac import (
+    AllocParams,
+    NcOutcome,
     PendingSet,
     RunConfig,
     contend,
+    fresh_state,
     simulate_nc_csma,
     simulate_nc_epmac,
     simulate_nc_pmac,
@@ -30,6 +33,17 @@ def test_pending_set_normalizes_and_validates():
     with pytest.raises(ValueError):
         PendingSet((1,), depth=0)
 
+
+def test_value_types_are_immutable():
+    fields_of = {
+        PendingSet((3, 1), depth=2): ("stas", "depth"),
+        NcOutcome((1,), (2, 0, 0, 0, 0, 0), 0, 1): ("joined", "slot_counts", "data_frames", "slots_used"),
+        fresh_state(AllocParams(), 4): ("params", "n_slot", "n_sta", "t_f", "t_pte"),
+    }
+    for value, names in fields_of.items():
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
 
 def test_single_contender_always_wins():
     successes, flags = contend(1, 7, np.random.default_rng(0))
