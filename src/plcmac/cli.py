@@ -22,7 +22,6 @@ from .complexity import (
 from .core import Protocol, TimingTable
 from .engine import (
     CSV_HEADER,
-    EmptySample,
     ExperimentPlan,
     NonTermination,
     ResultRow,
@@ -378,7 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonTermination, EmptySample) as exc:
+    except NonTermination as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 3
 

@@ -8,7 +8,7 @@ Each session loops networking cycles until its pending set drains.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,10 +56,10 @@ def run_formation(
     cfg.timing.cost.
 
     slot_ratio is the experiment's free parameter (PTE slots per pending
-    STA); the sweeps explore 0.5 to 2.0 but any positive value is legal.
+    STA); the sweeps explore 0.5 to 2.0 but any positive finite value is legal.
     """
-    if not slot_ratio > 0:
-        raise ValueError("slot_ratio must be positive")
+    if not (slot_ratio > 0 and math.isfinite(slot_ratio)):
+        raise ValueError(f"slot_ratio must be positive and finite, got {slot_ratio!r}")
     paid: list[tuple[int, ...]] = []  # slot counts by kind, one entry per cycle or relay overhead
     nc_count = 0
     data_frames = 0
@@ -77,49 +77,51 @@ def run_formation(
             if len(sessions) < len(coordinators):  # else every coordinator has its session
                 queue.extend(filter(coordinators.__contains__, kids))
 
+    # decided once per run; the names are read from this module per call so wrappers set on it see every call
+    epmac = protocol is Protocol.EPMAC
+    pmac = protocol is Protocol.PMAC
+    pays_relay = protocol is not Protocol.IEEE1901
+    kernel = simulate_nc_pmac if pmac else simulate_nc_csma
     max_nc = cfg.max_nc
     for coordinator, kids in sessions:
         depth_k = tree.depth[coordinator] + 1
-        if depth_k >= 2 and protocol is not Protocol.IEEE1901:
+        if pays_relay and depth_k >= 2:
             overhead = 2 * (depth_k - 1)
             data_frames += overhead
             paid.append((0, overhead, 0, 0, 0, 0))
-        if protocol is Protocol.EPMAC:
+        if epmac:
             n0 = ceil_scale(slot_ratio, len(kids))
             state = fresh_state(cfg.alloc, n0)
         batch = PendingSet(kids, depth_k)
+        pending = batch.stas
         while True:
-            pending = batch.stas
             if nc_count >= max_nc:
                 raise NonTermination(
                     f"{protocol.value} run exceeded max_nc={max_nc} with "
                     f"{len(pending)} STA(s) still pending at depth {depth_k}"
                 )
-            if protocol is Protocol.EPMAC:
+            if epmac:
                 n_slot = next_slot_count(state)
                 if n_slot == 0:
                     # probe budget exhausted with STAs left: forced restart, fresh first PTE
                     state = fresh_state(cfg.alloc, n0)
                     n_slot = next_slot_count(state)
-                out = simulate_nc_epmac(batch, n_slot, state.t_pte == 0, cfg, rng)
-                state = record_pte(state, n_slot, len(out.joined))
-            elif protocol is Protocol.PMAC:
-                # two contenders in one slot collide forever; floor the window at 2
-                n_slot = ceil_scale(slot_ratio, len(pending))
-                if len(pending) >= 2:
-                    n_slot = max(n_slot, 2)
-                out = simulate_nc_pmac(batch, n_slot, cfg, rng)
+                joined, cycle_counts, frames, _ = simulate_nc_epmac(batch, n_slot, state.t_pte == 0, cfg, rng)
+                state = record_pte(state, n_slot, len(joined))
             else:
                 n_slot = ceil_scale(slot_ratio, len(pending))
-                out = simulate_nc_csma(batch, n_slot, cfg, rng)
+                if pmac and n_slot < 2 and len(pending) >= 2:
+                    n_slot = 2  # two contenders in one slot collide forever; floor the window at 2
+                joined, cycle_counts, frames, _ = kernel(batch, n_slot, cfg, rng)
             nc_count += 1
-            paid.append(out.slot_counts)
-            data_frames += out.data_frames
-            if out.joined:  # a cycle without joins keeps its batch
-                joined_total += len(out.joined)
-                if len(out.joined) == len(pending):
+            paid.append(cycle_counts)
+            data_frames += frames
+            if joined:  # a cycle without joins keeps its batch
+                joined_total += len(joined)
+                if len(joined) == len(pending):
                     break
-                batch = PendingSet(tuple(filterfalse(set(out.joined).__contains__, pending)), depth_k)
+                batch = PendingSet(filterfalse(set(joined).__contains__, pending), depth_k)
+                pending = batch.stas
 
     if joined_total != tree.n_sta:
         raise RuntimeError("formation ended with unjoined STAs despite empty sessions")
@@ -190,6 +192,9 @@ class ExperimentPlan(RunConfig):
             lo, hi = self.ratio_random
             if not 0 < lo <= hi:
                 raise ValueError("ratio_random bounds must satisfy 0 < lo <= hi")
+        for r in self.ratio_grid or self.ratio_random:
+            if not math.isfinite(r):
+                raise ValueError(f"slot ratios must be finite, got {r!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
@@ -260,6 +265,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     ]
     if jobs == 1 or len(cells) < 2:
         return [_run_cell(*cell) for cell in cells]
+    from concurrent.futures import ProcessPoolExecutor  # deferred: a jobs=1 process never pays for it
     chunk = max(1, len(cells) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_cell_args, cells, chunksize=chunk))

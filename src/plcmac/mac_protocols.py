@@ -8,34 +8,39 @@ core.TimingTable.cost turns slot counts into time, never frame air times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .core import RunConfig
 
 
-@dataclass(frozen=True)
-class PendingSet:
-    """STAs still waiting to join one session, all at the same tree depth (>= 1)."""
-
+class _PendingFields(NamedTuple):
     stas: tuple[int, ...]
     depth: int = 1
 
-    def __post_init__(self) -> None:
-        stas = tuple(sorted(self.stas))
+
+class PendingSet(_PendingFields):
+    """STAs still waiting to join one session, all at the same tree depth (>= 1); stas is kept sorted."""
+
+    __slots__ = ()
+
+    def __new__(cls, stas: Iterable[int], depth: int = 1) -> PendingSet:
+        stas = tuple(sorted(stas))
         if not stas:
             raise ValueError("a pending set is never empty")
         if len(set(stas)) != len(stas):
             raise ValueError("pending ids must be unique")
-        if self.depth < 1:
+        if depth < 1:
             raise ValueError("depth starts at 1")
-        object.__setattr__(self, "stas", stas)
+        return tuple.__new__(cls, (stas, depth))
+
+    # _replace builds through _make, so route it through the checks too
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass(frozen=True)
-class NcOutcome:
+class NcOutcome(NamedTuple):
     """One networking cycle's result for one session.
 
     slot_counts holds the slots the cycle paid for, one count per

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class ZeroSlots(ValueError):
@@ -14,9 +15,9 @@ class ZeroSlots(ValueError):
 # One formation reads only its slot ratio and the controller's k1 and k2;
 # a bound keeps random-ratio sweeps from holding one entry per cell.
 @lru_cache(maxsize=8)
-def _as_fraction(factor: float) -> Fraction:
+def _as_fraction(factor: float) -> tuple[int, int]:
     # str() round-trips the decimal literal the user typed, so 1.1 stays 11/10
-    return Fraction(str(factor))
+    return Fraction(str(factor)).as_integer_ratio()
 
 
 def ceil_scale(factor: float, n: int) -> int:
@@ -25,8 +26,8 @@ def ceil_scale(factor: float, n: int) -> int:
     Plain float multiplication can overshoot an integer product
     (1.1 * 10 == 11.000000000000002) and inflate the ceiling by one slot.
     """
-    f = _as_fraction(factor)
-    return -(-f.numerator * n // f.denominator)
+    numerator, denominator = _as_fraction(factor)
+    return -(-numerator * n // denominator)
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,7 @@ class AllocParams:
             raise ValueError("growth factors must satisfy 1 < k1 < k2")
 
 
-@dataclass(frozen=True)
-class SlotAllocState:
+class SlotAllocState(NamedTuple):
     """What the controller remembers after t_pte completed PTE rounds."""
 
     params: AllocParams
@@ -70,7 +70,7 @@ def fresh_state(params: AllocParams, n0: int) -> SlotAllocState:
     """
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
-    return SlotAllocState(params=params, n_slot=n0)
+    return SlotAllocState(params, n0)
 
 
 def next_slot_count(state: SlotAllocState) -> int:
@@ -107,10 +107,4 @@ def record_pte(state: SlotAllocState, n_slot_used: int, n_joined: int) -> SlotAl
         raise ValueError("a PTE round uses at least one slot")
     if not 0 <= n_joined <= n_slot_used:
         raise ValueError("joins must lie in [0, n_slot_used]")
-    return SlotAllocState(
-        params=state.params,
-        n_slot=n_slot_used,
-        n_sta=n_joined,
-        t_f=0 if n_joined > 0 else state.t_f + 1,
-        t_pte=state.t_pte + 1,
-    )
+    return SlotAllocState(state.params, n_slot_used, n_joined, 0 if n_joined else state.t_f + 1, state.t_pte + 1)

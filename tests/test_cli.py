@@ -82,6 +82,14 @@ def test_bad_sweep_values_exit_2(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv", [["sweep-single", "--ratios", "inf"], ["sweep-multi", "--ratio-random", "0.5", "inf"]]
+)
+def test_infinite_sweep_ratios_exit_2(argv, tmp_path, capsys):
+    rc = main(argv + ["--n-range", "5", "5", "1", "--trials", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: slot ratios must be finite, got inf\n"
+
 def test_exhausted_cycle_budget_exits_3(tmp_path, capsys):
     rc = main(["sweep-single", "--max-nc", "1", "--n", "20", "--trials", "1",
                "--out", str(tmp_path / "x.csv")])

@@ -187,6 +187,10 @@ def test_nonpositive_slot_ratio_is_rejected(ratio):
         run_formation(Protocol.PMAC, _chain(), RunConfig(), ratio, np.random.default_rng(0))
 
 
+def test_infinite_slot_ratio_is_rejected():
+    with pytest.raises(ValueError, match="slot_ratio must be positive and finite, got inf"):
+        run_formation(Protocol.PMAC, _chain(), RunConfig(), float("inf"), np.random.default_rng(0))
+
 def test_experiment_rows_follow_cell_order():
     plan = ExperimentPlan(
         protocols=(Protocol.EPMAC, Protocol.PMAC),
@@ -265,6 +269,11 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(**base, ratio_grid=(1.0,), csma_p=1.5)
 
+
+@pytest.mark.parametrize("ratios", [{"ratio_grid": (1.0, float("inf"))}, {"ratio_random": (0.5, float("inf"))}])
+def test_plan_rejects_infinite_ratios(ratios):
+    with pytest.raises(ValueError, match="slot ratios must be finite, got inf"):
+        ExperimentPlan(protocols=(Protocol.EPMAC,), n_values=(10,), **ratios)
 
 def test_nontermination_names_the_offending_cell():
     plan = ExperimentPlan(

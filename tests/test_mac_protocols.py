@@ -32,6 +32,9 @@ def test_pending_set_normalizes_and_validates():
         PendingSet((1, 1))
     with pytest.raises(ValueError):
         PendingSet((1,), depth=0)
+    assert ps._replace(stas=(4, 3)) == PendingSet((3, 4))
+    with pytest.raises(ValueError):
+        ps._replace(depth=0)
 
 
 def test_value_types_are_immutable():
