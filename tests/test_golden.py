@@ -1,4 +1,4 @@
-"""Golden output: frozen sha256 digests of sweep CSVs, their summaries and the demos' stdout.
+"""Golden output: frozen sha256 digests of sweep CSVs, their summaries, random trees and the demos' stdout.
 
 A digest changes only when the random stream or the model changes on
 purpose; such a change re-freezes the value and says why.
@@ -9,9 +9,10 @@ import io
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from plcmac import ExperimentPlan, Protocol, cli, run_experiment
+from plcmac import ExperimentPlan, Protocol, cli, generate_tree, run_experiment
 
 P = tuple(Protocol)
 
@@ -80,6 +81,25 @@ def test_summary_digests_are_frozen(name, tmp_path, capsys):
         assert cli.main(["summarize", str(path), *extra]) == 0
         digests.append(_sha256(capsys.readouterr().out))
     assert tuple(digests) == SUMMARY_GOLDEN[name]
+
+
+# generate_tree(n, L, default_rng(s)).to_edge_list() over L in (1, 4, 6) and s in 0..9, per n
+TREE_GOLDEN = {
+    1: "104804ce22abaa8a36536b18b13d9d57799c6f38e88462e6864a0fdb5b729eef",
+    30: "5da0f6ce62ad2a7177460c1b4584f19b01a6c9f87885fbbc39d282230b247d74",
+    200: "0e8a3c64d86e91ae21ebe70b541b67d4ee6aeb8dc5a659ee54f407fd80e819a9",
+    1200: "c20c9cc116a9b35777466e80ea050e83e52017ce9e3447b7989edecec72bd4b7",
+}
+
+
+@pytest.mark.parametrize("n", list(TREE_GOLDEN))
+def test_tree_edge_list_digest_is_frozen(n):
+    digest = hashlib.sha256()
+    for max_layers in (1, 4, 6):
+        for seed in range(10):
+            tree = generate_tree(n, max_layers, np.random.default_rng(seed))
+            digest.update(tree.to_edge_list().encode("utf-8") + b"\n\n")
+    assert digest.hexdigest() == TREE_GOLDEN[n]
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
