@@ -4,13 +4,16 @@ Every tree keeps the coordinator at the root, respects the depth cap,
 and gives layer 1 at least the coverage bound's worth of stations.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from plcmac import generate_tree, min_first_layer, single_layer
 
 
 def layer_profile(tree) -> str:
-    return " ".join(f"L{d}:{len(layer)}" for d, layer in enumerate(tree.layers) if d > 0)
+    sizes = Counter(tree.depth)  # nodes per depth
+    return " ".join(f"L{d}:{sizes[d]}" for d in range(1, tree.max_depth + 1))
 
 
 def main() -> None:

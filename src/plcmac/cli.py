@@ -48,13 +48,13 @@ _PROTOCOL_CHOICES = [p.value for p in Protocol]
 _DEFAULT_RATIOS = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 
 
+_row_values = operator.attrgetter(*CSV_HEADER)
+
+
 def write_csv(rows: Sequence[ResultRow], fh: IO[str]) -> None:
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    for r in rows:
-        w.writerow(
-            [r.protocol, r.n_node, r.ratio, r.trial, r.elapsed_us, r.nc_count, r.data_frames, r.preambles, r.layers]
-        )
+    w.writerows(map(_row_values, rows))
 
 
 def _split_tokens(raw: str) -> list[str]:
@@ -141,6 +141,12 @@ def _eff(args: argparse.Namespace, cfgmap: dict, dest: str, builtin):
     return builtin
 
 
+def _given(args: argparse.Namespace, cfgmap: dict, **dests: str) -> dict:
+    """Keyword -> value for each dest set by a flag or the config file; the rest keep the callee's default."""
+    values = {name: _eff(args, cfgmap, dest, None) for name, dest in dests.items()}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _resolve_sizes(args, cfgmap, default_range: tuple[int, int, int]) -> tuple[int, ...]:
     explicit = getattr(args, "n", None)
     ranged = getattr(args, "n_range", None)
@@ -173,35 +179,21 @@ def _resolve_ratios(args, cfgmap) -> tuple[tuple[float, ...] | None, tuple[float
 
 def _cmd_sweep(args: argparse.Namespace, multi: bool) -> int:
     cfgmap = _load_config(args.config) if args.config else {}
-    names = _eff(args, cfgmap, "protocols", list(_PROTOCOL_CHOICES))
-    seen: list[Protocol] = []
-    for name in names:
-        proto = Protocol(name)
-        if proto not in seen:
-            seen.append(proto)
+    names = _eff(args, cfgmap, "protocols", _PROTOCOL_CHOICES)
     default_range = (200, 1200, 200) if multi else (50, 650, 100)
     n_values = _resolve_sizes(args, cfgmap, default_range)
     grid, rand = _resolve_ratios(args, cfgmap)
-    alloc = AllocParams(
-        t_f_max=_eff(args, cfgmap, "tfmax", 3),
-        eta_min=_eff(args, cfgmap, "eta_min", 0.35),
-        k1=_eff(args, cfgmap, "k1", 1.3),
-        k2=_eff(args, cfgmap, "k2", 2.0),
-    )
+    alloc = AllocParams(**_given(args, cfgmap, t_f_max="tfmax", eta_min="eta_min", k1="k1", k2="k2"))
     plan = ExperimentPlan(
-        protocols=tuple(seen),
+        protocols=tuple(dict.fromkeys(map(Protocol, names))),
         n_values=n_values,
         ratio_grid=grid,
         ratio_random=rand,
-        trials=_eff(args, cfgmap, "trials", 100),
-        seed=_eff(args, cfgmap, "seed", 1),
         multi_layer=multi,
-        max_layers=_eff(args, cfgmap, "max_layers", 6),
         alloc=alloc,
-        csma_p=_eff(args, cfgmap, "csma_p", 0.75),
-        max_nc=_eff(args, cfgmap, "max_nc", 100_000),
+        **_given(args, cfgmap, trials="trials", seed="seed", max_layers="max_layers", csma_p="csma_p", max_nc="max_nc"),
     )
-    rows = run_experiment(plan, jobs=_eff(args, cfgmap, "jobs", 1))
+    rows = run_experiment(plan, **_given(args, cfgmap, jobs="jobs"))
     out = _eff(args, cfgmap, "out", "-")
     if out == "-":
         write_csv(rows, sys.stdout)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import filterfalse
 from typing import Iterable, Sequence
@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Protocol, RunConfig
 from .mac_protocols import PendingSet, simulate_nc_csma, simulate_nc_epmac, simulate_nc_pmac
-from .slot_alloc import ceil_scale, fresh_state, next_slot_count, record_pte
+from .slot_alloc import ceil_scale, check_first_window, fresh_state, next_slot_count, record_pte
 from .topology import CCO_ID, NetworkTree, generate_tree, single_layer
 
 
@@ -60,6 +60,7 @@ def run_formation(
     """
     if not (slot_ratio > 0 and math.isfinite(slot_ratio)):
         raise ValueError(f"slot_ratio must be positive and finite, got {slot_ratio!r}")
+    check_first_window(slot_ratio, tree.n_sta)
     paid: list[tuple[int, ...]] = []  # slot counts by kind, one entry per cycle or relay overhead
     nc_count = 0
     data_frames = 0
@@ -142,17 +143,7 @@ class ResultRow:
     layers: int
 
 
-CSV_HEADER: tuple[str, ...] = (
-    "protocol",
-    "n_node",
-    "ratio",
-    "trial",
-    "elapsed_us",
-    "nc_count",
-    "data_frames",
-    "preambles",
-    "layers",
-)
+CSV_HEADER: tuple[str, ...] = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -195,6 +186,7 @@ class ExperimentPlan(RunConfig):
         for r in self.ratio_grid or self.ratio_random:
             if not math.isfinite(r):
                 raise ValueError(f"slot ratios must be finite, got {r!r}")
+            check_first_window(r, max(self.n_values))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:

@@ -30,6 +30,18 @@ def ceil_scale(factor: float, n: int) -> int:
     return -(-numerator * n // denominator)
 
 
+MAX_WINDOW = 2**63  # the largest exclusive bound numpy's int64 rng.integers accepts
+
+
+def check_first_window(factor: float, n: int) -> None:
+    """Raise ValueError unless a window of ceil_scale(factor, n) slots fits one int64 draw."""
+    numerator, denominator = _as_fraction(factor)
+    if numerator * n > MAX_WINDOW * denominator:
+        raise ValueError(
+            f"slot ratio {factor!r} gives {n} STA(s) a first window above 2**63 slots, more than one draw can take"
+        )
+
+
 @dataclass(frozen=True)
 class AllocParams:
     """Controller constants.

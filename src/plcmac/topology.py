@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -29,71 +31,54 @@ def min_first_layer(n_sta: int, max_layers: int) -> int:
 
 @dataclass(frozen=True)
 class NetworkTree:
-    """Immutable rooted tree over node ids 0..n_sta (0 is the CCO)."""
+    """Immutable rooted tree over node ids 0..n_sta (0 is the CCO), indexed by node id.
 
-    n_sta: int
-    parent: dict[int, int]                    # child id -> parent id, root absent
-    depth: dict[int, int]                     # node id -> depth, root 0
-    children: dict[int, tuple[int, ...]]      # parent id -> child ids ascending
-    layers: tuple[tuple[int, ...], ...]       # layers[d] = ids at depth d
+    children maps every coordinator (a node with children) to its child
+    ids, ascending; it is derived from parent, never passed in.
+    """
+
+    parent: tuple[int, ...]  # parent[i] = parent id of node i; parent[CCO_ID] == CCO_ID
+    depth: tuple[int, ...]   # depth[i] = hops from the CCO; depth[CCO_ID] == 0
+    children: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        kids: dict[int, list[int]] = {}
+        for child, par in enumerate(islice(self.parent, 1, None), start=1):
+            kids.setdefault(par, []).append(child)
+        object.__setattr__(self, "children", {par: tuple(k) for par, k in kids.items()})
 
     @property
+    def n_sta(self) -> int:
+        return len(self.parent) - 1
+
+    @cached_property
     def max_depth(self) -> int:
-        return len(self.layers) - 1
+        return max(self.depth)
 
     def to_edge_list(self) -> str:
         """One line per STA: 'child_id parent_id depth', ascending by child."""
-        lines = [f"{c} {self.parent[c]} {self.depth[c]}" for c in sorted(self.parent)]
-        return "\n".join(lines)
+        edges = islice(zip(self.parent, self.depth), 1, None)
+        return "\n".join(f"{c} {p} {d}" for c, (p, d) in enumerate(edges, start=1))
 
     def validate(self, max_layers: int | None = None) -> None:
         """Raise ValueError on any structural violation."""
-        ids = {CCO_ID, *range(1, self.n_sta + 1)}
-        if set(self.depth) != ids or set(self.parent) != ids - {CCO_ID}:
-            raise ValueError("node ids must be exactly 0..n_sta")
-        if self.depth[CCO_ID] != 0:
-            raise ValueError("CCO must sit at depth 0")
-        for child, par in self.parent.items():
-            if par not in ids:
+        n_nodes = len(self.parent)
+        if len(self.depth) != n_nodes:
+            raise ValueError("parent and depth need one entry per node")
+        if self.parent[CCO_ID] != CCO_ID or self.depth[CCO_ID] != 0:
+            raise ValueError("CCO must be the root, at depth 0")
+        for child in range(1, n_nodes):
+            par = self.parent[child]
+            if not 0 <= par < n_nodes:
                 raise ValueError(f"node {child} has unknown parent {par}")
             if self.depth[child] != self.depth[par] + 1:
                 raise ValueError(f"node {child} breaks depth(child) == depth(parent) + 1")
-        for d, layer in enumerate(self.layers):
-            if not layer:
-                raise ValueError(f"layer {d} is empty; layers must be contiguous")
-            for node in layer:
-                if self.depth[node] != d:
-                    raise ValueError(f"node {node} listed at wrong depth {d}")
-        if sum(len(layer) for layer in self.layers) != self.n_sta + 1:
-            raise ValueError("layers must partition all nodes")
-        for par, kids in self.children.items():
-            for kid in kids:
-                if self.parent.get(kid) != par:
-                    raise ValueError("children map disagrees with parent map")
-        if sum(len(k) for k in self.children.values()) != self.n_sta:
-            raise ValueError("children map must cover every STA once")
         if max_layers is not None:
             if self.max_depth > max_layers:
                 raise ValueError(f"depth {self.max_depth} exceeds max_layers {max_layers}")
-            if len(self.layers) > 1 and len(self.layers[1]) < min_first_layer(self.n_sta, max_layers):
+            first_layer = self.children.get(CCO_ID, ())
+            if self.n_sta and len(first_layer) < min_first_layer(self.n_sta, max_layers):
                 raise ValueError("first layer is thinner than the coverage bound allows")
-
-
-def _build(n_sta: int, parent: dict[int, int], depth: dict[int, int]) -> NetworkTree:
-    """Assemble a tree from maps whose keys ascend, so children and layers come out sorted."""
-    children: dict[int, list[int]] = {}
-    for child, par in parent.items():
-        children.setdefault(par, []).append(child)
-    layers: list[list[int]] = [[] for _ in range(max(depth.values()) + 1)]
-    for node, d in depth.items():
-        layers[d].append(node)
-    return NetworkTree(
-        n_sta=n_sta,
-        parent=parent,
-        depth=depth,
-        children={p: tuple(k) for p, k in children.items()},
-        layers=tuple(map(tuple, layers)),
-    )
 
 
 def tree_from_parents(parent: dict[int, int]) -> NetworkTree:
@@ -101,9 +86,8 @@ def tree_from_parents(parent: dict[int, int]) -> NetworkTree:
     n_sta = len(parent)
     if set(parent) != set(range(1, n_sta + 1)):
         raise ValueError("parent map must cover ids 1..n exactly")
-    parent = {node: parent[node] for node in sorted(parent)}
     depth = {CCO_ID: 0}
-    for node in parent:
+    for node in range(1, n_sta + 1):
         chain = []  # node and its unresolved ancestors, deepest first
         while node not in depth:
             if node not in parent:
@@ -114,7 +98,8 @@ def tree_from_parents(parent: dict[int, int]) -> NetworkTree:
             node = parent[node]
         for d, node in enumerate(reversed(chain), start=depth[node] + 1):
             depth[node] = d
-    tree = _build(n_sta, parent, {node: depth[node] for node in range(n_sta + 1)})
+    stas = range(1, n_sta + 1)
+    tree = NetworkTree((CCO_ID, *map(parent.__getitem__, stas)), (0, *map(depth.__getitem__, stas)))
     tree.validate()
     return tree
 
@@ -123,16 +108,7 @@ def single_layer(n_sta: int) -> NetworkTree:
     """Star topology: every STA is a direct child of the CCO."""
     if n_sta < 1:
         raise ValueError("n_sta must be at least 1")
-    stas = tuple(range(1, n_sta + 1))
-    depth = dict.fromkeys(range(n_sta + 1), 1)
-    depth[CCO_ID] = 0
-    return NetworkTree(
-        n_sta=n_sta,
-        parent=dict.fromkeys(stas, CCO_ID),
-        depth=depth,
-        children={CCO_ID: stas},
-        layers=((CCO_ID,), stas),
-    )
+    return NetworkTree((CCO_ID,) * (n_sta + 1), (0,) + (1,) * n_sta)
 
 
 def generate_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> NetworkTree:
@@ -149,8 +125,8 @@ def generate_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> Netw
         raise ValueError("max_layers must be at least 1")
     target_depth = int(rng.integers(1, max_layers + 1))
     first = int(rng.integers(min_first_layer(n_sta, max_layers), n_sta + 1))
-    parent = dict.fromkeys(range(1, first + 1), CCO_ID)
-    depth = dict.fromkeys(range(first + 1), 1)
+    parent = [CCO_ID] * (first + 1)
+    depth = [1] * (first + 1)
     depth[CCO_ID] = 0
     eligible = [CCO_ID]
     if target_depth > 1:
@@ -159,8 +135,9 @@ def generate_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> Netw
     draws = rng.random(n_sta - first).tolist()
     for node, u in enumerate(draws, start=first + 1):
         par = eligible[int(u * len(eligible))]
-        parent[node] = par
-        d = depth[node] = depth[par] + 1
+        parent.append(par)
+        d = depth[par] + 1
+        depth.append(d)
         if d < target_depth:
             eligible.append(node)
-    return _build(n_sta, parent, depth)
+    return NetworkTree(tuple(parent), tuple(depth))

@@ -5,6 +5,7 @@ import gc
 
 import pytest
 
+from plcmac import AllocParams, ExperimentPlan, Protocol, cli
 from plcmac.cli import build_parser, main
 from plcmac.engine import CSV_HEADER
 
@@ -90,6 +91,14 @@ def test_infinite_sweep_ratios_exit_2(argv, tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == "error: slot ratios must be finite, got inf\n"
 
+
+@pytest.mark.parametrize("ratio,named", [("1e19", "1e+19"), ("1e30", "1e+30")])
+def test_slot_ratio_too_large_for_one_draw_exits_2(ratio, named, tmp_path, capsys):
+    rc = main(["sweep-single", "--n", "5", "--ratios", ratio, "--trials", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: slot ratio {named} gives 5 STA(s) a first window above 2**63")
+    assert not (tmp_path / "x.csv").exists()
+
 def test_exhausted_cycle_budget_exits_3(tmp_path, capsys):
     rc = main(["sweep-single", "--max-nc", "1", "--n", "20", "--trials", "1",
                "--out", str(tmp_path / "x.csv")])
@@ -114,6 +123,21 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     out_b = tmp_path / "b.csv"
     assert main(["sweep-single", "--config", str(cfg), "--trials", "1", "--out", str(out_b)]) == 0
     assert len(_read_csv(out_b)) == 1 + 2 * 1
+
+
+def test_unset_sweep_flags_keep_the_model_defaults(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda plan, **kw: seen.append((plan, kw)) or [])
+    out = str(tmp_path / "x.csv")
+    assert main(["sweep-multi", "--n", "7", "--ratios", "1.0", "--out", out]) == 0
+    assert main(["sweep-single", "--protocols", "pmac", "epmac", "pmac", "--n", "7", "--k2", "3", "--jobs", "2",
+                 "--out", out]) == 0
+    grid = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+    assert seen == [
+        (ExperimentPlan(protocols=tuple(Protocol), n_values=(7,), ratio_grid=(1.0,), multi_layer=True), {}),
+        (ExperimentPlan(protocols=(Protocol.PMAC, Protocol.EPMAC), n_values=(7,), ratio_grid=grid,
+                        alloc=AllocParams(k2=3.0)), {"jobs": 2}),
+    ]
 
 
 def test_unknown_config_key_exits_2(tmp_path):

@@ -191,6 +191,23 @@ def test_infinite_slot_ratio_is_rejected():
     with pytest.raises(ValueError, match="slot_ratio must be positive and finite, got inf"):
         run_formation(Protocol.PMAC, _chain(), RunConfig(), float("inf"), np.random.default_rng(0))
 
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_slot_ratio_whose_first_window_overflows_a_draw_is_rejected(protocol):
+    # 2 STAs at 4.611686018427388e18 need a window of 9223372036854776000 > 2**63 slots
+    with pytest.raises(ValueError, match=r"slot ratio 4\.611686018427388e\+18 gives 2 STA"):
+        run_formation(protocol, _chain(), RunConfig(), 4.611686018427388e18, np.random.default_rng(0))
+
+
+def test_plan_bounds_the_first_window_by_its_largest_size():
+    base = dict(protocols=(Protocol.EPMAC,), n_values=(1,))
+    ExperimentPlan(**base, ratio_grid=(9.223372036854775e18,))  # 9223372036854775000 slots still fit
+    for ratios in ({"ratio_grid": (1.0, 9.223372036854776e18)}, {"ratio_random": (0.5, 1e30)}):
+        with pytest.raises(ValueError, match="slot ratio"):
+            ExperimentPlan(**base, **ratios)
+    with pytest.raises(ValueError, match=r"slot ratio 5e\+18 gives 2 STA"):
+        ExperimentPlan(protocols=(Protocol.EPMAC,), n_values=(2, 1), ratio_grid=(5e18,))
+
 def test_experiment_rows_follow_cell_order():
     plan = ExperimentPlan(
         protocols=(Protocol.EPMAC, Protocol.PMAC),

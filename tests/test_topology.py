@@ -48,9 +48,10 @@ def test_tree_from_parents_builds_layers_and_roles():
     tree = tree_from_parents({1: 0, 2: 0, 3: 1, 4: 1, 5: 3})
     tree.validate()
     assert tree.max_depth == 3
-    assert tree.layers == ((0,), (1, 2), (3, 4), (5,))
+    assert tree.parent == (CCO_ID, 0, 0, 1, 1, 3)
+    assert tree.depth == (0, 1, 1, 2, 2, 3)
     assert tree.children == {0: (1, 2), 1: (3, 4), 3: (5,)}  # 1 and 3 are PCOs, 2 is a leaf STA
-    assert tree.depth[5] == 3
+    assert tree.n_sta == 5
 
 
 def test_tree_from_parents_rejects_gappy_ids():
@@ -61,8 +62,9 @@ def test_tree_from_parents_rejects_gappy_ids():
 def test_tree_from_parents_accepts_parents_with_larger_ids():
     tree = tree_from_parents({1: 2, 2: 0, 3: 4, 4: 1, 5: 2})
     tree.validate()
-    assert tree.depth == {0: 0, 1: 2, 2: 1, 3: 4, 4: 3, 5: 2}
-    assert tree.layers == ((0,), (2,), (1, 5), (4,), (3,))
+    assert tree.depth == (0, 2, 1, 4, 3, 2)
+    layers = [[node for node, d in enumerate(tree.depth) if d == k] for k in range(tree.max_depth + 1)]
+    assert layers == [[0], [2], [1, 5], [4], [3]]
     assert tree.children == {2: (1, 5), 0: (2,), 4: (3,), 1: (4,)}
 
 
@@ -84,28 +86,32 @@ def test_edge_list_is_sorted_by_child():
 
 def test_validate_catches_corrupt_depth():
     good = tree_from_parents({1: 0, 2: 1})
-    broken = NetworkTree(
-        n_sta=good.n_sta,
-        parent=good.parent,
-        depth={**good.depth, 2: 3},
-        children=good.children,
-        layers=good.layers,
-    )
+    broken = NetworkTree(good.parent, (*good.depth[:2], 3))
     with pytest.raises(ValueError):
         broken.validate()
 
 
-def test_validate_catches_disagreeing_children_map():
-    good = tree_from_parents({1: 0, 2: 1})
-    broken = NetworkTree(
-        n_sta=good.n_sta,
-        parent=good.parent,
-        depth=good.depth,
-        children={0: (1, 2)},
-        layers=good.layers,
-    )
+@pytest.mark.parametrize(
+    "parent,depth",
+    [
+        ((0, 0, 3), (0, 1, 2)),  # unknown parent
+        ((0, 0, -1), (0, 1, 2)),  # negative ids do not wrap around
+        ((1, 0), (1, 2)),  # the CCO must be the root
+        ((0, 0), (0, 1, 2)),  # one depth per node
+    ],
+)
+def test_validate_catches_malformed_tuples(parent, depth):
     with pytest.raises(ValueError):
-        broken.validate()
+        NetworkTree(parent, depth).validate()
+
+
+def test_children_and_n_sta_are_derived_from_parent():
+    tree = NetworkTree((0, 0, 1, 0, 1), (0, 1, 2, 1, 2))
+    tree.validate()
+    assert tree.n_sta == 4
+    assert tree.children == {0: (1, 3), 1: (2, 4)}
+    assert tree.max_depth == 2
+    assert tree == tree_from_parents({1: 0, 2: 1, 3: 0, 4: 1})
 
 
 def test_validate_enforces_the_depth_cap():
@@ -127,8 +133,9 @@ def test_generated_trees_satisfy_all_invariants():
         rng = np.random.default_rng(seed)
         tree = generate_tree(60, 6, rng)
         tree.validate(max_layers=6)
-        assert len(tree.layers[1]) >= min_first_layer(60, 6)
+        assert tree.depth.count(1) == len(tree.children[CCO_ID]) >= min_first_layer(60, 6)
         assert tree.max_depth <= 6
+        assert (tree.parent[CCO_ID], tree.depth[CCO_ID], tree.n_sta) == (CCO_ID, 0, 60)
 
 
 def test_generation_is_deterministic_per_seed():
