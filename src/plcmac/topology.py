@@ -84,10 +84,11 @@ class NetworkTree:
 def tree_from_parents(parent: dict[int, int]) -> NetworkTree:
     """Build a tree from an explicit child -> parent map (ids 1..n, root 0 implied)."""
     n_sta = len(parent)
-    if set(parent) != set(range(1, n_sta + 1)):
+    stas = range(1, n_sta + 1)
+    if set(parent) != set(stas):
         raise ValueError("parent map must cover ids 1..n exactly")
     depth = {CCO_ID: 0}
-    for node in range(1, n_sta + 1):
+    for node in stas:
         chain = []  # node and its unresolved ancestors, deepest first
         while node not in depth:
             if node not in parent:
@@ -98,7 +99,6 @@ def tree_from_parents(parent: dict[int, int]) -> NetworkTree:
             node = parent[node]
         for d, node in enumerate(reversed(chain), start=depth[node] + 1):
             depth[node] = d
-    stas = range(1, n_sta + 1)
     tree = NetworkTree((CCO_ID, *map(parent.__getitem__, stas)), (0, *map(depth.__getitem__, stas)))
     tree.validate()
     return tree
