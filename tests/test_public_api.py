@@ -1,6 +1,5 @@
 """The public API: every name `plcmac` exports, so a change to it shows up as a diff here."""
 
-import dataclasses
 import types
 
 import plcmac
@@ -75,14 +74,3 @@ def test_public_names_are_pinned():
     )
     assert exported == PUBLIC_NAMES
 
-
-def test_network_tree_is_built_from_parent_and_depth_alone():
-    init = [f.name for f in dataclasses.fields(plcmac.NetworkTree) if f.init]
-    assert init == ["parent", "depth"]
-
-
-def test_csv_header_is_the_result_row_fields():
-    assert plcmac.CSV_HEADER == tuple(f.name for f in dataclasses.fields(plcmac.ResultRow))
-    assert plcmac.CSV_HEADER == (
-        "protocol", "n_node", "ratio", "trial", "elapsed_us", "nc_count", "data_frames", "preambles", "layers",
-    )
