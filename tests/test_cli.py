@@ -152,6 +152,51 @@ def test_malformed_config_line_exits_2(tmp_path):
     assert main(["sweep-single", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def _sweep_bytes(tmp_path, tag, argv, cfg_text=None):
+    if cfg_text is not None:
+        cfg = tmp_path / f"{tag}.cfg"
+        cfg.write_text(cfg_text)
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / f"{tag}.csv"
+    assert main(["sweep-single", "--protocols", "pmac", "--trials", "2", "--seed", "5", *argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cfg_text, flags, same_as",
+    [
+        ("n = 7\nratios = 1.0\n", ["--n-range", "5", "15", "10"], ["--n-range", "5", "15", "10", "--ratios", "1.0"]),
+        ("n = 7\nn_range = 5 15 10\nratios = 1.0\n", ["--n-range", "3", "13", "10"],
+         ["--n-range", "3", "13", "10", "--ratios", "1.0"]),
+        ("n = 7\nratio_random = 0.5 2.0\n", ["--ratios", "1.0"], ["--n", "7", "--ratios", "1.0"]),
+        ("n = 7\nn_range = 5 15 10\nratios = 1.0\nratio_random = 0.5 2.0\n", [], ["--n", "7", "--ratios", "1.0"]),
+    ],
+    ids=["flag-n-range-beats-config-n", "flag-n-range-beats-both-config-sizes", "flag-ratios-beat-config-ratio-random",
+         "config-n-and-ratios-beat-their-pair"],
+)
+def test_config_precedence_matches_the_flag_only_run(cfg_text, flags, same_as, tmp_path):
+    assert _sweep_bytes(tmp_path, "cfg", flags, cfg_text) == _sweep_bytes(tmp_path, "flags", same_as)
+
+
+@pytest.mark.parametrize("value, code", [("3", 0), ("0", 2)])
+def test_sweep_single_config_validates_max_layers(value, code, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"max_layers = {value}\nn = 5\nratios = 1.0\n")
+    assert main(["sweep-single", "--protocols", "pmac", "--trials", "1", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")]) == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("line", ["tri = 4", "config = x.cfg", "trials = abc", "trials = 4 5", "trials =",
+                                  "protocols = foo"])
+def test_bad_config_line_exits_2(line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n = 5\n{line}\n")
+    assert main(["sweep-single", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_summarize_groups_by_protocol_size_and_ratio(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     main(["sweep-single", "--protocols", "epmac", "--n", "10", "20", "--ratios", "1.0",
