@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import itertools
 import math
 import operator
 import sys
-from typing import IO, Sequence
+from typing import IO, ContextManager, Sequence
 
 from .complexity import (
     TreeShape,
@@ -19,11 +21,10 @@ from .complexity import (
     pmac_total_frames,
     pmac_total_frames_closed,
 )
-from .core import Protocol, TimingTable
+from .core import Protocol, RunConfig, TimingTable
 from .engine import (
     CSV_HEADER,
     ExperimentPlan,
-    NonTermination,
     ResultRow,
     run_experiment,
     summarize_groups,
@@ -57,32 +58,11 @@ def write_csv(rows: Sequence[ResultRow], fh: IO[str]) -> None:
     w.writerows(map(_row_values, rows))
 
 
-def _split_tokens(raw: str) -> list[str]:
-    return raw.replace(",", " ").split()
-
-
-_CONFIG_CASTS = {
-    "protocols": _split_tokens,
-    "n": lambda v: [int(x) for x in _split_tokens(v)],
-    "n_range": lambda v: [int(x) for x in _split_tokens(v)],
-    "ratios": lambda v: [float(x) for x in _split_tokens(v)],
-    "ratio_random": lambda v: [float(x) for x in _split_tokens(v)],
-    "trials": int,
-    "seed": int,
-    "jobs": int,
-    "max_layers": int,
-    "tfmax": int,
-    "max_nc": int,
-    "eta_min": float,
-    "k1": float,
-    "k2": float,
-    "csma_p": float,
-    "out": str,
-}
-
-
 def _load_config(path: str) -> dict:
-    """Flat key=value file; keys are flag names with - or _ separators."""
+    """Flat key=value file; keys are sweep flag names with - or _ separators, values parse as the flag's do."""
+    # the multi-layer flag set, so a single-layer config may carry max_layers too (validated, unused)
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    _add_sweep_args(parser, multi=True)
     values: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -92,20 +72,24 @@ def _load_config(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, raw = line.partition("=")
-                dest = key.strip().replace("-", "_")
-                if dest not in _CONFIG_CASTS:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key.strip()!r}")
+                key, _, raw = (part.strip() for part in line.partition("="))
+                tokens = ["--" + key.replace("_", "-"), *raw.replace(",", " ").split()]
                 try:
-                    values[dest] = _CONFIG_CASTS[dest](raw.strip())
-                except ValueError as exc:
-                    raise UsageError(f"{path}:{lineno}: bad value for {key.strip()!r}: {exc}") from exc
+                    parsed, extra = parser.parse_known_args(tokens)
+                except argparse.ArgumentError as exc:
+                    raise UsageError(f"{path}:{lineno}: {exc}") from exc
+                given = {dest: value for dest, value in vars(parsed).items() if value is not None}
+                if not given:
+                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                if extra or len(given) > 1:
+                    raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}")
+                values.update(given)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return values
 
 
-def _add_sweep_args(p: argparse.ArgumentParser, multi: bool) -> None:
+def _add_sweep_args(p: argparse.ArgumentParser, multi: bool) -> argparse.ArgumentParser:
     p.add_argument("--protocols", nargs="+", choices=_PROTOCOL_CHOICES, default=None,
                    help="protocols to sweep (default: all three)")
     ng = p.add_mutually_exclusive_group()
@@ -117,89 +101,95 @@ def _add_sweep_args(p: argparse.ArgumentParser, multi: bool) -> None:
                     help="slot-ratio grid (default: 0.5..2.0 step 0.25)")
     rg.add_argument("--ratio-random", nargs=2, type=float, metavar=("LO", "HI"), default=None,
                     help="draw the ratio uniformly per trial instead of a grid")
-    p.add_argument("--trials", type=int, default=None, help="trials per cell (default: 100)")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: 1)")
+    p.add_argument("--trials", type=int, default=None, help=f"trials per cell (default: {ExperimentPlan.trials})")
+    p.add_argument("--seed", type=int, default=None, help=f"master seed (default: {ExperimentPlan.seed})")
     p.add_argument("--jobs", type=int, default=None, help="worker processes (default: 1)")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     if multi:
-        p.add_argument("--max-layers", type=int, default=None, help="depth cap (default: 6)")
-    p.add_argument("--eta-min", type=float, default=None, help="controller thin-ratio threshold (default: 0.35)")
-    p.add_argument("--tfmax", type=int, default=None, help="controller idle-round budget (default: 3)")
-    p.add_argument("--k1", type=float, default=None, help="controller stretch factor (default: 1.3)")
-    p.add_argument("--k2", type=float, default=None, help="controller collision factor (default: 2.0)")
-    p.add_argument("--csma-p", type=float, default=None, help="association transmit probability (default: 0.75)")
-    p.add_argument("--max-nc", type=int, default=None, help="cycle budget per run (default: 100000)")
-    p.add_argument("--config", default=None, help="key=value file supplying flag defaults; flags win")
+        p.add_argument("--max-layers", type=int, default=None,
+                       help=f"depth cap (default: {ExperimentPlan.max_layers})")
+    p.add_argument("--eta-min", type=float, default=None,
+                   help=f"controller thin-ratio threshold (default: {AllocParams.eta_min})")
+    p.add_argument("--tfmax", type=int, default=None,
+                   help=f"controller idle-round budget (default: {AllocParams.t_f_max})")
+    p.add_argument("--k1", type=float, default=None, help=f"controller stretch factor (default: {AllocParams.k1})")
+    p.add_argument("--k2", type=float, default=None, help=f"controller collision factor (default: {AllocParams.k2})")
+    p.add_argument("--csma-p", type=float, default=None,
+                   help=f"association transmit probability (default: {RunConfig.csma_p})")
+    p.add_argument("--max-nc", type=int, default=None, help=f"cycle budget per run (default: {RunConfig.max_nc})")
+    return p
 
 
-def _eff(args: argparse.Namespace, cfgmap: dict, dest: str, builtin):
-    value = getattr(args, dest, None)
-    if value is not None:
-        return value
-    if dest in cfgmap:
-        return cfgmap[dest]
-    return builtin
+def _apply_config(args: argparse.Namespace) -> None:
+    """Give each dest that no flag set its config value; a flag of an exclusive pair overrides both of its keys."""
+    values = _load_config(args.config)
+    for first, second in (("n", "n_range"), ("ratios", "ratio_random")):
+        if getattr(args, first) is not None or getattr(args, second) is not None:
+            values.pop(first, None)
+            values.pop(second, None)
+        elif first in values:
+            values.pop(second, None)
+    for dest, value in values.items():
+        if getattr(args, dest, None) is None:
+            setattr(args, dest, value)
 
 
-def _given(args: argparse.Namespace, cfgmap: dict, **dests: str) -> dict:
+def _given(args: argparse.Namespace, **dests: str) -> dict:
     """Keyword -> value for each dest set by a flag or the config file; the rest keep the callee's default."""
-    values = {name: _eff(args, cfgmap, dest, None) for name, dest in dests.items()}
+    values = {name: getattr(args, dest, None) for name, dest in dests.items()}
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _resolve_sizes(args, cfgmap, default_range: tuple[int, int, int]) -> tuple[int, ...]:
-    explicit = getattr(args, "n", None)
-    ranged = getattr(args, "n_range", None)
-    if explicit is None and ranged is None:
-        explicit = cfgmap.get("n")
-        ranged = cfgmap.get("n_range") if explicit is None else None
-    if explicit is not None:
-        return tuple(explicit)
-    if ranged is not None:
-        lo, hi, step = ranged
-        if step < 1 or hi < lo:
-            raise UsageError("--n-range needs LO <= HI and STEP >= 1")
-        return tuple(range(lo, hi + 1, step))
-    lo, hi, step = default_range
+def _resolve_sizes(args: argparse.Namespace, default_range: tuple[int, int, int]) -> tuple[int, ...]:
+    if args.n is not None:
+        return tuple(args.n)
+    lo, hi, step = args.n_range or default_range
+    if step < 1 or hi < lo:
+        raise UsageError("--n-range needs LO <= HI and STEP >= 1")
     return tuple(range(lo, hi + 1, step))
 
 
-def _resolve_ratios(args, cfgmap) -> tuple[tuple[float, ...] | None, tuple[float, float] | None]:
-    grid = args.ratios
-    rand = args.ratio_random
-    if grid is None and rand is None:
-        grid = cfgmap.get("ratios")
-        rand = cfgmap.get("ratio_random") if grid is None else None
-    if rand is not None:
-        return None, (float(rand[0]), float(rand[1]))
-    if grid is not None:
-        return tuple(float(x) for x in grid), None
-    return tuple(_DEFAULT_RATIOS), None
+def _resolve_ratios(args: argparse.Namespace) -> tuple[tuple[float, ...] | None, tuple[float, float] | None]:
+    if args.ratio_random is not None:
+        return None, tuple(args.ratio_random)
+    return tuple(args.ratios or _DEFAULT_RATIOS), None
+
+
+def _open_out(path: str | None) -> ContextManager[IO[str]]:
+    """The output file, or stdout for None; an unwritable path is a usage error."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_sweep(args: argparse.Namespace, multi: bool) -> int:
-    cfgmap = _load_config(args.config) if args.config else {}
-    names = _eff(args, cfgmap, "protocols", _PROTOCOL_CHOICES)
+    if args.config:
+        _apply_config(args)
     default_range = (200, 1200, 200) if multi else (50, 650, 100)
-    n_values = _resolve_sizes(args, cfgmap, default_range)
-    grid, rand = _resolve_ratios(args, cfgmap)
-    alloc = AllocParams(**_given(args, cfgmap, t_f_max="tfmax", eta_min="eta_min", k1="k1", k2="k2"))
+    n_values = _resolve_sizes(args, default_range)
+    grid, rand = _resolve_ratios(args)
+    alloc = AllocParams(**_given(args, t_f_max="tfmax", eta_min="eta_min", k1="k1", k2="k2"))
     plan = ExperimentPlan(
-        protocols=tuple(dict.fromkeys(map(Protocol, names))),
+        protocols=tuple(dict.fromkeys(map(Protocol, args.protocols or _PROTOCOL_CHOICES))),
         n_values=n_values,
         ratio_grid=grid,
         ratio_random=rand,
         multi_layer=multi,
         alloc=alloc,
-        **_given(args, cfgmap, trials="trials", seed="seed", max_layers="max_layers", csma_p="csma_p", max_nc="max_nc"),
+        **_given(args, trials="trials", seed="seed", max_layers="max_layers", csma_p="csma_p", max_nc="max_nc"),
     )
-    rows = run_experiment(plan, **_given(args, cfgmap, jobs="jobs"))
-    out = _eff(args, cfgmap, "out", "-")
-    if out == "-":
-        write_csv(rows, sys.stdout)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            write_csv(rows, fh)
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError("jobs must be at least 1")
+    try:
+        rows = run_experiment(plan, **_given(args, jobs="jobs"))
+    except Exception as exc:  # validation is done: whatever the simulation raises is a simulation failure
+        print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    with _open_out(None if args.out == "-" else args.out) as fh:
+        write_csv(rows, fh)
     return 0
 
 
@@ -279,22 +269,13 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
             key = (row["protocol"], row["n_node"], row["ratio"])
         groups.setdefault(key, []).append(row["elapsed_us"])
 
-    all_stats = summarize_groups(list(groups.values()))
+    # keys are unique, and no two pooled keys share (protocol, n), so their None ratios are never compared
+    chosen = sorted(zip(groups, summarize_groups(list(groups.values()))), key=operator.itemgetter(0))
     if args.best_ratio:
-        per_cell: dict[tuple, tuple] = {}
-        for key, stats in zip(groups, all_stats):
-            cell = key[:2]
-            if cell not in per_cell or stats.mean < per_cell[cell][1].mean:
-                per_cell[cell] = (key, stats)
-            elif stats.mean == per_cell[cell][1].mean and key[2] < per_cell[cell][0][2]:
-                per_cell[cell] = (key, stats)
-        chosen = [per_cell[cell] for cell in sorted(per_cell)]
-    else:
-        chosen = list(zip(groups, all_stats))
-        chosen.sort(key=lambda item: (item[0][0], item[0][1], item[0][2] if item[0][2] is not None else -1.0))
+        chosen = [min(cell, key=lambda item: (item[1].mean, item[0][2]))
+                  for _, cell in itertools.groupby(chosen, key=lambda item: item[0][:2])]
 
-    out_fh = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
-    try:
+    with _open_out(args.out) as out_fh:
         w = csv.writer(out_fh, lineterminator="\n")
         w.writerow(["protocol", "n_node", "ratio", "samples", "mean_us", "min_us", "q1_us", "median_us", "q3_us", "max_us"])
         for (protocol, n_node, ratio), s in chosen:
@@ -312,9 +293,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                     f"{s.max:.0f}",
                 ]
             )
-    finally:
-        if out_fh is not sys.stdout:
-            out_fh.close()
     return 0
 
 
@@ -325,13 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_single = sub.add_parser("sweep-single", help="single-layer formation sweep to CSV")
-    _add_sweep_args(p_single, multi=False)
-    p_single.set_defaults(func=lambda a: _cmd_sweep(a, multi=False))
-
-    p_multi = sub.add_parser("sweep-multi", help="multi-layer formation sweep to CSV")
-    _add_sweep_args(p_multi, multi=True)
-    p_multi.set_defaults(func=lambda a: _cmd_sweep(a, multi=True))
+    for layers, multi in (("single", False), ("multi", True)):
+        p_sweep = _add_sweep_args(sub.add_parser(f"sweep-{layers}", help=f"{layers}-layer formation sweep to CSV"), multi)
+        p_sweep.add_argument("--config", default=None, help="key=value file supplying flag defaults; flags win")
+        p_sweep.set_defaults(func=functools.partial(_cmd_sweep, multi=multi))
 
     p_cx = sub.add_parser("complexity", help="closed-form frame counts over an (m, k) grid")
     p_cx.add_argument("--m", nargs="+", type=int, default=list(range(2, 11)))
@@ -363,15 +338,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonTermination as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return 3
 
 
 def entry() -> None:

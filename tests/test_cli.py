@@ -2,12 +2,15 @@
 
 import csv
 import gc
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from plcmac import AllocParams, ExperimentPlan, Protocol, cli
+from plcmac import AllocParams, ExperimentPlan, Protocol, cli, engine
 from plcmac.cli import build_parser, main
 from plcmac.engine import CSV_HEADER
+from plcmac.topology import CCO_ID
 
 
 def _read_csv(path):
@@ -63,6 +66,15 @@ def test_grid_and_random_ratio_flags_conflict(tmp_path):
               "--out", str(tmp_path / "x.csv")])
 
 
+def test_bad_flag_value_prints_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-single", "--trials", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: plcmac sweep-single ")
+    assert err.endswith("plcmac sweep-single: error: argument --trials: invalid int value: 'abc'\n")
+
+
 def test_bad_size_range_exits_2(tmp_path):
     rc = main(["sweep-single", "--n-range", "100", "50", "10", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
@@ -75,6 +87,7 @@ def test_bad_size_range_exits_2(tmp_path):
         ["sweep-single", "--n", "0"],
         ["sweep-single", "--n", "10", "--ratios", "0"],
         ["sweep-multi", "--n", "10", "--max-layers", "0"],
+        ["sweep-single", "--n", "10", "--jobs", "0"],
     ],
 )
 def test_bad_sweep_values_exit_2(argv, tmp_path, capsys):
@@ -104,6 +117,48 @@ def test_exhausted_cycle_budget_exits_3(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "simulation error" in capsys.readouterr().err
+
+
+def _simulation_error(tmp_path, capsys, *argv):
+    out = tmp_path / "x.csv"
+    assert main(["sweep-single", "--protocols", "pmac", "--trials", "1", *argv, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return err
+
+
+def test_window_numpy_cannot_size_exits_3(tmp_path, capsys):
+    err = _simulation_error(tmp_path, capsys, "--n", "2", "--ratios", "1e18")
+    assert err.startswith("simulation error: ValueError: array is too big")
+
+
+def test_memory_error_in_a_kernel_exits_3(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("cannot allocate the window")
+
+    monkeypatch.setattr(engine, "simulate_nc_pmac", out_of_memory)
+    err = _simulation_error(tmp_path, capsys, "--n", "3")
+    assert err == "simulation error: MemoryError: cannot allocate the window\n"
+
+
+def test_unjoined_stas_invariant_exits_3(tmp_path, capsys, monkeypatch):
+    # a star that claims a third STA no session holds
+    monkeypatch.setattr(engine, "_star", lambda n: SimpleNamespace(
+        children={CCO_ID: (1, 2)}, depth=(0, 1, 1), n_sta=3, max_depth=1))
+    err = _simulation_error(tmp_path, capsys, "--n", "3")
+    assert err == "simulation error: RuntimeError: formation ended with unjoined STAs despite empty sessions\n"
+
+
+@pytest.mark.parametrize("command", ["sweep-single", "summarize"])
+def test_unwritable_output_path_exits_2(command, tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    sweep = ["sweep-single", "--protocols", "pmac", "--n", "3", "--trials", "1"]
+    assert main([*sweep, "--out", str(rows)]) == 0
+    bad = tmp_path / "missing" / "x.csv"
+    argv = sweep if command == "sweep-single" else ["summarize", str(rows)]
+    assert main([*argv, "--out", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
@@ -187,14 +242,32 @@ def test_sweep_single_config_validates_max_layers(value, code, tmp_path, capsys)
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("line", ["tri = 4", "config = x.cfg", "trials = abc", "trials = 4 5", "trials =",
-                                  "protocols = foo"])
+BAD_CONFIG_LINES = {
+    "tri = 4": "unknown key 'tri'",
+    "config = x.cfg": "unknown key 'config'",
+    "trials = abc": "argument --trials: invalid int value: 'abc'",
+    "trials = 4 5": "bad value for 'trials': '4 5'",
+    "trials =": "argument --trials: expected one argument",
+    "protocols = foo": "argument --protocols: invalid choice: 'foo'",
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_CONFIG_LINES))
 def test_bad_config_line_exits_2(line, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"n = 5\n{line}\n")
     assert main(["sweep-single", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:2: {BAD_CONFIG_LINES[line]}")
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(readme.split("cat > sweep.cfg <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0] + "\n")
+    assert main(["sweep-single", "--config", str(cfg), "--trials", "1", "--jobs", "1", "--n", "5",
+                 "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_summarize_groups_by_protocol_size_and_ratio(tmp_path, capsys):
