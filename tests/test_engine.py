@@ -87,18 +87,19 @@ def test_formation_leaves_its_tree_unchanged(protocol):
 
 
 def test_sessions_run_in_breadth_first_order(monkeypatch, collision_free_rng):
-    # at depth 2 BFS meets 4 (child of 1) before 3 (child of 2): not ascending-id order
-    tree = tree_from_parents({1: 0, 2: 0, 3: 2, 4: 1, 5: 3, 6: 4})
+    # at depth 3 BFS meets 4's two children (4 is a child of 1) before 3's one child:
+    # ascending-coordinator order would end (1, 3), (2, 3)
+    tree = tree_from_parents({1: 0, 2: 0, 3: 2, 4: 1, 5: 3, 6: 4, 7: 4})
     seen = []
     kernel = engine.simulate_nc_pmac
 
     def recording(pending, *args):
-        seen.append((pending.stas, pending.depth))
+        seen.append((len(pending.stas), pending.depth))
         return kernel(pending, *args)
 
     monkeypatch.setattr(engine, "simulate_nc_pmac", recording)
     result = run_formation(Protocol.PMAC, tree, RunConfig(), 1.0, collision_free_rng)
-    assert seen == [((1, 2), 1), ((4,), 2), ((3,), 2), ((6,), 3), ((5,), 3)]
+    assert seen == [(2, 1), (1, 2), (1, 2), (2, 3), (1, 3)]
     assert result.nc_count == 5
 
 
