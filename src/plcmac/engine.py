@@ -12,7 +12,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import filterfalse
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,13 +67,13 @@ def run_formation(
 
     # BFS over coordinators only: the session order decides how the rng is consumed
     coordinators = tree.children
-    sessions: list[tuple[int, tuple[int, ...]]] = []
+    sessions: list[tuple[int, int]] = []  # (depth of the children, how many) per session
     queue = deque([CCO_ID])
     while queue:
         node = queue.popleft()
         kids = coordinators.get(node)
         if kids:
-            sessions.append((node, kids))
+            sessions.append((tree.depth[node] + 1, len(kids)))
             if len(sessions) < len(coordinators):  # else every coordinator has its session
                 queue.extend(filter(coordinators.__contains__, kids))
 
@@ -84,22 +83,20 @@ def run_formation(
     pays_relay = protocol is not Protocol.IEEE1901
     kernel = simulate_nc_pmac if pmac else simulate_nc_csma
     max_nc = cfg.max_nc
-    for coordinator, kids in sessions:
-        depth_k = tree.depth[coordinator] + 1
+    for depth_k, pending in sessions:
         if pays_relay and depth_k >= 2:
             overhead = 2 * (depth_k - 1)
             data_frames += overhead
             paid.append((0, overhead, 0, 0, 0, 0))
         if epmac:
-            n0 = ceil_scale(slot_ratio, len(kids))
+            n0 = ceil_scale(slot_ratio, pending)
             state = fresh_state(cfg.alloc, n0)
-        batch = PendingSet(kids, depth_k)
-        pending = batch.stas
+        batch = PendingSet(pending, depth_k)
         while True:
             if nc_count >= max_nc:
                 raise NonTermination(
                     f"{protocol.value} run exceeded max_nc={max_nc} with "
-                    f"{len(pending)} STA(s) still pending at depth {depth_k}"
+                    f"{pending} STA(s) still pending at depth {depth_k}"
                 )
             if epmac:
                 n_slot = next_slot_count(state)
@@ -110,8 +107,8 @@ def run_formation(
                 joined, cycle_counts, frames, _ = simulate_nc_epmac(batch, n_slot, state.t_pte == 0, cfg, rng)
                 state = record_pte(state, n_slot, len(joined))
             else:
-                n_slot = ceil_scale(slot_ratio, len(pending))
-                if pmac and n_slot < 2 and len(pending) >= 2:
+                n_slot = ceil_scale(slot_ratio, pending)
+                if pmac and n_slot < 2 and pending >= 2:
                     n_slot = 2  # two contenders in one slot collide forever; floor the window at 2
                 joined, cycle_counts, frames, _ = kernel(batch, n_slot, cfg, rng)
             nc_count += 1
@@ -119,10 +116,10 @@ def run_formation(
             data_frames += frames
             if joined:  # a cycle without joins keeps its batch
                 joined_total += len(joined)
-                if len(joined) == len(pending):
+                pending -= len(joined)
+                if not pending:
                     break
-                batch = PendingSet(filterfalse(set(joined).__contains__, pending), depth_k)
-                pending = batch.stas
+                batch = PendingSet(pending, depth_k)
 
     if joined_total != tree.n_sta:
         raise RuntimeError("formation ended with unjoined STAs despite empty sessions")

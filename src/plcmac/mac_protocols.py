@@ -8,8 +8,7 @@ core.TimingTable.cost turns slot counts into time, never frame air times.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,32 +16,38 @@ from .core import RunConfig
 
 
 class _PendingFields(NamedTuple):
-    stas: tuple[int, ...]
+    count: int
     depth: int = 1
 
 
 class PendingSet(_PendingFields):
-    """STAs still waiting to join one session, all at the same tree depth (>= 1); stas is kept sorted."""
+    """How many STAs still wait to join one session, all at the same tree depth (>= 1).
+
+    STAs of a session are exchangeable, so they have no ids here: stas
+    names them by rank, range(count).
+    """
 
     __slots__ = ()
 
-    def __new__(cls, stas: Iterable[int], depth: int = 1) -> PendingSet:
-        stas = tuple(sorted(stas))
-        if not stas:
+    def __new__(cls, count: int, depth: int = 1) -> PendingSet:
+        if count < 1:
             raise ValueError("a pending set is never empty")
-        if len(set(stas)) != len(stas):
-            raise ValueError("pending ids must be unique")
         if depth < 1:
             raise ValueError("depth starts at 1")
-        return tuple.__new__(cls, (stas, depth))
+        return tuple.__new__(cls, (count, depth))
 
     # _replace builds through _make, so route it through the checks too
     _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    @property
+    def stas(self) -> range:
+        return range(self.count)
 
 
 class NcOutcome(NamedTuple):
     """One networking cycle's result for one session.
 
+    joined holds the winners' ranks, ascending, within the pending count.
     slot_counts holds the slots the cycle paid for, one count per
     TimingTable field in field order: (preamble, data frame, central
     beacon, proxy beacon, association request, association indication).
@@ -56,30 +61,33 @@ class NcOutcome(NamedTuple):
     slots_used: int
 
 
-def _winners(stas: tuple[int, ...], slots: np.ndarray, n_slot: int) -> tuple[int, ...]:
-    """The ids of stas whose slot (slots[i] for stas[i]) no other id drew, in input order."""
-    counts = np.bincount(slots, minlength=n_slot)
-    return tuple(compress(stas, (counts[slots] == 1).tolist()))
+def _alone(slots: np.ndarray, n_slot: int) -> np.ndarray:
+    """Per draw, whether no other draw picked its slot."""
+    return np.bincount(slots, minlength=n_slot)[slots] == 1
 
 
-def _contend(stas: tuple[int, ...], n_slot: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniform slotted contention over stas; a lone contender wins without a draw."""
+def _contend(count: int, n_slot: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Ranks of the alone-in-slot winners among count contenders; a lone contender wins without a draw."""
     if n_slot < 1:
         raise ValueError("need at least one slot")
-    if len(stas) == 1:
-        return stas
-    return _winners(stas, rng.integers(0, n_slot, size=len(stas)), n_slot)
+    if count == 1:
+        return (0,)
+    return tuple(_alone(rng.integers(0, n_slot, size=count), n_slot).nonzero()[0].tolist())
 
 
 def contend(pending_count: int, n_slot: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Uniform slotted contention: each STA draws one slot, alone-in-slot wins.
 
-    Returns (successes, per-STA success flags in input order).
+    Returns (successes, per-STA success flags in draw order). Draws as
+    the kernels do: none for a lone contender.
     """
     if pending_count < 1:
         raise ValueError("need at least one contender")
-    flags = np.zeros(pending_count, dtype=bool)
-    flags[list(_contend(tuple(range(pending_count)), n_slot, rng))] = True
+    if n_slot < 1:
+        raise ValueError("need at least one slot")
+    if pending_count == 1:
+        return 1, np.ones(1, dtype=bool)
+    flags = _alone(rng.integers(0, n_slot, size=pending_count), n_slot)
     return int(np.count_nonzero(flags)), flags
 
 
@@ -97,7 +105,7 @@ def simulate_nc_epmac(
     s winners: ceil(s/tdf_capacity) TDFs, s MAC-address frames,
     ceil(s/sdf_capacity) SDFs, and one ACK preamble each.
     """
-    joined = _contend(pending.stas, n_slot, rng)
+    joined = _contend(pending.count, n_slot, rng)
     s = len(joined)
     # the announcement plus every PTE slot, landed or not
     data, preambles = (1, n_slot) if first_nc else (0, 1 + n_slot)
@@ -119,7 +127,7 @@ def simulate_nc_pmac(
     (time difference, MAC address, SID) each crossing k hops, and one
     ACK preamble per winner.
     """
-    joined = _contend(pending.stas, n_slot, rng)
+    joined = _contend(pending.count, n_slot, rng)
     s = len(joined)
     data = 3 * pending.depth * s
     return NcOutcome(joined, (1 + n_slot + s, data, 0, 0, 0, 0), data, n_slot)
@@ -139,19 +147,18 @@ def simulate_nc_csma(
     association indication, plus one request/indication pair per extra
     hop. Non-transmitters and collided STAs wait for the next cycle.
     """
-    stas = pending.stas
+    count = pending.count
     if n_slot < 1:
         raise ValueError("need at least one slot")
-    if len(stas) == 1:
+    if count == 1:
         # scalar draws consume the same stream as size=1 ones, without numpy's size handling
         rng.integers(0, n_slot)
-        joined = stas if rng.random() < cfg.csma_p else ()
+        joined = (0,) if rng.random() < cfg.csma_p else ()
         transmitters = len(joined)
     else:
-        slots = rng.integers(0, n_slot, size=len(stas))
-        transmit = rng.random(len(stas)) < cfg.csma_p
-        sending = tuple(compress(stas, transmit.tolist()))
-        joined = _winners(sending, slots[transmit], n_slot)
+        slots = rng.integers(0, n_slot, size=count)
+        sending = (rng.random(count) < cfg.csma_p).nonzero()[0]
+        joined = tuple(sending[_alone(slots[sending], n_slot)].tolist())
         transmitters = len(sending)
     s = len(joined)
     relayed = s * (pending.depth - 1)  # a request/indication pair per winner per extra hop

@@ -17,6 +17,7 @@ from plcmac import (
     summarize,
     tree_from_parents,
 )
+from plcmac.topology import CCO_ID
 
 
 def _chain():
@@ -109,6 +110,7 @@ def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch,
     calls = dict.fromkeys(("simulate_nc_epmac", "simulate_nc_pmac", "simulate_nc_csma", "next_slot_count", "ceil_scale"), 0)
     joined = []
     firsts = []
+    cycles = []  # (len(first.stas), joins) per kernel call
 
     def counting(name):
         original = getattr(engine, name)
@@ -119,6 +121,7 @@ def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch,
             if name.startswith("simulate_nc_"):
                 firsts.append(args[0])
                 joined.append(len(out.joined))
+                cycles.append((len(args[0].stas), len(out.joined)))
             return out
 
         return wrapper
@@ -136,6 +139,21 @@ def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch,
     assert sum(calls[name] for name in calls if name.startswith("simulate_nc_")) == result.nc_count
     assert sum(joined) == tree.n_sta == result.joined
     assert all(hasattr(first, "stas") for first in firsts)
+    # each session's calls start at its child count and fall by exactly each cycle's joins
+    child_counts, queue = [], [CCO_ID]
+    for node in queue:  # BFS: the list grows while it is walked
+        kids = tree.children.get(node, ())
+        if kids:
+            child_counts.append(len(kids))
+            queue.extend(kids)
+    calls_per_session = iter(cycles)
+    for count in child_counts:
+        pending = count
+        while pending:
+            contenders, joins = next(calls_per_session)
+            assert contenders == pending
+            pending -= joins
+    assert next(calls_per_session, None) is None
     if protocol is Protocol.EPMAC:
         assert calls["ceil_scale"] == len(tree.children)  # one first window per session
         assert calls["next_slot_count"] >= result.nc_count

@@ -16,30 +16,29 @@ from plcmac import (
 )
 
 
-
-
 def _cycle_us(out, cfg=RunConfig()):
     return cfg.timing.cost(out.slot_counts)
 
 
-def test_pending_set_normalizes_and_validates():
-    ps = PendingSet((5, 2, 9))
-    assert ps.stas == (2, 5, 9)
-    assert ps.depth == 1
+def test_pending_set_is_a_validated_count():
+    ps = PendingSet(3)
+    assert (ps.count, ps.depth) == (3, 1)
+    assert len(ps.stas) == ps.count
+    assert list(PendingSet(4, depth=2).stas) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
-        PendingSet(())
+        PendingSet(0)
     with pytest.raises(ValueError):
-        PendingSet((1, 1))
-    with pytest.raises(ValueError):
-        PendingSet((1,), depth=0)
-    assert ps._replace(stas=(4, 3)) == PendingSet((3, 4))
+        PendingSet(3, depth=0)
+    assert ps._replace(count=5) == PendingSet(5)
     with pytest.raises(ValueError):
         ps._replace(depth=0)
+    with pytest.raises(ValueError):
+        ps._replace(count=0)
 
 
 def test_value_types_are_immutable():
     fields_of = {
-        PendingSet((3, 1), depth=2): ("stas", "depth"),
+        PendingSet(2, depth=2): ("count", "depth", "stas"),
         NcOutcome((1,), (2, 0, 0, 0, 0, 0), 0, 1): ("joined", "slot_counts", "data_frames", "slots_used"),
         fresh_state(AllocParams(), 4): ("params", "n_slot", "n_sta", "t_f", "t_pte"),
     }
@@ -81,8 +80,8 @@ def test_batched_cycle_first_round_trace(collision_free_rng):
     announcement data frame + 2 preamble slots + 1 TDF + 2 address
     frames + 1 SDF + 2 ACK preambles = 101600 us.
     """
-    out = simulate_nc_epmac(PendingSet((1, 2)), 2, True, RunConfig(), collision_free_rng)
-    assert out.joined == (1, 2)
+    out = simulate_nc_epmac(PendingSet(2), 2, True, RunConfig(), collision_free_rng)
+    assert out.joined == (0, 1)
     assert _cycle_us(out) == 101600
     assert out.data_frames == 5
     assert out.slot_counts == (4, 5, 0, 0, 0, 0)
@@ -91,20 +90,20 @@ def test_batched_cycle_first_round_trace(collision_free_rng):
 
 def test_batched_cycle_later_round_trace():
     # announcement shrinks to a preamble after the first cycle
-    out = simulate_nc_epmac(PendingSet((7,)), 1, False, RunConfig(), np.random.default_rng(0))
-    assert out.joined == (7,)
+    out = simulate_nc_epmac(PendingSet(1), 1, False, RunConfig(), np.random.default_rng(0))
+    assert out.joined == (0,)
     assert _cycle_us(out) == 61200
     assert out.data_frames == 3
     assert out.slot_counts == (3, 3, 0, 0, 0, 0)
 
 
 def test_batched_cycle_total_collision_charges_only_the_window():
-    out = simulate_nc_epmac(PendingSet((1, 2)), 1, True, RunConfig(), np.random.default_rng(3))
+    out = simulate_nc_epmac(PendingSet(2), 1, True, RunConfig(), np.random.default_rng(3))
     assert out.joined == ()
     assert _cycle_us(out) == 20400
     assert out.data_frames == 1
     assert out.slot_counts == (1, 1, 0, 0, 0, 0)
-    out = simulate_nc_epmac(PendingSet((1, 2)), 1, False, RunConfig(), np.random.default_rng(3))
+    out = simulate_nc_epmac(PendingSet(2), 1, False, RunConfig(), np.random.default_rng(3))
     assert _cycle_us(out) == 800
     assert out.data_frames == 0
     assert out.slot_counts == (2, 0, 0, 0, 0, 0)
@@ -112,27 +111,27 @@ def test_batched_cycle_total_collision_charges_only_the_window():
 
 def test_batched_cycle_respects_frame_capacities(collision_free_rng):
     # 25 joins: 2 TDFs of 20, 3 SDFs of 10
-    out = simulate_nc_epmac(PendingSet(tuple(range(1, 26))), 25, True, RunConfig(), collision_free_rng)
+    out = simulate_nc_epmac(PendingSet(25), 25, True, RunConfig(), collision_free_rng)
     assert out.data_frames == 1 + 2 + 25 + 3
     assert out.slot_counts == (25 + 25, 1 + 2 + 25 + 3, 0, 0, 0, 0)
 
 
 def test_unbatched_cycle_trace(collision_free_rng):
-    out = simulate_nc_pmac(PendingSet((1, 2)), 2, RunConfig(), collision_free_rng)
-    assert out.joined == (1, 2)
+    out = simulate_nc_pmac(PendingSet(2), 2, RunConfig(), collision_free_rng)
+    assert out.joined == (0, 1)
     assert _cycle_us(out) == 122000
     assert out.data_frames == 6
     assert out.slot_counts == (5, 6, 0, 0, 0, 0)
 
 
 def test_unbatched_cycle_scales_frames_with_depth(collision_free_rng):
-    out = simulate_nc_pmac(PendingSet((9,), depth=2), 1, RunConfig(), collision_free_rng)
+    out = simulate_nc_pmac(PendingSet(1, depth=2), 1, RunConfig(), collision_free_rng)
     assert out.data_frames == 6
     assert _cycle_us(out) == 121200
 
 
 def test_unbatched_cycle_collision_costs_preambles_only():
-    out = simulate_nc_pmac(PendingSet((1, 2, 3)), 1, RunConfig(), np.random.default_rng(0))
+    out = simulate_nc_pmac(PendingSet(3), 1, RunConfig(), np.random.default_rng(0))
     assert out.joined == ()
     assert _cycle_us(out) == 800
     assert out.data_frames == 0
@@ -141,8 +140,8 @@ def test_unbatched_cycle_collision_costs_preambles_only():
 
 def test_association_cycle_singleton_trace():
     cfg = RunConfig(csma_p=1.0)
-    out = simulate_nc_csma(PendingSet((1,)), 1, cfg, np.random.default_rng(0))
-    assert out.joined == (1,)
+    out = simulate_nc_csma(PendingSet(1), 1, cfg, np.random.default_rng(0))
+    assert out.joined == (0,)
     assert _cycle_us(out) == 52000
     assert out.data_frames == 3
     assert out.slot_counts == (0, 0, 1, 0, 1, 1)  # no preamble slots at all
@@ -150,7 +149,7 @@ def test_association_cycle_singleton_trace():
 
 def test_association_cycle_collision_still_pays_every_request_slot():
     cfg = RunConfig(csma_p=1.0)
-    out = simulate_nc_csma(PendingSet((1, 2)), 1, cfg, np.random.default_rng(0))
+    out = simulate_nc_csma(PendingSet(2), 1, cfg, np.random.default_rng(0))
     assert out.joined == ()
     assert _cycle_us(out) == 32000
     assert out.data_frames == 3  # beacon and both doomed requests
@@ -163,16 +162,16 @@ def test_lone_association_contender_consumes_the_size_one_stream(csma_p, n_slot)
     cfg = RunConfig(csma_p=csma_p)
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        out = simulate_nc_csma(PendingSet((4,)), n_slot, cfg, rng)
+        out = simulate_nc_csma(PendingSet(1), n_slot, cfg, rng)
         ref = np.random.default_rng(seed)
         ref.integers(0, n_slot, size=1)
-        assert out.joined == ((4,) if ref.random(1)[0] < csma_p else ())
+        assert out.joined == ((0,) if ref.random(1)[0] < csma_p else ())
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_association_cycle_relays_per_extra_hop(collision_free_rng):
     cfg = RunConfig()
-    out = simulate_nc_csma(PendingSet((5,), depth=3), 2, cfg, collision_free_rng)
+    out = simulate_nc_csma(PendingSet(1, depth=3), 2, cfg, collision_free_rng)
     assert _cycle_us(out) == 12000 + 2 * 20000 + 20000 + 2 * (20000 + 20000)
     assert out.data_frames == 1 + 1 + 1 + 4
     assert out.slot_counts == (0, 0, 0, 1, 2 + 2, 1 + 2)
@@ -182,34 +181,46 @@ def test_association_cycle_deferral():
     """With a small transmit probability a lone STA often sits a cycle out."""
     cfg = RunConfig(csma_p=0.05)
     outcomes = [
-        simulate_nc_csma(PendingSet((1,)), 1, cfg, np.random.default_rng(seed)).joined
+        simulate_nc_csma(PendingSet(1), 1, cfg, np.random.default_rng(seed)).joined
         for seed in range(200)
     ]
     joined = sum(1 for j in outcomes if j)
     assert 0 < joined < 60  # p = 0.05: transmission is rare but not impossible
     deferred = next(out for out in (
-        simulate_nc_csma(PendingSet((1,)), 1, cfg, np.random.default_rng(seed))
+        simulate_nc_csma(PendingSet(1), 1, cfg, np.random.default_rng(seed))
         for seed in range(200)
     ) if not out.joined)
     assert _cycle_us(deferred) == 12000 + 20000
     assert deferred.data_frames == 1  # the beacon went out, nothing else
 
 
-def test_joined_ids_follow_input_order(collision_free_rng):
-    out = simulate_nc_epmac(PendingSet((27, 3, 9)), 3, True, RunConfig(), collision_free_rng)
-    assert out.joined == (3, 9, 27)
+@pytest.mark.parametrize("kernel", ["epmac", "pmac", "ieee1901"])
+def test_joined_ranks_ascend_within_the_pending_count(kernel):
+    cfg = RunConfig(csma_p=0.75)
+    cycle = {
+        "epmac": lambda pending, n_slot, rng: simulate_nc_epmac(pending, n_slot, True, cfg, rng),
+        "pmac": lambda pending, n_slot, rng: simulate_nc_pmac(pending, n_slot, cfg, rng),
+        "ieee1901": lambda pending, n_slot, rng: simulate_nc_csma(pending, n_slot, cfg, rng),
+    }[kernel]
+    rng = np.random.default_rng(11)
+    for count in (1, 2, 5, 40):
+        for n_slot in (1, count, 3 * count):
+            for _ in range(20):
+                joined = cycle(PendingSet(count), n_slot, rng).joined
+                assert list(joined) == sorted(set(joined))
+                assert all(0 <= rank < count for rank in joined)
 
 
 def test_each_kernel_charges_each_slot_kind_its_own_length(per_kind_timing):
     cfg = RunConfig(timing=per_kind_timing, csma_p=1.0)
-    trio = PendingSet((1, 2, 3))
+    trio = PendingSet(3)
     out = simulate_nc_epmac(trio, 4, True, cfg, np.random.default_rng(1))
-    assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 6_007)
+    assert (out.joined, _cycle_us(out, cfg)) == ((0, 1, 2), 6_007)
     out = simulate_nc_epmac(trio, 4, False, cfg, np.random.default_rng(1))
-    assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 5_008)
-    out = simulate_nc_pmac(PendingSet((1, 2, 3), depth=2), 4, cfg, np.random.default_rng(1))
-    assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 18_008)
+    assert (out.joined, _cycle_us(out, cfg)) == ((0, 1, 2), 5_008)
+    out = simulate_nc_pmac(PendingSet(3, depth=2), 4, cfg, np.random.default_rng(1))
+    assert (out.joined, _cycle_us(out, cfg)) == ((0, 1, 2), 18_008)
     out = simulate_nc_csma(trio, 4, cfg, np.random.default_rng(1))
-    assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 3_004_000_001_000_000)
-    out = simulate_nc_csma(PendingSet((1, 2, 3), depth=3), 4, cfg, np.random.default_rng(1))
-    assert (out.joined, _cycle_us(out, cfg)) == ((1, 2, 3), 9_010_001_000_000_000)
+    assert (out.joined, _cycle_us(out, cfg)) == ((0, 1, 2), 3_004_000_001_000_000)
+    out = simulate_nc_csma(PendingSet(3, depth=3), 4, cfg, np.random.default_rng(1))
+    assert (out.joined, _cycle_us(out, cfg)) == ((0, 1, 2), 9_010_001_000_000_000)
