@@ -9,6 +9,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 import sys
 from typing import IO, ContextManager, Sequence
 
@@ -183,12 +184,17 @@ def _cmd_sweep(args: argparse.Namespace, multi: bool) -> int:
     )
     if args.jobs is not None and args.jobs < 1:
         raise UsageError("jobs must be at least 1")
+    out = None if args.out == "-" else args.out
+    if out is not None:  # fail before any cell runs; the file is opened, and so truncated, only once there are rows
+        where = out if os.path.exists(out) else os.path.dirname(out) or "."
+        if os.path.isdir(out) or not os.access(where, os.W_OK):
+            raise UsageError(f"cannot write {out}: not a writable file in an existing directory")
     try:
         rows = run_experiment(plan, **_given(args, jobs="jobs"))
     except Exception as exc:  # validation is done: whatever the simulation raises is a simulation failure
         print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    with _open_out(None if args.out == "-" else args.out) as fh:
+    with _open_out(out) as fh:
         write_csv(rows, fh)
     return 0
 

@@ -9,7 +9,6 @@ Each session loops networking cycles until its pending set drains.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -65,25 +64,20 @@ def run_formation(
     data_frames = 0
     joined_total = 0
 
-    # BFS over coordinators only: the session order decides how the rng is consumed
-    coordinators = tree.children
-    sessions: list[tuple[int, int]] = []  # (depth of the children, how many) per session
-    queue = deque([CCO_ID])
-    while queue:
-        node = queue.popleft()
-        kids = coordinators.get(node)
-        if kids:
-            sessions.append((tree.depth[node] + 1, len(kids)))
-            if len(sessions) < len(coordinators):  # else every coordinator has its session
-                queue.extend(filter(coordinators.__contains__, kids))
-
     # decided once per run; the names are read from this module per call so wrappers set on it see every call
     epmac = protocol is Protocol.EPMAC
     pmac = protocol is Protocol.PMAC
     pays_relay = protocol is not Protocol.IEEE1901
     kernel = simulate_nc_pmac if pmac else simulate_nc_csma
     max_nc = cfg.max_nc
-    for depth_k, pending in sessions:
+    # BFS over coordinators only: the session order decides how the rng is consumed
+    coordinators = tree.children
+    queue = [CCO_ID] if coordinators else []
+    for node in queue:  # the queue grows while it is walked
+        kids = coordinators[node]
+        if len(queue) < len(coordinators):  # else every coordinator is queued
+            queue.extend(filter(coordinators.__contains__, kids))
+        depth_k, pending = tree.depth[node] + 1, len(kids)
         if pays_relay and depth_k >= 2:
             overhead = 2 * (depth_k - 1)
             data_frames += overhead
@@ -91,13 +85,13 @@ def run_formation(
         if epmac:
             n0 = ceil_scale(slot_ratio, pending)
             state = fresh_state(cfg.alloc, n0)
-        batch = PendingSet(pending, depth_k)
-        while True:
+        while pending:
             if nc_count >= max_nc:
                 raise NonTermination(
                     f"{protocol.value} run exceeded max_nc={max_nc} with "
                     f"{pending} STA(s) still pending at depth {depth_k}"
                 )
+            batch = PendingSet(pending, depth_k)
             if epmac:
                 n_slot = next_slot_count(state)
                 if n_slot == 0:
@@ -114,12 +108,8 @@ def run_formation(
             nc_count += 1
             paid.append(cycle_counts)
             data_frames += frames
-            if joined:  # a cycle without joins keeps its batch
-                joined_total += len(joined)
-                pending -= len(joined)
-                if not pending:
-                    break
-                batch = PendingSet(pending, depth_k)
+            joined_total += len(joined)
+            pending -= len(joined)
 
     if joined_total != tree.n_sta:
         raise RuntimeError("formation ended with unjoined STAs despite empty sessions")
@@ -201,24 +191,19 @@ def _star(n: int) -> NetworkTree:
 
 def _run_cell(plan: ExperimentPlan, proto_idx: int, n: int, ratio_idx: int, trial: int) -> ResultRow:
     protocol = plan.protocols[proto_idx]
-    rng = np.random.default_rng(
-        np.random.SeedSequence((plan.seed, proto_idx, n, ratio_idx, trial))
-    )
-    if plan.ratio_random is not None:
-        lo, hi = plan.ratio_random
-        ratio = float(lo + (hi - lo) * rng.random())
-    else:
-        ratio = plan.ratio_grid[ratio_idx]
-    if plan.multi_layer:
-        tree = generate_tree(n, plan.max_layers, rng)
-    else:
-        tree = _star(n)
     try:
+        rng = np.random.default_rng(np.random.SeedSequence((plan.seed, proto_idx, n, ratio_idx, trial)))
+        if plan.ratio_random is not None:
+            lo, hi = plan.ratio_random
+            ratio = float(lo + (hi - lo) * rng.random())
+        else:
+            ratio = plan.ratio_grid[ratio_idx]
+        tree = generate_tree(n, plan.max_layers, rng) if plan.multi_layer else _star(n)
         result = run_formation(protocol, tree, plan, ratio, rng)
-    except NonTermination as exc:
-        raise NonTermination(
-            f"{exc} [cell protocol={protocol.value} n={n} ratio_index={ratio_idx} trial={trial}]"
-        ) from exc
+    except Exception as exc:
+        # name the cell and keep the type; args also travel back from a worker process
+        exc.args = (f"{exc} [cell protocol={protocol.value} n={n} ratio_index={ratio_idx} trial={trial}]",)
+        raise
     return ResultRow(
         protocol=protocol.value,
         n_node=n,

@@ -66,20 +66,11 @@ def _alone(slots: np.ndarray, n_slot: int) -> np.ndarray:
     return np.bincount(slots, minlength=n_slot)[slots] == 1
 
 
-def _contend(count: int, n_slot: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Ranks of the alone-in-slot winners among count contenders; a lone contender wins without a draw."""
-    if n_slot < 1:
-        raise ValueError("need at least one slot")
-    if count == 1:
-        return (0,)
-    return tuple(_alone(rng.integers(0, n_slot, size=count), n_slot).nonzero()[0].tolist())
-
-
 def contend(pending_count: int, n_slot: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Uniform slotted contention: each STA draws one slot, alone-in-slot wins.
 
-    Returns (successes, per-STA success flags in draw order). Draws as
-    the kernels do: none for a lone contender.
+    Returns (successes, per-STA success flags in draw order). A lone
+    contender wins without a draw.
     """
     if pending_count < 1:
         raise ValueError("need at least one contender")
@@ -89,6 +80,13 @@ def contend(pending_count: int, n_slot: int, rng: np.random.Generator) -> tuple[
         return 1, np.ones(1, dtype=bool)
     flags = _alone(rng.integers(0, n_slot, size=pending_count), n_slot)
     return int(np.count_nonzero(flags)), flags
+
+
+def _contend(count: int, n_slot: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Ranks of the winners among count contenders, ascending."""
+    if count == 1 and n_slot >= 1:
+        return (0,)  # the lone winner, without an array
+    return tuple(contend(count, n_slot, rng)[1].nonzero()[0].tolist())
 
 
 def simulate_nc_epmac(

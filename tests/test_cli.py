@@ -131,6 +131,26 @@ def _simulation_error(tmp_path, capsys, *argv):
 def test_window_numpy_cannot_size_exits_3(tmp_path, capsys):
     err = _simulation_error(tmp_path, capsys, "--n", "2", "--ratios", "1e18")
     assert err.startswith("simulation error: ValueError: array is too big")
+    assert err.endswith(" [cell protocol=pmac n=2 ratio_index=0 trial=0]\n")
+
+
+def test_an_error_before_the_formation_names_its_cell(tmp_path, capsys, monkeypatch):
+    def bad_tree(n, max_layers, rng):
+        raise KeyError("no tree")
+
+    monkeypatch.setattr(engine, "generate_tree", bad_tree)
+    argv = ["sweep-multi", "--protocols", "epmac", "--n", "4", "--ratios", "1.0", "--trials", "1"]
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "simulation error: KeyError: \"'no tree' [cell protocol=epmac n=4 ratio_index=0 trial=0]\"\n"
+    )
+
+
+def test_an_error_in_a_worker_process_names_its_cell(tmp_path, capsys):
+    # the pool rebuilds the exception from its args, so the cell survives the trip back
+    err = _simulation_error(tmp_path, capsys, "--n", "2", "3", "--ratios", "1", "1e18", "--jobs", "2")
+    assert err.startswith("simulation error: ValueError: array is too big")
+    assert err.endswith(" [cell protocol=pmac n=2 ratio_index=1 trial=0]\n")
 
 
 def test_memory_error_in_a_kernel_exits_3(tmp_path, capsys, monkeypatch):
@@ -139,7 +159,7 @@ def test_memory_error_in_a_kernel_exits_3(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(engine, "simulate_nc_pmac", out_of_memory)
     err = _simulation_error(tmp_path, capsys, "--n", "3")
-    assert err == "simulation error: MemoryError: cannot allocate the window\n"
+    assert err == "simulation error: MemoryError: cannot allocate the window [cell protocol=pmac n=3 ratio_index=0 trial=0]\n"
 
 
 def test_unjoined_stas_invariant_exits_3(tmp_path, capsys, monkeypatch):
@@ -147,7 +167,10 @@ def test_unjoined_stas_invariant_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(engine, "_star", lambda n: SimpleNamespace(
         children={CCO_ID: (1, 2)}, depth=(0, 1, 1), n_sta=3, max_depth=1))
     err = _simulation_error(tmp_path, capsys, "--n", "3")
-    assert err == "simulation error: RuntimeError: formation ended with unjoined STAs despite empty sessions\n"
+    assert err == (
+        "simulation error: RuntimeError: formation ended with unjoined STAs despite empty sessions"
+        " [cell protocol=pmac n=3 ratio_index=0 trial=0]\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["sweep-single", "summarize"])
@@ -159,6 +182,25 @@ def test_unwritable_output_path_exits_2(command, tmp_path, capsys):
     argv = sweep if command == "sweep-single" else ["summarize", str(rows)]
     assert main([*argv, "--out", str(bad)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
+
+def test_unwritable_sweep_output_is_rejected_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    for bad in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["sweep-single", "--n", "3", "--trials", "1", "--out", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_sweep_keeps_an_existing_output_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"earlier results\n")
+    assert main(["sweep-single", "--max-nc", "1", "--n", "20", "--trials", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("simulation error: NonTermination: ")
+    assert out.read_bytes() == b"earlier results\n"
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
