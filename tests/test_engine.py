@@ -146,14 +146,13 @@ def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch,
         if kids:
             child_counts.append(len(kids))
             queue.extend(kids)
-    calls_per_session = iter(cycles)
-    for count in child_counts:
-        pending = count
+    remaining = iter(cycles)
+    for pending in child_counts:
         while pending:
-            contenders, joins = next(calls_per_session)
+            contenders, joins = next(remaining)
             assert contenders == pending
             pending -= joins
-    assert next(calls_per_session, None) is None
+    assert next(remaining, None) is None
     if protocol is Protocol.EPMAC:
         assert calls["ceil_scale"] == len(tree.children)  # one first window per session
         assert calls["next_slot_count"] >= result.nc_count
