@@ -156,9 +156,12 @@ def _resolve_ratios(args: argparse.Namespace) -> tuple[tuple[float, ...] | None,
     return tuple(args.ratios or _DEFAULT_RATIOS), None
 
 
+_STDOUT = (None, "-")  # --out values that mean stdout
+
+
 def _open_out(path: str | None) -> ContextManager[IO[str]]:
-    """The output file, or stdout for None; an unwritable path is a usage error."""
-    if path is None:
+    """The output file, or stdout for None or "-"; an unwritable path is a usage error."""
+    if path in _STDOUT:
         return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8", newline="")
@@ -184,15 +187,16 @@ def _cmd_sweep(args: argparse.Namespace, multi: bool) -> int:
     )
     if args.jobs is not None and args.jobs < 1:
         raise UsageError("jobs must be at least 1")
-    out = None if args.out == "-" else args.out
-    if out is not None:  # fail before any cell runs; the file is opened, and so truncated, only once there are rows
+    out = args.out
+    if out not in _STDOUT:  # fail before any cell runs; the file is opened, and so truncated, only once there are rows
         where = out if os.path.exists(out) else os.path.dirname(out) or "."
         if os.path.isdir(out) or not os.access(where, os.W_OK):
             raise UsageError(f"cannot write {out}: not a writable file in an existing directory")
     try:
         rows = run_experiment(plan, **_given(args, jobs="jobs"))
     except Exception as exc:  # validation is done: whatever the simulation raises is a simulation failure
-        print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        cell = f" [cell {exc.cell}]" if hasattr(exc, "cell") else ""
+        print(f"simulation error: {type(exc).__name__}: {exc}{cell}", file=sys.stderr)
         return 3
     with _open_out(out) as fh:
         write_csv(rows, fh)

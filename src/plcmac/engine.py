@@ -98,18 +98,18 @@ def run_formation(
                     # probe budget exhausted with STAs left: forced restart, fresh first PTE
                     state = fresh_state(cfg.alloc, n0)
                     n_slot = next_slot_count(state)
-                joined, cycle_counts, frames, _ = simulate_nc_epmac(batch, n_slot, state.t_pte == 0, cfg, rng)
-                state = record_pte(state, n_slot, len(joined))
+                joins, cycle_counts, frames, _ = simulate_nc_epmac(batch, n_slot, state.t_pte == 0, cfg, rng)
+                state = record_pte(state, n_slot, joins)
             else:
                 n_slot = ceil_scale(slot_ratio, pending)
                 if pmac and n_slot < 2 and pending >= 2:
                     n_slot = 2  # two contenders in one slot collide forever; floor the window at 2
-                joined, cycle_counts, frames, _ = kernel(batch, n_slot, cfg, rng)
+                joins, cycle_counts, frames, _ = kernel(batch, n_slot, cfg, rng)
             nc_count += 1
             paid.append(cycle_counts)
             data_frames += frames
-            joined_total += len(joined)
-            pending -= len(joined)
+            joined_total += joins
+            pending -= joins
 
     if joined_total != tree.n_sta:
         raise RuntimeError("formation ended with unjoined STAs despite empty sessions")
@@ -201,8 +201,9 @@ def _run_cell(plan: ExperimentPlan, proto_idx: int, n: int, ratio_idx: int, tria
         tree = generate_tree(n, plan.max_layers, rng) if plan.multi_layer else _star(n)
         result = run_formation(protocol, tree, plan, ratio, rng)
     except Exception as exc:
-        # name the cell and keep the type; args also travel back from a worker process
-        exc.args = (f"{exc} [cell protocol={protocol.value} n={n} ratio_index={ratio_idx} trial={trial}]",)
+        # name the cell in its own field, keeping type and message; an exception pickles
+        # its __dict__, so the field also travels back from a worker process
+        exc.cell = f"protocol={protocol.value} n={n} ratio_index={ratio_idx} trial={trial}"
         raise
     return ResultRow(
         protocol=protocol.value,

@@ -47,7 +47,8 @@ class PendingSet(_PendingFields):
 class NcOutcome(NamedTuple):
     """One networking cycle's result for one session.
 
-    joined holds the winners' ranks, ascending, within the pending count.
+    joins counts the STAs that got through; joined names them by rank,
+    range(joins), for readers that count them with len().
     slot_counts holds the slots the cycle paid for, one count per
     TimingTable field in field order: (preamble, data frame, central
     beacon, proxy beacon, association request, association indication).
@@ -55,38 +56,33 @@ class NcOutcome(NamedTuple):
     slots paid: every request slot costs, used or not.
     """
 
-    joined: tuple[int, ...]
+    joins: int
     slot_counts: tuple[int, int, int, int, int, int]
     data_frames: int
     slots_used: int
 
+    @property
+    def joined(self) -> range:
+        return range(self.joins)
 
-def _alone(slots: np.ndarray, n_slot: int) -> np.ndarray:
-    """Per draw, whether no other draw picked its slot."""
-    return np.bincount(slots, minlength=n_slot)[slots] == 1
+
+def _singletons(slots: np.ndarray, n_slot: int) -> int:
+    """How many draws picked a slot no other draw picked."""
+    return int(np.count_nonzero(np.bincount(slots, minlength=n_slot) == 1))
 
 
-def contend(pending_count: int, n_slot: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+def contend(pending_count: int, n_slot: int, rng: np.random.Generator) -> int:
     """Uniform slotted contention: each STA draws one slot, alone-in-slot wins.
 
-    Returns (successes, per-STA success flags in draw order). A lone
-    contender wins without a draw.
+    Returns how many won. A lone contender wins without a draw.
     """
     if pending_count < 1:
         raise ValueError("need at least one contender")
     if n_slot < 1:
         raise ValueError("need at least one slot")
     if pending_count == 1:
-        return 1, np.ones(1, dtype=bool)
-    flags = _alone(rng.integers(0, n_slot, size=pending_count), n_slot)
-    return int(np.count_nonzero(flags)), flags
-
-
-def _contend(count: int, n_slot: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Ranks of the winners among count contenders, ascending."""
-    if count == 1 and n_slot >= 1:
-        return (0,)  # the lone winner, without an array
-    return tuple(contend(count, n_slot, rng)[1].nonzero()[0].tolist())
+        return 1
+    return _singletons(rng.integers(0, n_slot, size=pending_count), n_slot)
 
 
 def simulate_nc_epmac(
@@ -103,14 +99,13 @@ def simulate_nc_epmac(
     s winners: ceil(s/tdf_capacity) TDFs, s MAC-address frames,
     ceil(s/sdf_capacity) SDFs, and one ACK preamble each.
     """
-    joined = _contend(pending.count, n_slot, rng)
-    s = len(joined)
+    s = contend(pending.count, n_slot, rng)
     # the announcement plus every PTE slot, landed or not
     data, preambles = (1, n_slot) if first_nc else (0, 1 + n_slot)
     if s:
         data += -(-s // cfg.tdf_capacity) + s + -(-s // cfg.sdf_capacity)
         preambles += s
-    return NcOutcome(joined, (preambles, data, 0, 0, 0, 0), data, n_slot)
+    return NcOutcome(s, (preambles, data, 0, 0, 0, 0), data, n_slot)
 
 
 def simulate_nc_pmac(
@@ -125,10 +120,9 @@ def simulate_nc_pmac(
     (time difference, MAC address, SID) each crossing k hops, and one
     ACK preamble per winner.
     """
-    joined = _contend(pending.count, n_slot, rng)
-    s = len(joined)
+    s = contend(pending.count, n_slot, rng)
     data = 3 * pending.depth * s
-    return NcOutcome(joined, (1 + n_slot + s, data, 0, 0, 0, 0), data, n_slot)
+    return NcOutcome(s, (1 + n_slot + s, data, 0, 0, 0, 0), data, n_slot)
 
 
 def simulate_nc_csma(
@@ -151,15 +145,13 @@ def simulate_nc_csma(
     if count == 1:
         # scalar draws consume the same stream as size=1 ones, without numpy's size handling
         rng.integers(0, n_slot)
-        joined = (0,) if rng.random() < cfg.csma_p else ()
-        transmitters = len(joined)
+        s = transmitters = int(rng.random() < cfg.csma_p)
     else:
         slots = rng.integers(0, n_slot, size=count)
-        sending = (rng.random(count) < cfg.csma_p).nonzero()[0]
-        joined = tuple(sending[_alone(slots[sending], n_slot)].tolist())
-        transmitters = len(sending)
-    s = len(joined)
+        sending = rng.random(count) < cfg.csma_p
+        s = _singletons(slots[sending], n_slot)
+        transmitters = int(np.count_nonzero(sending))
     relayed = s * (pending.depth - 1)  # a request/indication pair per winner per extra hop
     req, ind = n_slot + relayed, s + relayed
     counts = (0, 0, 1, 0, req, ind) if pending.depth == 1 else (0, 0, 0, 1, req, ind)
-    return NcOutcome(joined, counts, 1 + transmitters + s + 2 * relayed, n_slot)
+    return NcOutcome(s, counts, 1 + transmitters + s + 2 * relayed, n_slot)

@@ -298,7 +298,7 @@ def test_a10_contention_mean_matches_the_alone_in_slot_law():
         rng = np.random.default_rng(SEED)
         total = 0
         for _ in range(trials):
-            total += contend(m, n, rng)[0]
+            total += contend(m, n, rng)
         empirical = total / trials
         oracle = m * (1 - 1 / n) ** (m - 1)
         rel = abs(empirical / oracle - 1)

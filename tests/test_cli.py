@@ -142,12 +142,12 @@ def test_an_error_before_the_formation_names_its_cell(tmp_path, capsys, monkeypa
     argv = ["sweep-multi", "--protocols", "epmac", "--n", "4", "--ratios", "1.0", "--trials", "1"]
     assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
     assert capsys.readouterr().err == (
-        "simulation error: KeyError: \"'no tree' [cell protocol=epmac n=4 ratio_index=0 trial=0]\"\n"
+        "simulation error: KeyError: 'no tree' [cell protocol=epmac n=4 ratio_index=0 trial=0]\n"
     )
 
 
 def test_an_error_in_a_worker_process_names_its_cell(tmp_path, capsys):
-    # the pool rebuilds the exception from its args, so the cell survives the trip back
+    # the pool unpickles the exception with its __dict__, so the cell survives the trip back
     err = _simulation_error(tmp_path, capsys, "--n", "2", "3", "--ratios", "1", "1e18", "--jobs", "2")
     assert err.startswith("simulation error: ValueError: array is too big")
     assert err.endswith(" [cell protocol=pmac n=2 ratio_index=1 trial=0]\n")
@@ -322,6 +322,17 @@ def test_summarize_groups_by_protocol_size_and_ratio(tmp_path, capsys):
     body = [line.split(",") for line in lines[1:]]
     assert [(r[0], r[1], r[2]) for r in body] == [("epmac", "10", "1.0"), ("epmac", "20", "1.0")]
     assert all(r[3] == "3" for r in body)
+
+
+def test_out_dash_prints_to_stdout_for_sweep_and_summarize(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep-single", "--protocols", "pmac", "--n", "10", "--trials", "2", "--out", "-"]) == 0
+    (tmp_path / "rows.csv").write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["summarize", "rows.csv"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["summarize", "rows.csv", "--out", "-"]) == 0
+    assert capsys.readouterr().out == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
 
 def test_summarize_best_ratio_keeps_one_row_per_size(tmp_path, capsys):

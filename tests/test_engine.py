@@ -317,8 +317,9 @@ def test_nontermination_names_the_offending_cell():
         seed=0,
         max_nc=1,
     )
-    with pytest.raises(NonTermination, match="cell protocol=epmac"):
+    with pytest.raises(NonTermination) as raised:
         run_experiment(plan)
+    assert raised.value.cell == "protocol=epmac n=2 ratio_index=0 trial=0"
 
 
 def test_summarize_quartiles_use_inclusive_interpolation():

@@ -1,5 +1,7 @@
 """Per-cycle simulators: contention outcomes and frozen slot-accounting traces."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ def test_pending_set_is_a_validated_count():
 def test_value_types_are_immutable():
     fields_of = {
         PendingSet(2, depth=2): ("count", "depth", "stas"),
-        NcOutcome((1,), (2, 0, 0, 0, 0, 0), 0, 1): ("joined", "slot_counts", "data_frames", "slots_used"),
+        NcOutcome(1, (2, 0, 0, 0, 0, 0), 0, 1): ("joins", "joined", "slot_counts", "data_frames", "slots_used"),
         fresh_state(AllocParams(), 4): ("params", "n_slot", "n_sta", "t_f", "t_pte"),
     }
     for value, names in fields_of.items():
@@ -48,15 +50,14 @@ def test_value_types_are_immutable():
                 setattr(value, name, getattr(value, name))
 
 def test_single_contender_always_wins():
-    successes, flags = contend(1, 7, np.random.default_rng(0))
-    assert successes == 1
-    assert flags.tolist() == [True]
+    rng = np.random.default_rng(0)
+    assert contend(1, 7, rng) == 1
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # without a draw
 
 
 def test_two_contenders_one_slot_always_collide():
     for seed in range(10):
-        successes, _ = contend(2, 1, np.random.default_rng(seed))
-        assert successes == 0
+        assert contend(2, 1, np.random.default_rng(seed)) == 0
 
 
 def test_contend_validation():
@@ -70,7 +71,7 @@ def test_contend_validation():
 def test_contend_mean_matches_the_alone_in_slot_probability():
     # E[S] = m * (1 - 1/n)^(m-1); quick check at m=n=4 (exact 1.6875)
     rng = np.random.default_rng(7)
-    total = sum(contend(4, 4, rng)[0] for _ in range(10_000))
+    total = sum(contend(4, 4, rng) for _ in range(10_000))
     assert abs(total / 10_000 - 1.6875) < 0.05
 
 
@@ -81,7 +82,7 @@ def test_batched_cycle_first_round_trace(collision_free_rng):
     frames + 1 SDF + 2 ACK preambles = 101600 us.
     """
     out = simulate_nc_epmac(PendingSet(2), 2, True, RunConfig(), collision_free_rng)
-    assert out.joined == (0, 1)
+    assert out.joins == 2
     assert _cycle_us(out) == 101600
     assert out.data_frames == 5
     assert out.slot_counts == (4, 5, 0, 0, 0, 0)
@@ -91,7 +92,7 @@ def test_batched_cycle_first_round_trace(collision_free_rng):
 def test_batched_cycle_later_round_trace():
     # announcement shrinks to a preamble after the first cycle
     out = simulate_nc_epmac(PendingSet(1), 1, False, RunConfig(), np.random.default_rng(0))
-    assert out.joined == (0,)
+    assert out.joins == 1
     assert _cycle_us(out) == 61200
     assert out.data_frames == 3
     assert out.slot_counts == (3, 3, 0, 0, 0, 0)
@@ -99,7 +100,7 @@ def test_batched_cycle_later_round_trace():
 
 def test_batched_cycle_total_collision_charges_only_the_window():
     out = simulate_nc_epmac(PendingSet(2), 1, True, RunConfig(), np.random.default_rng(3))
-    assert out.joined == ()
+    assert out.joins == 0
     assert _cycle_us(out) == 20400
     assert out.data_frames == 1
     assert out.slot_counts == (1, 1, 0, 0, 0, 0)
@@ -118,7 +119,7 @@ def test_batched_cycle_respects_frame_capacities(collision_free_rng):
 
 def test_unbatched_cycle_trace(collision_free_rng):
     out = simulate_nc_pmac(PendingSet(2), 2, RunConfig(), collision_free_rng)
-    assert out.joined == (0, 1)
+    assert out.joins == 2
     assert _cycle_us(out) == 122000
     assert out.data_frames == 6
     assert out.slot_counts == (5, 6, 0, 0, 0, 0)
@@ -132,7 +133,7 @@ def test_unbatched_cycle_scales_frames_with_depth(collision_free_rng):
 
 def test_unbatched_cycle_collision_costs_preambles_only():
     out = simulate_nc_pmac(PendingSet(3), 1, RunConfig(), np.random.default_rng(0))
-    assert out.joined == ()
+    assert out.joins == 0
     assert _cycle_us(out) == 800
     assert out.data_frames == 0
     assert out.slot_counts == (2, 0, 0, 0, 0, 0)
@@ -141,7 +142,7 @@ def test_unbatched_cycle_collision_costs_preambles_only():
 def test_association_cycle_singleton_trace():
     cfg = RunConfig(csma_p=1.0)
     out = simulate_nc_csma(PendingSet(1), 1, cfg, np.random.default_rng(0))
-    assert out.joined == (0,)
+    assert out.joins == 1
     assert _cycle_us(out) == 52000
     assert out.data_frames == 3
     assert out.slot_counts == (0, 0, 1, 0, 1, 1)  # no preamble slots at all
@@ -150,7 +151,7 @@ def test_association_cycle_singleton_trace():
 def test_association_cycle_collision_still_pays_every_request_slot():
     cfg = RunConfig(csma_p=1.0)
     out = simulate_nc_csma(PendingSet(2), 1, cfg, np.random.default_rng(0))
-    assert out.joined == ()
+    assert out.joins == 0
     assert _cycle_us(out) == 32000
     assert out.data_frames == 3  # beacon and both doomed requests
 
@@ -165,7 +166,7 @@ def test_lone_association_contender_consumes_the_size_one_stream(csma_p, n_slot)
         out = simulate_nc_csma(PendingSet(1), n_slot, cfg, rng)
         ref = np.random.default_rng(seed)
         ref.integers(0, n_slot, size=1)
-        assert out.joined == ((0,) if ref.random(1)[0] < csma_p else ())
+        assert out.joins == int(ref.random(1)[0] < csma_p)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -181,46 +182,60 @@ def test_association_cycle_deferral():
     """With a small transmit probability a lone STA often sits a cycle out."""
     cfg = RunConfig(csma_p=0.05)
     outcomes = [
-        simulate_nc_csma(PendingSet(1), 1, cfg, np.random.default_rng(seed)).joined
+        simulate_nc_csma(PendingSet(1), 1, cfg, np.random.default_rng(seed)).joins
         for seed in range(200)
     ]
-    joined = sum(1 for j in outcomes if j)
+    joined = sum(outcomes)
     assert 0 < joined < 60  # p = 0.05: transmission is rare but not impossible
     deferred = next(out for out in (
         simulate_nc_csma(PendingSet(1), 1, cfg, np.random.default_rng(seed))
         for seed in range(200)
-    ) if not out.joined)
+    ) if not out.joins)
     assert _cycle_us(deferred) == 12000 + 20000
     assert deferred.data_frames == 1  # the beacon went out, nothing else
 
 
+def _alone_in_slot(slots) -> int:
+    return sum(1 for hits in Counter(slots).values() if hits == 1)
+
+
 @pytest.mark.parametrize("kernel", ["epmac", "pmac", "ieee1901"])
-def test_joined_ranks_ascend_within_the_pending_count(kernel):
+def test_joins_replay_the_alone_in_slot_count_of_the_same_draws(kernel):
+    """Each cycle's joins equal the singletons among a twin generator's draws, counted without numpy."""
     cfg = RunConfig(csma_p=0.75)
     cycle = {
         "epmac": lambda pending, n_slot, rng: simulate_nc_epmac(pending, n_slot, True, cfg, rng),
         "pmac": lambda pending, n_slot, rng: simulate_nc_pmac(pending, n_slot, cfg, rng),
         "ieee1901": lambda pending, n_slot, rng: simulate_nc_csma(pending, n_slot, cfg, rng),
     }[kernel]
-    rng = np.random.default_rng(11)
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
     for count in (1, 2, 5, 40):
         for n_slot in (1, count, 3 * count):
             for _ in range(20):
-                joined = cycle(PendingSet(count), n_slot, rng).joined
-                assert list(joined) == sorted(set(joined))
-                assert all(0 <= rank < count for rank in joined)
+                joins = cycle(PendingSet(count), n_slot, rng).joins
+                if kernel == "ieee1901":  # the coins come after the slots; only transmitters contend
+                    slots = twin.integers(0, n_slot, size=count).tolist()
+                    coins = twin.random(count).tolist()
+                    expected = _alone_in_slot(slot for slot, coin in zip(slots, coins) if coin < cfg.csma_p)
+                elif count == 1:  # a lone contender wins without a draw
+                    expected = 1
+                else:
+                    expected = _alone_in_slot(twin.integers(0, n_slot, size=count).tolist())
+                assert joins == expected
+                assert rng.bit_generator.state == twin.bit_generator.state
+                assert 0 <= joins <= count
 
 
 def test_each_kernel_charges_each_slot_kind_its_own_length(per_kind_timing):
     cfg = RunConfig(timing=per_kind_timing, csma_p=1.0)
     trio = PendingSet(3)
     out = simulate_nc_epmac(trio, 4, True, cfg, np.random.default_rng(1))
-    assert (out.joined, _cycle_us(out, cfg)) == ((0, 1, 2), 6_007)
+    assert (out.joins, _cycle_us(out, cfg)) == (3, 6_007)
     out = simulate_nc_epmac(trio, 4, False, cfg, np.random.default_rng(1))
-    assert (out.joined, _cycle_us(out, cfg)) == ((0, 1, 2), 5_008)
+    assert (out.joins, _cycle_us(out, cfg)) == (3, 5_008)
     out = simulate_nc_pmac(PendingSet(3, depth=2), 4, cfg, np.random.default_rng(1))
-    assert (out.joined, _cycle_us(out, cfg)) == ((0, 1, 2), 18_008)
+    assert (out.joins, _cycle_us(out, cfg)) == (3, 18_008)
     out = simulate_nc_csma(trio, 4, cfg, np.random.default_rng(1))
-    assert (out.joined, _cycle_us(out, cfg)) == ((0, 1, 2), 3_004_000_001_000_000)
+    assert (out.joins, _cycle_us(out, cfg)) == (3, 3_004_000_001_000_000)
     out = simulate_nc_csma(PendingSet(3, depth=3), 4, cfg, np.random.default_rng(1))
-    assert (out.joined, _cycle_us(out, cfg)) == ((0, 1, 2), 9_010_001_000_000_000)
+    assert (out.joins, _cycle_us(out, cfg)) == (3, 9_010_001_000_000_000)

@@ -1,0 +1,43 @@
+"""Single-layer P-MAC and IEEE 1901.1 runs against the exact means of tests/oracle.py."""
+
+import math
+
+import numpy as np
+import pytest
+
+from oracle import expected_single_layer, singleton_pmfs
+from plcmac import Protocol, RunConfig, run_formation, single_layer
+
+TRIALS = 2000
+SEED = 7
+Z_BOUND = 4.0
+
+
+@pytest.mark.parametrize("m, n_slot", [(1, 1), (2, 1), (4, 4), (5, 2), (50, 100), (100, 50)])
+def test_singleton_pmfs_sum_to_one_and_meet_the_alone_in_slot_law(m, n_slot):
+    pmfs = singleton_pmfs(m, n_slot)
+    assert np.allclose(pmfs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for t, row in enumerate(pmfs):
+        law = t * (1 - 1 / n_slot) ** (t - 1) if t else 0.0
+        assert math.isclose(row @ np.arange(m + 1), law, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "protocol, n, ratio",
+    [
+        (Protocol.PMAC, 10, 1.0),
+        (Protocol.PMAC, 40, 0.5),
+        (Protocol.PMAC, 100, 2.0),
+        (Protocol.IEEE1901, 10, 1.0),
+        (Protocol.IEEE1901, 40, 1.5),
+    ],
+)
+def test_single_layer_means_match_the_exact_oracle(protocol, n, ratio):
+    cfg = RunConfig()
+    tree = single_layer(n)
+    rng = np.random.default_rng(SEED)
+    runs = [run_formation(protocol, tree, cfg, ratio, rng) for _ in range(TRIALS)]
+    exact = expected_single_layer(protocol, n, ratio, cfg)
+    observed = (np.array([r.nc_count for r in runs], float), np.array([r.total_us for r in runs], float))
+    z = [(x.mean() - mean) / (x.std(ddof=1) / math.sqrt(TRIALS)) for x, mean in zip(observed, exact)]
+    assert max(map(abs, z)) < Z_BOUND, f"z of nc_count {z[0]:.2f}, of elapsed_us {z[1]:.2f}"
