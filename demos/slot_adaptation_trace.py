@@ -6,15 +6,15 @@ collisions, and recovers, printing the window the controller picks each
 time.
 """
 
-from plcmac import AllocParams, fresh_state, next_slot_count, record_pte
+from plcmac import RunConfig, fresh_state, next_slot_count, record_pte
 
 
 def run_trace(n0: int, joins_script: list[int]) -> None:
-    params = AllocParams()
-    state = fresh_state(params, n0)
+    cfg = RunConfig()
+    state = fresh_state(n0)
     print(f"  round  window  joined  eta    idle-streak  next-branch")
     for round_no, joins in enumerate(joins_script, start=1):
-        window = next_slot_count(state)
+        window = next_slot_count(state, cfg)
         if window == 0:
             print(f"  {round_no:5d}  budget exhausted: the controller asks the session to stop probing")
             return
@@ -22,9 +22,9 @@ def run_trace(n0: int, joins_script: list[int]) -> None:
         state = record_pte(state, window, joins)
         eta = joins / window
         if joins > 0:
-            branch = "hold" if eta > params.eta_min else f"stretch x{params.k1}"
-        elif state.t_f <= params.t_f_max:
-            branch = f"double x{params.k2}"
+            branch = "hold" if eta > cfg.eta_min else f"stretch x{cfg.k1}"
+        elif state.t_f <= cfg.t_f_max:
+            branch = f"double x{cfg.k2}"
         else:
             branch = "stop"
         print(f"  {round_no:5d}  {window:6d}  {joins:6d}  {eta:5.2f}  {state.t_f:11d}  {branch}")

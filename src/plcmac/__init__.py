@@ -54,7 +54,6 @@ from .phy_timing import (
     ieee1901_frame_time,
 )
 from .slot_alloc import (
-    AllocParams,
     SlotAllocState,
     ZeroSlots,
     ceil_scale,

@@ -28,19 +28,17 @@ class DelayProfile:
     t_p: transmit processing delay
     r_p: receive processing delay
     r_m: one-way medium delay (path plus analog front end)
-    t_c: carrier-detect delay, fixed at zero
+
+    The carrier-detect delay t_c is modelled as zero, so it has no field.
     """
 
     t_p: int
     r_p: int
     r_m: int
-    t_c: int = 0
 
     def __post_init__(self) -> None:
         if min(self.t_p, self.r_p, self.r_m) < 0:
             raise ValueError("device delays must be non-negative")
-        if self.t_c != 0:
-            raise ValueError("t_c is modelled as zero")
 
     @property
     def tau(self) -> int:
@@ -61,19 +59,18 @@ class CalibrationMeasurement:
 class CalibrationResult:
     """Recovered delays.
 
-    tau2 stores twice the offset so every solver step stays in integer
-    arithmetic; tau and r_p are exposed as exact fractions because they
-    are half-integral when tau_cco1 is odd.
+    tau and r_p are exact fractions because they are half-integral when
+    tau_cco1 is odd.
     """
 
     t_p: int
     r_m: int
-    tau2: int
-    r_p: Fraction
+    tau: Fraction
 
     @property
-    def tau(self) -> Fraction:
-        return Fraction(self.tau2, 2)
+    def r_p(self) -> Fraction:
+        """Receive processing delay, from r_p + r_m - t_p - tau = 0."""
+        return self.t_p + self.tau - self.r_m
 
 
 def synthesize_measurements(profile: DelayProfile) -> CalibrationMeasurement:
@@ -97,15 +94,13 @@ def solve_calibration(meas: CalibrationMeasurement) -> CalibrationResult:
     which pin t_p = tau_cco1 - tau_cco2 and 2*tau = 2*tau_cco2 - tau_cco1.
     """
     t_p = meas.tau_cco1 - meas.tau_cco2
-    tau2 = 2 * meas.tau_cco2 - meas.tau_cco1
-    r_m = meas.tau_sta - t_p
-    r_p = Fraction(2 * t_p + tau2 - 2 * r_m, 2)
-    if t_p < 0 or r_m < 0 or r_p < 0:
+    result = CalibrationResult(t_p=t_p, r_m=meas.tau_sta - t_p, tau=Fraction(2 * meas.tau_cco2 - meas.tau_cco1, 2))
+    if min(result.t_p, result.r_m, result.r_p) < 0:
         raise InconsistentMeasurement(
             f"measurements {meas} imply negative delays "
-            f"(t_p={t_p}, r_m={r_m}, r_p={r_p})"
+            f"(t_p={result.t_p}, r_m={result.r_m}, r_p={result.r_p})"
         )
-    return CalibrationResult(t_p=t_p, r_m=r_m, tau2=tau2, r_p=r_p)
+    return result
 
 
 def measurement_residuals(

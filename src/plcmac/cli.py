@@ -39,7 +39,6 @@ from .phy_timing import (
     fdplc_preamble_time,
     ieee1901_frame_time,
 )
-from .slot_alloc import AllocParams
 
 
 class UsageError(ValueError):
@@ -110,11 +109,11 @@ def _add_sweep_args(p: argparse.ArgumentParser, multi: bool) -> argparse.Argumen
         p.add_argument("--max-layers", type=int, default=None,
                        help=f"depth cap (default: {ExperimentPlan.max_layers})")
     p.add_argument("--eta-min", type=float, default=None,
-                   help=f"controller thin-ratio threshold (default: {AllocParams.eta_min})")
+                   help=f"controller thin-ratio threshold (default: {RunConfig.eta_min})")
     p.add_argument("--tfmax", type=int, default=None,
-                   help=f"controller idle-round budget (default: {AllocParams.t_f_max})")
-    p.add_argument("--k1", type=float, default=None, help=f"controller stretch factor (default: {AllocParams.k1})")
-    p.add_argument("--k2", type=float, default=None, help=f"controller collision factor (default: {AllocParams.k2})")
+                   help=f"controller idle-round budget (default: {RunConfig.t_f_max})")
+    p.add_argument("--k1", type=float, default=None, help=f"controller stretch factor (default: {RunConfig.k1})")
+    p.add_argument("--k2", type=float, default=None, help=f"controller collision factor (default: {RunConfig.k2})")
     p.add_argument("--csma-p", type=float, default=None,
                    help=f"association transmit probability (default: {RunConfig.csma_p})")
     p.add_argument("--max-nc", type=int, default=None, help=f"cycle budget per run (default: {RunConfig.max_nc})")
@@ -175,15 +174,14 @@ def _cmd_sweep(args: argparse.Namespace, multi: bool) -> int:
     default_range = (200, 1200, 200) if multi else (50, 650, 100)
     n_values = _resolve_sizes(args, default_range)
     grid, rand = _resolve_ratios(args)
-    alloc = AllocParams(**_given(args, t_f_max="tfmax", eta_min="eta_min", k1="k1", k2="k2"))
     plan = ExperimentPlan(
         protocols=tuple(dict.fromkeys(map(Protocol, args.protocols or _PROTOCOL_CHOICES))),
         n_values=n_values,
         ratio_grid=grid,
         ratio_random=rand,
         multi_layer=multi,
-        alloc=alloc,
-        **_given(args, trials="trials", seed="seed", max_layers="max_layers", csma_p="csma_p", max_nc="max_nc"),
+        **_given(args, trials="trials", seed="seed", max_layers="max_layers", t_f_max="tfmax", eta_min="eta_min",
+                 k1="k1", k2="k2", csma_p="csma_p", max_nc="max_nc"),
     )
     if args.jobs is not None and args.jobs < 1:
         raise UsageError("jobs must be at least 1")

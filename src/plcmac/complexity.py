@@ -1,8 +1,8 @@
 """Closed-form data-frame counts for formation over uniform trees.
 
-All totals are evaluated twice on demand: once by running the per-layer
-recurrence, once from the closed form in exact rational arithmetic. The
-two must agree, and tests hold them to that.
+All totals are evaluated twice on demand: once by summing the per-layer
+session counts, once from the closed form in exact rational arithmetic.
+The two must agree, and tests hold them to that.
 """
 
 from __future__ import annotations
@@ -57,14 +57,8 @@ def epmac_session_frames(shape: TreeShape, layer: int) -> int:
 
 
 def pmac_total_frames(shape: TreeShape) -> int:
-    """Whole-network unbatched frame count via the per-layer recurrence."""
-    total = 0
-    session = 3 * shape.m
-    for layer in range(1, shape.k + 1):
-        if layer > 1:
-            session += 3 * shape.m + 2
-        total += session * shape.m ** (layer - 1)
-    return total
+    """Whole-network unbatched frame count: each layer's sessions, one per coordinator above it."""
+    return sum(pmac_session_frames(shape, layer) * shape.m ** (layer - 1) for layer in range(1, shape.k + 1))
 
 
 def pmac_total_frames_closed(shape: TreeShape) -> Fraction:
@@ -76,14 +70,8 @@ def pmac_total_frames_closed(shape: TreeShape) -> Fraction:
 
 
 def epmac_total_frames(shape: TreeShape) -> int:
-    """Whole-network batched frame count via the per-layer recurrence."""
-    total = 0
-    session = shape.m + 2
-    for layer in range(1, shape.k + 1):
-        if layer > 1:
-            session += 2
-        total += session * shape.m ** (layer - 1)
-    return total
+    """Whole-network batched frame count: each layer's sessions, one per coordinator above it."""
+    return sum(epmac_session_frames(shape, layer) * shape.m ** (layer - 1) for layer in range(1, shape.k + 1))
 
 
 def epmac_total_frames_closed(shape: TreeShape) -> Fraction:

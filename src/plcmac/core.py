@@ -7,8 +7,6 @@ from enum import Enum
 from operator import attrgetter, mul
 from typing import Sequence
 
-from .slot_alloc import AllocParams
-
 
 class Protocol(Enum):
     EPMAC = "epmac"
@@ -58,17 +56,29 @@ class RunConfig:
     """Model constants every formation run of a sweep shares.
 
     The topology, the slot ratio and the rng come per run, as arguments
-    of run_formation.
+    of run_formation. t_f_max, eta_min, k1 and k2 drive the E-PMAC slot
+    controller: k1 stretches the window when the success ratio is
+    positive but thin, k2 doubles down after a fully collided PTE, and
+    t_f_max bounds the run of idle PTEs before a forced restart.
     """
 
     timing: TimingTable = field(default_factory=TimingTable)
-    alloc: AllocParams = field(default_factory=AllocParams)
+    t_f_max: int = 3
+    eta_min: float = 0.35
+    k1: float = 1.3
+    k2: float = 2.0
     csma_p: float = 0.75
     tdf_capacity: int = 20
     sdf_capacity: int = 10
     max_nc: int = 100_000
 
     def __post_init__(self) -> None:
+        if self.t_f_max < 0:
+            raise ValueError("t_f_max must be non-negative")
+        if not 0.0 < self.eta_min < 1.0:
+            raise ValueError("eta_min must lie strictly inside (0, 1)")
+        if not 1.0 < self.k1 < self.k2:
+            raise ValueError("growth factors must satisfy 1 < k1 < k2")
         if not 0.0 < self.csma_p <= 1.0:
             raise ValueError("csma_p must lie in (0, 1]")
         if self.tdf_capacity < 1 or self.sdf_capacity < 1:

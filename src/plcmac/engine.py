@@ -59,7 +59,8 @@ def run_formation(
     if not (slot_ratio > 0 and math.isfinite(slot_ratio)):
         raise ValueError(f"slot_ratio must be positive and finite, got {slot_ratio!r}")
     check_first_window(slot_ratio, tree.n_sta)
-    paid: list[tuple[int, ...]] = []  # slot counts by kind, one entry per cycle or relay overhead
+    # slot counts by kind, one entry per cycle or relay overhead; the zero row prices a tree with no STAs
+    paid: list[tuple[int, ...]] = [(0, 0, 0, 0, 0, 0)]
     nc_count = 0
     data_frames = 0
     joined_total = 0
@@ -84,7 +85,7 @@ def run_formation(
             paid.append((0, overhead, 0, 0, 0, 0))
         if epmac:
             n0 = ceil_scale(slot_ratio, pending)
-            state = fresh_state(cfg.alloc, n0)
+            state = fresh_state(n0)
         while pending:
             if nc_count >= max_nc:
                 raise NonTermination(
@@ -93,11 +94,11 @@ def run_formation(
                 )
             batch = PendingSet(pending, depth_k)
             if epmac:
-                n_slot = next_slot_count(state)
+                n_slot = next_slot_count(state, cfg)
                 if n_slot == 0:
                     # probe budget exhausted with STAs left: forced restart, fresh first PTE
-                    state = fresh_state(cfg.alloc, n0)
-                    n_slot = next_slot_count(state)
+                    state = fresh_state(n0)
+                    n_slot = next_slot_count(state, cfg)
                 joins, cycle_counts, frames, _ = simulate_nc_epmac(batch, n_slot, state.t_pte == 0, cfg, rng)
                 state = record_pte(state, n_slot, joins)
             else:

@@ -66,9 +66,19 @@ class NcOutcome(NamedTuple):
         return range(self.joins)
 
 
+BINCOUNT_MAX_SLOTS = 2**20  # the widest window counted with one int64 per slot (8 MB)
+
+
 def _singletons(slots: np.ndarray, n_slot: int) -> int:
-    """How many draws picked a slot no other draw picked."""
-    return int(np.count_nonzero(np.bincount(slots, minlength=n_slot) == 1))
+    """How many draws picked a slot no other draw picked.
+
+    Memory follows the draws, not the window: above BINCOUNT_MAX_SLOTS
+    the draws are sorted and counted instead of binned.
+    """
+    if n_slot <= BINCOUNT_MAX_SLOTS:
+        return int(np.count_nonzero(np.bincount(slots, minlength=n_slot) == 1))
+    _, counts = np.unique(slots, return_counts=True)
+    return int(np.count_nonzero(counts == 1))
 
 
 def contend(pending_count: int, n_slot: int, rng: np.random.Generator) -> int:

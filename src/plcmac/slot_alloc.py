@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
+
+from .core import RunConfig
 
 
 class ZeroSlots(ValueError):
@@ -42,39 +43,16 @@ def check_first_window(factor: float, n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class AllocParams:
-    """Controller constants.
-
-    k1 stretches the window when the success ratio is positive but thin,
-    k2 doubles down after a fully collided PTE.
-    """
-
-    t_f_max: int = 3
-    eta_min: float = 0.35
-    k1: float = 1.3
-    k2: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.t_f_max < 0:
-            raise ValueError("t_f_max must be non-negative")
-        if not 0.0 < self.eta_min < 1.0:
-            raise ValueError("eta_min must lie strictly inside (0, 1)")
-        if not 1.0 < self.k1 < self.k2:
-            raise ValueError("growth factors must satisfy 1 < k1 < k2")
-
-
 class SlotAllocState(NamedTuple):
     """What the controller remembers after t_pte completed PTE rounds."""
 
-    params: AllocParams
     n_slot: int = 0  # slots used in the previous PTE; before the first, n0
     n_sta: int = 0   # joins observed in the previous PTE
     t_f: int = 0     # consecutive PTEs with zero joins
     t_pte: int = 0   # completed PTEs this session
 
 
-def fresh_state(params: AllocParams, n0: int) -> SlotAllocState:
+def fresh_state(n0: int) -> SlotAllocState:
     """State before any PTE has run.
 
     n0 is the first-PTE slot count, normally chosen by the experiment as
@@ -82,11 +60,11 @@ def fresh_state(params: AllocParams, n0: int) -> SlotAllocState:
     """
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
-    return SlotAllocState(params, n0)
+    return SlotAllocState(n0)
 
 
-def next_slot_count(state: SlotAllocState) -> int:
-    """Slot count for the next PTE round.
+def next_slot_count(state: SlotAllocState, cfg: RunConfig) -> int:
+    """Slot count for the next PTE round, under cfg's controller constants.
 
     The first round uses n0. Afterwards the previous round's success
     ratio eta = n_sta / n_slot picks the branch: a thin ratio
@@ -97,16 +75,15 @@ def next_slot_count(state: SlotAllocState) -> int:
     """
     if state.t_pte == 0:
         return state.n_slot
-    p = state.params
     if state.n_slot <= 0:
         raise ZeroSlots("previous PTE ran with no slots; cannot derive a follow-up count")
     if state.n_sta > 0:
         eta = state.n_sta / state.n_slot
-        if eta <= p.eta_min:
-            return ceil_scale(p.k1, state.n_slot)
+        if eta <= cfg.eta_min:
+            return ceil_scale(cfg.k1, state.n_slot)
         return state.n_slot
-    if state.t_f <= p.t_f_max:
-        return ceil_scale(p.k2, state.n_slot)
+    if state.t_f <= cfg.t_f_max:
+        return ceil_scale(cfg.k2, state.n_slot)
     return 0
 
 
@@ -119,4 +96,4 @@ def record_pte(state: SlotAllocState, n_slot_used: int, n_joined: int) -> SlotAl
         raise ValueError("a PTE round uses at least one slot")
     if not 0 <= n_joined <= n_slot_used:
         raise ValueError("joins must lie in [0, n_slot_used]")
-    return SlotAllocState(state.params, n_slot_used, n_joined, 0 if n_joined else state.t_f + 1, state.t_pte + 1)
+    return SlotAllocState(n_slot_used, n_joined, 0 if n_joined else state.t_f + 1, state.t_pte + 1)

@@ -21,8 +21,8 @@ from plcmac import (
 def test_profile_rejects_negative_delays():
     with pytest.raises(ValueError):
         DelayProfile(t_p=-1, r_p=5, r_m=5)
-    with pytest.raises(ValueError):
-        DelayProfile(t_p=1, r_p=5, r_m=5, t_c=2)
+    with pytest.raises(TypeError):
+        DelayProfile(t_p=1, r_p=5, r_m=5, t_c=2)  # t_c is modelled as zero and has no field
 
 
 def test_profile_offset_combines_the_three_delays():
@@ -47,14 +47,14 @@ def test_half_integral_offset_stays_exact():
     # odd tau_cco1 makes r_p and tau half-integers; nothing may round
     profile = DelayProfile(t_p=7, r_p=5, r_m=3)
     result = solve_calibration(synthesize_measurements(profile))
-    assert result.tau2 == 2 * profile.tau
+    assert result.tau == profile.tau
     assert result.r_p == 5
     assert result.tau == Fraction(1)
 
     meas = CalibrationMeasurement(tau_cco1=17, tau_cco2=10, tau_sta=10)
     res = solve_calibration(meas)
     assert res.tau == Fraction(3, 2)
-    assert res.r_p == Fraction(2 * res.t_p + res.tau2 - 2 * res.r_m, 2)
+    assert res.r_p == res.t_p + res.tau - res.r_m == Fraction(11, 2)
     assert all(r == 0 for r in measurement_residuals(res, meas))
 
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from plcmac import AllocParams, ExperimentPlan, Protocol, cli, engine
+from plcmac import ExperimentPlan, Protocol, cli, engine
 from plcmac.cli import build_parser, main
 from plcmac.engine import CSV_HEADER
 from plcmac.topology import CCO_ID
@@ -128,10 +128,16 @@ def _simulation_error(tmp_path, capsys, *argv):
     return err
 
 
-def test_window_numpy_cannot_size_exits_3(tmp_path, capsys):
-    err = _simulation_error(tmp_path, capsys, "--n", "2", "--ratios", "1e18")
-    assert err.startswith("simulation error: ValueError: array is too big")
-    assert err.endswith(" [cell protocol=pmac n=2 ratio_index=0 trial=0]\n")
+def test_a_window_too_wide_to_bin_still_runs(tmp_path):
+    # a 2e18-slot window: the draws are counted by sorting, not in a window-sized array
+    out = tmp_path / "x.csv"
+    assert main(["sweep-single", "--protocols", "pmac", "--n", "2", "--ratios", "1e18", "--out", str(out)]) == 0
+    rows = _read_csv(out)[1:]
+    assert len(rows) == 100
+    for row in rows:
+        elapsed_us, data_frames, preambles = int(row[4]), int(row[6]), int(row[7])
+        assert preambles >= 2 * 10**18
+        assert elapsed_us == 400 * preambles + 20000 * data_frames
 
 
 def test_an_error_before_the_formation_names_its_cell(tmp_path, capsys, monkeypatch):
@@ -148,9 +154,9 @@ def test_an_error_before_the_formation_names_its_cell(tmp_path, capsys, monkeypa
 
 def test_an_error_in_a_worker_process_names_its_cell(tmp_path, capsys):
     # the pool unpickles the exception with its __dict__, so the cell survives the trip back
-    err = _simulation_error(tmp_path, capsys, "--n", "2", "3", "--ratios", "1", "1e18", "--jobs", "2")
-    assert err.startswith("simulation error: ValueError: array is too big")
-    assert err.endswith(" [cell protocol=pmac n=2 ratio_index=1 trial=0]\n")
+    err = _simulation_error(tmp_path, capsys, "--n", "1", "20", "--ratios", "0.5", "--max-nc", "1", "--jobs", "2")
+    assert err.startswith("simulation error: NonTermination: pmac run exceeded max_nc=1")
+    assert err.endswith(" [cell protocol=pmac n=20 ratio_index=0 trial=0]\n")
 
 
 def test_memory_error_in_a_kernel_exits_3(tmp_path, capsys, monkeypatch):
@@ -233,7 +239,7 @@ def test_unset_sweep_flags_keep_the_model_defaults(tmp_path, monkeypatch):
     assert seen == [
         (ExperimentPlan(protocols=tuple(Protocol), n_values=(7,), ratio_grid=(1.0,), multi_layer=True), {}),
         (ExperimentPlan(protocols=(Protocol.PMAC, Protocol.EPMAC), n_values=(7,), ratio_grid=grid,
-                        alloc=AllocParams(k2=3.0)), {"jobs": 2}),
+                        k2=3.0), {"jobs": 2}),
     ]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from plcmac import AllocParams, Protocol, RunConfig, TimingTable
+from plcmac import Protocol, RunConfig, TimingTable
 
 
 def test_default_slot_schedule_values():
@@ -33,7 +33,7 @@ def test_run_config_defaults_are_usable():
     assert cfg.csma_p == 0.75
     assert cfg.tdf_capacity == 20
     assert cfg.sdf_capacity == 10
-    assert isinstance(cfg.alloc, AllocParams)
+    assert (cfg.t_f_max, cfg.eta_min, cfg.k1, cfg.k2) == (3, 0.35, 1.3, 2.0)
 
 
 @pytest.mark.parametrize(

@@ -169,6 +169,14 @@ def test_every_run_joins_every_sta():
             assert result.total_us > 0
 
 
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_a_tree_with_no_stas_forms_in_no_time(protocol):
+    rng = np.random.default_rng(0)
+    result = run_formation(protocol, tree_from_parents({}), RunConfig(), 1.0, rng)
+    assert result == FormationResult(total_us=0, nc_count=0, data_frames=0, preambles=0, joined=0)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 def test_multi_layer_runs_join_every_sta():
     from plcmac import generate_tree
 

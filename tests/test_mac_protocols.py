@@ -1,12 +1,12 @@
 """Per-cycle simulators: contention outcomes and frozen slot-accounting traces."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from plcmac import (
-    AllocParams,
     NcOutcome,
     PendingSet,
     RunConfig,
@@ -16,6 +16,8 @@ from plcmac import (
     simulate_nc_epmac,
     simulate_nc_pmac,
 )
+from plcmac import mac_protocols
+from plcmac.mac_protocols import BINCOUNT_MAX_SLOTS, _singletons
 
 
 def _cycle_us(out, cfg=RunConfig()):
@@ -42,7 +44,7 @@ def test_value_types_are_immutable():
     fields_of = {
         PendingSet(2, depth=2): ("count", "depth", "stas"),
         NcOutcome(1, (2, 0, 0, 0, 0, 0), 0, 1): ("joins", "joined", "slot_counts", "data_frames", "slots_used"),
-        fresh_state(AllocParams(), 4): ("params", "n_slot", "n_sta", "t_f", "t_pte"),
+        fresh_state(4): ("n_slot", "n_sta", "t_f", "t_pte"),
     }
     for value, names in fields_of.items():
         for name in names:
@@ -225,6 +227,33 @@ def test_joins_replay_the_alone_in_slot_count_of_the_same_draws(kernel):
                 assert rng.bit_generator.state == twin.bit_generator.state
                 assert 0 <= joins <= count
 
+
+@pytest.mark.parametrize("n_slot", [1, 7, 1000, BINCOUNT_MAX_SLOTS, BINCOUNT_MAX_SLOTS + 1, 2**40, 2**62])
+def test_binned_and_sorted_singleton_counts_agree_with_a_counter(n_slot, monkeypatch):
+    rng = np.random.default_rng(n_slot % 1009)
+    cases = []
+    for count in (0, 1, 2, 5, 60):
+        draws = rng.integers(0, n_slot, size=count)
+        cases += [draws, np.concatenate([draws, draws[: count // 3]])]  # repeats collide in any window
+    for slots in cases:
+        expected = _alone_in_slot(slots.tolist())
+        assert _singletons(slots, n_slot) == expected
+        with monkeypatch.context() as m:
+            m.setattr(mac_protocols, "BINCOUNT_MAX_SLOTS", 0)  # force the sort for every window
+            assert _singletons(slots, n_slot) == expected
+
+
+def test_a_wide_window_costs_memory_by_the_draws_not_the_slots():
+    n_slot = 2**22  # binned, one int64 per slot: 32 MB
+    slots = np.random.default_rng(5).integers(0, n_slot, size=10)
+    tracemalloc.start()
+    try:
+        joins = _singletons(slots, n_slot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joins == _alone_in_slot(slots.tolist())
+    assert peak < 2**20
 
 def test_each_kernel_charges_each_slot_kind_its_own_length(per_kind_timing):
     cfg = RunConfig(timing=per_kind_timing, csma_p=1.0)

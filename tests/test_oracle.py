@@ -1,11 +1,12 @@
-"""Single-layer P-MAC and IEEE 1901.1 runs against the exact means of tests/oracle.py."""
+"""Single-layer runs of all three protocols against the exact means of tests/oracle.py."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracle import expected_single_layer, singleton_pmfs
+from oracle import epmac_single_layer_exact, exact_singleton_pmf, expected_single_layer, singleton_pmfs
 from plcmac import Protocol, RunConfig, run_formation, single_layer
 
 TRIALS = 2000
@@ -22,9 +23,28 @@ def test_singleton_pmfs_sum_to_one_and_meet_the_alone_in_slot_law(m, n_slot):
         assert math.isclose(row @ np.arange(m + 1), law, rel_tol=1e-12, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("m, n_slot", [(1, 1), (2, 1), (4, 4), (5, 2), (8, 30)])
+def test_exact_singleton_pmf_equals_the_float_one(m, n_slot):
+    exact = exact_singleton_pmf(m, n_slot)
+    assert sum(exact) == 1
+    assert np.allclose([float(q) for q in exact], singleton_pmfs(m, n_slot)[m], rtol=0, atol=1e-12)
+
+
+def test_epmac_oracle_hand_pins():
+    # one STA joins without a draw: a slot-count frame, 1 TDF, 1 MAC frame, 1 SDF, the slot and the ACK
+    assert epmac_single_layer_exact(1, 1.0) == (1, 80800)
+    # n0 = 1: the first cycle always collides, and one loop in 64 ends in a forced restart
+    assert epmac_single_layer_exact(2, 0.5) == (Fraction(8, 3), Fraction(6565600, 63))
+    in_floats = expected_single_layer(Protocol.EPMAC, 2, 0.5)
+    assert all(math.isclose(x, float(q), rel_tol=1e-12) for x, q in zip(in_floats, (Fraction(8, 3), Fraction(6565600, 63))))
+
+
 @pytest.mark.parametrize(
     "protocol, n, ratio",
     [
+        (Protocol.EPMAC, 2, 0.5),
+        (Protocol.EPMAC, 5, 0.5),
+        (Protocol.EPMAC, 8, 1.0),
         (Protocol.PMAC, 10, 1.0),
         (Protocol.PMAC, 40, 0.5),
         (Protocol.PMAC, 100, 2.0),

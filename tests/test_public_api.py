@@ -5,7 +5,6 @@ import types
 import plcmac
 
 PUBLIC_NAMES = [
-    "AllocParams",
     "CSV_HEADER",
     "CalibrationMeasurement",
     "CalibrationResult",

@@ -3,9 +3,9 @@
 import pytest
 
 from plcmac import (
-    AllocParams,
     ExperimentPlan,
     Protocol,
+    RunConfig,
     SlotAllocState,
     ZeroSlots,
     ceil_scale,
@@ -15,6 +15,8 @@ from plcmac import (
     run_experiment,
 )
 from plcmac.slot_alloc import _as_fraction
+
+CFG = RunConfig()
 
 
 @pytest.mark.parametrize(
@@ -45,62 +47,61 @@ def test_ratio_cache_stays_bounded_over_a_random_ratio_sweep():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        fresh_state(AllocParams(), -1)
-    with pytest.raises(ValueError):
-        AllocParams(t_f_max=-1)
-    with pytest.raises(ValueError):
-        AllocParams(eta_min=0.0)
-    with pytest.raises(ValueError):
-        AllocParams(eta_min=1.0)
-    with pytest.raises(ValueError):
-        AllocParams(k1=1.0)
-    with pytest.raises(ValueError):
-        AllocParams(k1=2.0, k2=2.0)
+    with pytest.raises(ValueError, match="n0 must be non-negative"):
+        fresh_state(-1)
+    with pytest.raises(ValueError, match="t_f_max must be non-negative"):
+        RunConfig(t_f_max=-1)
+    with pytest.raises(ValueError, match="eta_min must lie strictly inside"):
+        RunConfig(eta_min=0.0)
+    with pytest.raises(ValueError, match="eta_min must lie strictly inside"):
+        RunConfig(eta_min=1.0)
+    with pytest.raises(ValueError, match="growth factors must satisfy"):
+        RunConfig(k1=1.0)
+    with pytest.raises(ValueError, match="growth factors must satisfy"):
+        RunConfig(k1=2.0, k2=2.0)
 
 
 def test_first_round_uses_n0():
-    assert next_slot_count(fresh_state(AllocParams(), 9)) == 9
+    assert next_slot_count(fresh_state(9), CFG) == 9
 
 
 def test_healthy_ratio_keeps_the_window():
     # 3 of 6 joined: eta = 0.5 > 0.35
-    state = SlotAllocState(params=AllocParams(), n_slot=6, n_sta=3, t_f=0, t_pte=1)
-    assert next_slot_count(state) == 6
+    state = SlotAllocState(n_slot=6, n_sta=3, t_f=0, t_pte=1)
+    assert next_slot_count(state, CFG) == 6
 
 
 def test_thin_ratio_stretches_by_k1():
     # 2 of 6 joined: eta = 1/3 <= 0.35, so ceil(1.3 * 6) = 8
-    state = SlotAllocState(params=AllocParams(), n_slot=6, n_sta=2, t_f=0, t_pte=1)
-    assert next_slot_count(state) == 8
+    state = SlotAllocState(n_slot=6, n_sta=2, t_f=0, t_pte=1)
+    assert next_slot_count(state, CFG) == 8
 
 
 def test_idle_round_doubles_by_k2():
-    state = SlotAllocState(params=AllocParams(), n_slot=6, n_sta=0, t_f=1, t_pte=1)
-    assert next_slot_count(state) == 12
+    state = SlotAllocState(n_slot=6, n_sta=0, t_f=1, t_pte=1)
+    assert next_slot_count(state, CFG) == 12
 
 
 def test_idle_budget_exhaustion_returns_zero():
-    params = AllocParams(t_f_max=3)
-    state = SlotAllocState(params=params, n_slot=6, n_sta=0, t_f=4, t_pte=4)
-    assert next_slot_count(state) == 0
+    state = SlotAllocState(n_slot=6, n_sta=0, t_f=4, t_pte=4)
+    assert next_slot_count(state, RunConfig(t_f_max=3)) == 0
 
 
 def test_boundary_eta_counts_as_thin():
     # exactly eta_min must stretch, not hold
-    params = AllocParams(eta_min=0.5)
-    state = SlotAllocState(params=params, n_slot=4, n_sta=2, t_f=0, t_pte=1)
-    assert next_slot_count(state) == ceil_scale(params.k1, 4)
+    cfg = RunConfig(eta_min=0.5)
+    state = SlotAllocState(n_slot=4, n_sta=2, t_f=0, t_pte=1)
+    assert next_slot_count(state, cfg) == ceil_scale(cfg.k1, 4)
 
 
 def test_follow_up_after_zero_slot_round_is_an_error():
-    state = SlotAllocState(params=AllocParams(), n_slot=0, n_sta=0, t_f=0, t_pte=2)
+    state = SlotAllocState(n_slot=0, n_sta=0, t_f=0, t_pte=2)
     with pytest.raises(ZeroSlots):
-        next_slot_count(state)
+        next_slot_count(state, CFG)
 
 
 def test_record_pte_transitions():
-    state = fresh_state(AllocParams(), 10)
+    state = fresh_state(10)
     state = record_pte(state, 10, 2)
     assert (state.n_slot, state.n_sta, state.t_f, state.t_pte) == (10, 2, 0, 1)
     state = record_pte(state, 13, 0)
@@ -112,7 +113,7 @@ def test_record_pte_transitions():
 
 
 def test_record_pte_validation():
-    state = fresh_state(AllocParams(), 1)
+    state = fresh_state(1)
     with pytest.raises(ValueError):
         record_pte(state, 0, 0)
     with pytest.raises(ValueError):
@@ -126,12 +127,12 @@ def test_controller_trajectory_is_deterministic():
 
     n0=10, joins 2 (thin), 0 (idle), 26 (healthy), 0, 0, 0, 0 (budget gone).
     """
-    state = fresh_state(AllocParams(), 10)
+    state = fresh_state(10)
     windows = []
     for joins in (2, 0, 26, 0, 0, 0, 0):
-        n_slot = next_slot_count(state)
+        n_slot = next_slot_count(state, CFG)
         windows.append(n_slot)
         joins = min(joins, n_slot)
         state = record_pte(state, n_slot, joins)
     assert windows == [10, 13, 26, 26, 52, 104, 208]
-    assert next_slot_count(state) == 0
+    assert next_slot_count(state, CFG) == 0
