@@ -5,9 +5,8 @@ total time come entirely from what each protocol sends per cycle and how
 it sizes its contention window.
 """
 
-import numpy as np
-
 from plcmac import Protocol, RunConfig, run_formation, single_layer
+from plcmac.engine import formation_key
 
 
 def race(n: int, slot_ratio: float, seed: int) -> None:
@@ -15,7 +14,8 @@ def race(n: int, slot_ratio: float, seed: int) -> None:
     print(f"n={n}, slot ratio {slot_ratio}, seed {seed}")
     print(f"  {'protocol':10s} {'total ms':>10s} {'cycles':>7s} {'data frames':>12s} {'preambles':>10s}")
     for protocol in Protocol:
-        result = run_formation(protocol, tree, RunConfig(), slot_ratio, np.random.default_rng(seed))
+        # the key of trial 0 of a single-layer sweep with this seed, so the rows match that sweep's
+        result = run_formation(protocol, tree, RunConfig(), slot_ratio, formation_key(seed, n, 0, protocol, slot_ratio))
         print(
             f"  {protocol.value:10s} {result.total_us / 1000:10.1f} {result.nc_count:7d} "
             f"{result.data_frames:12d} {result.preambles:10d}"

@@ -55,11 +55,11 @@ _slot_lengths = attrgetter(*(f.name for f in fields(TimingTable)))
 class RunConfig:
     """Model constants every formation run of a sweep shares.
 
-    The topology, the slot ratio and the rng come per run, as arguments
-    of run_formation. t_f_max, eta_min, k1 and k2 drive the E-PMAC slot
-    controller: k1 stretches the window when the success ratio is
-    positive but thin, k2 doubles down after a fully collided PTE, and
-    t_f_max bounds the run of idle PTEs before a forced restart.
+    The topology, the slot ratio and the draw key come per run, as
+    arguments of run_formation. t_f_max, eta_min, k1 and k2 drive the
+    E-PMAC slot controller: k1 stretches the window when the success
+    ratio is positive but thin, k2 doubles down after a fully collided
+    PTE, and t_f_max bounds the run of idle PTEs before a forced restart.
     """
 
     timing: TimingTable = field(default_factory=TimingTable)

@@ -13,9 +13,9 @@ class ZeroSlots(ValueError):
     """Raised when asked for a follow-up slot count after a zero-slot PTE."""
 
 
-# One formation reads only its slot ratio and the controller's k1 and k2;
+# A block of formations reads its grid's ratios and the controller's k1 and k2;
 # a bound keeps random-ratio sweeps from holding one entry per cell.
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _as_fraction(factor: float) -> tuple[int, int]:
     # str() round-trips the decimal literal the user typed, so 1.1 stays 11/10
     return Fraction(str(factor)).as_integer_ratio()
@@ -31,7 +31,7 @@ def ceil_scale(factor: float, n: int) -> int:
     return -(-numerator * n // denominator)
 
 
-MAX_WINDOW = 2**63  # the largest exclusive bound numpy's int64 rng.integers accepts
+MAX_WINDOW = 2**63  # the widest window one draw takes: numpy's int64 rng.integers bound, and the engine's
 
 
 def check_first_window(factor: float, n: int) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
@@ -34,18 +34,18 @@ class NetworkTree:
     """Immutable rooted tree over node ids 0..n_sta (0 is the CCO), indexed by node id.
 
     children maps every coordinator (a node with children) to its child
-    ids, ascending; it is derived from parent, never passed in.
+    ids, ascending; it is derived from parent on first use, never passed in.
     """
 
     parent: tuple[int, ...]  # parent[i] = parent id of node i; parent[CCO_ID] == CCO_ID
     depth: tuple[int, ...]   # depth[i] = hops from the CCO; depth[CCO_ID] == 0
-    children: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def children(self) -> dict[int, tuple[int, ...]]:
         kids: dict[int, list[int]] = {}
         for child, par in enumerate(islice(self.parent, 1, None), start=1):
             kids.setdefault(par, []).append(child)
-        object.__setattr__(self, "children", {par: tuple(k) for par, k in kids.items()})
+        return {par: tuple(k) for par, k in kids.items()}
 
     @property
     def n_sta(self) -> int:

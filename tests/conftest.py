@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plcmac import TimingTable
+from plcmac import TimingTable, engine
 
 VERDICTS: list[str] = []
 
@@ -42,6 +42,21 @@ class CollisionFreeRng:
 @pytest.fixture
 def collision_free_rng():
     return CollisionFreeRng()
+
+
+def _collision_free(keys, counts, windows, coins=False):
+    ranks = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    slots = ranks % np.repeat(windows, counts)
+    return slots, (np.zeros(len(slots)) if coins else None)
+
+
+@pytest.fixture
+def collision_free_draws(monkeypatch):
+    """Swap the engine's keyed draws for a stub: rank r takes slot r mod window, and every coin transmits.
+
+    So contenders collide only when they outnumber the window.
+    """
+    monkeypatch.setattr(engine, "keyed_draws", _collision_free)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from statistics import fmean
 import numpy as np
 import pytest
 
-from conftest import CollisionFreeRng, record_verdict
+from conftest import record_verdict
 from plcmac import (
     DelayProfile,
     ExperimentPlan,
@@ -37,6 +37,7 @@ from plcmac import (
     summarize,
     synthesize_measurements,
 )
+from plcmac import engine
 from plcmac.cli import main as cli_main
 from plcmac.phy_timing import NOMINAL_IEEE1901_BEACON_US, NOMINAL_IEEE1901_MME_US
 
@@ -158,25 +159,13 @@ def test_a02_calibration_round_trips_random_profiles():
     )
 
 
-def test_a03_collision_free_frame_counts_hit_the_closed_forms():
+def test_a03_collision_free_frame_counts_hit_the_closed_forms(collision_free_draws):
     failures = []
     for n in (1, 10, 25, 100, 650):
-        pm = run_formation(
-            Protocol.PMAC,
-            single_layer(n),
-            RunConfig(),
-            1.0,
-            CollisionFreeRng(),
-        )
+        pm = run_formation(Protocol.PMAC, single_layer(n), RunConfig(), 1.0, 0)
         if pm.data_frames != 3 * n or pm.nc_count != 1:
             failures.append(f"unbatched n={n}: {pm.data_frames} frames")
-        ep = run_formation(
-            Protocol.EPMAC,
-            single_layer(n),
-            RunConfig(),
-            1.0,
-            CollisionFreeRng(),
-        )
+        ep = run_formation(Protocol.EPMAC, single_layer(n), RunConfig(), 1.0, 0)
         expected = epmac_single_layer_frames(n)
         if ep.data_frames - 1 != expected or ep.nc_count != 1:
             failures.append(f"batched n={n}: {ep.data_frames - 1} vs {expected}")
@@ -299,11 +288,14 @@ def test_a10_contention_mean_matches_the_alone_in_slot_law():
         total = 0
         for _ in range(trials):
             total += contend(m, n, rng)
-        empirical = total / trials
+        # the engine's keyed draws: one session of m contenders per trial, cycle keys 0..trials-1, one call
+        keys = engine._child_keys(np.full(trials, SEED, dtype=np.uint64), np.arange(trials))
+        keyed = int(engine._draw_joins(keys, np.full(trials, m), np.full(trials, n), None)[0].sum())
         oracle = m * (1 - 1 / n) ** (m - 1)
-        rel = abs(empirical / oracle - 1)
-        ok = ok and rel < 0.01
-        results.append(f"({m},{n}) {empirical:.4f} vs {oracle:.4f} ({rel * 100:.2f}%)")
+        for label, empirical in (("contend", total / trials), ("keyed", keyed / trials)):
+            rel = abs(empirical / oracle - 1)
+            ok = ok and rel < 0.01
+            results.append(f"{label} ({m},{n}) {empirical:.4f} vs {oracle:.4f} ({rel * 100:.2f}%)")
     _verdict(
         "a10 contention means match m(1-1/n)^(m-1) within 1% over 100000 trials",
         ok,

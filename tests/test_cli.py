@@ -152,8 +152,9 @@ def test_an_error_before_the_formation_names_its_cell(tmp_path, capsys, monkeypa
     )
 
 
-def test_an_error_in_a_worker_process_names_its_cell(tmp_path, capsys):
-    # the pool unpickles the exception with its __dict__, so the cell survives the trip back
+def test_an_error_in_a_worker_process_names_its_cell(tmp_path, capsys, monkeypatch):
+    # one group per size, so two groups go to the pool; the failure comes back with its cell index
+    monkeypatch.setattr(engine, "GROUP_STAS", 1)
     err = _simulation_error(tmp_path, capsys, "--n", "1", "20", "--ratios", "0.5", "--max-nc", "1", "--jobs", "2")
     assert err.startswith("simulation error: NonTermination: pmac run exceeded max_nc=1")
     assert err.endswith(" [cell protocol=pmac n=20 ratio_index=0 trial=0]\n")
@@ -163,15 +164,15 @@ def test_memory_error_in_a_kernel_exits_3(tmp_path, capsys, monkeypatch):
     def out_of_memory(*args):
         raise MemoryError("cannot allocate the window")
 
-    monkeypatch.setattr(engine, "simulate_nc_pmac", out_of_memory)
+    monkeypatch.setattr(engine, "keyed_draws", out_of_memory)
     err = _simulation_error(tmp_path, capsys, "--n", "3")
     assert err == "simulation error: MemoryError: cannot allocate the window [cell protocol=pmac n=3 ratio_index=0 trial=0]\n"
 
 
 def test_unjoined_stas_invariant_exits_3(tmp_path, capsys, monkeypatch):
     # a star that claims a third STA no session holds
-    monkeypatch.setattr(engine, "_star", lambda n: SimpleNamespace(
-        children={CCO_ID: (1, 2)}, depth=(0, 1, 1), n_sta=3, max_depth=1))
+    monkeypatch.setattr(engine, "single_layer", lambda n: SimpleNamespace(
+        parent=(CCO_ID, CCO_ID, CCO_ID), depth=(0, 1, 1), n_sta=3, max_depth=1))
     err = _simulation_error(tmp_path, capsys, "--n", "3")
     assert err == (
         "simulation error: RuntimeError: formation ended with unjoined STAs despite empty sessions"

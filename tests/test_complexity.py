@@ -120,7 +120,7 @@ def _uniform_tree(shape):
 UNIFORM_SHAPES = [TreeShape(m, k) for m in range(2, 11) for k in range(1, 4)]
 
 
-def test_engine_frame_counts_match_the_complexity_analysis(collision_free_rng):
+def test_engine_frame_counts_match_the_complexity_analysis(collision_free_draws):
     """Collision-free runs on uniform trees send exactly the frames the analysis counts.
 
     E-PMAC adds one frame per session: its first cycle's slot-count
@@ -130,18 +130,18 @@ def test_engine_frame_counts_match_the_complexity_analysis(collision_free_rng):
         tree = _uniform_tree(shape)
         sessions = len(tree.children)
         assert sessions == (shape.m**shape.k - 1) // (shape.m - 1)
-        pmac = run_formation(Protocol.PMAC, tree, RunConfig(), 1.0, collision_free_rng)
-        epmac = run_formation(Protocol.EPMAC, tree, RunConfig(), 1.0, collision_free_rng)
+        pmac = run_formation(Protocol.PMAC, tree, RunConfig(), 1.0, 0)
+        epmac = run_formation(Protocol.EPMAC, tree, RunConfig(), 1.0, 0)
         assert pmac.data_frames == pmac_total_frames(shape), shape
         assert epmac.data_frames == epmac_total_frames(shape) + sessions, shape
         assert pmac.nc_count == epmac.nc_count == sessions, shape
 
 
-def test_batched_count_holds_only_while_one_sdf_covers_a_session(collision_free_rng):
+def test_batched_count_holds_only_while_one_sdf_covers_a_session(collision_free_draws):
     """At m > sdf_capacity every session sends a second SDF the analysis does not count."""
     shape = TreeShape(11, 2)
     cfg = RunConfig()
     assert shape.m == cfg.sdf_capacity + 1
-    epmac = run_formation(Protocol.EPMAC, _uniform_tree(shape), cfg, 1.0, collision_free_rng)
+    epmac = run_formation(Protocol.EPMAC, _uniform_tree(shape), cfg, 1.0, 0)
     sessions = 1 + shape.m
     assert epmac.data_frames == epmac_total_frames(shape) + 2 * sessions == 202

@@ -1,9 +1,12 @@
-"""Formation engine: session walks, frozen whole-run traces, sweeps, summaries."""
+"""Formation engine: frozen whole-run traces, sweeps and their identities, summaries."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plcmac import engine
+from plcmac import engine, slot_alloc
 from plcmac import (
     EmptySample,
     ExperimentPlan,
@@ -17,7 +20,6 @@ from plcmac import (
     summarize,
     tree_from_parents,
 )
-from plcmac.topology import CCO_ID
 
 
 def _chain():
@@ -27,14 +29,14 @@ def _chain():
 
 def test_batched_chain_run_is_fully_accounted():
     """Root session 80800 us, then 2 relay frames plus a second session 80800 us."""
-    result = run_formation(Protocol.EPMAC, _chain(), RunConfig(), 1.0, np.random.default_rng(0))
+    result = run_formation(Protocol.EPMAC, _chain(), RunConfig(), 1.0, 0)
     assert result == FormationResult(
         total_us=201600, nc_count=2, data_frames=10, preambles=4, joined=2
     )
 
 
 def test_unbatched_chain_run_is_fully_accounted():
-    result = run_formation(Protocol.PMAC, _chain(), RunConfig(), 1.0, np.random.default_rng(0))
+    result = run_formation(Protocol.PMAC, _chain(), RunConfig(), 1.0, 0)
     assert result == FormationResult(
         total_us=222400, nc_count=2, data_frames=11, preambles=6, joined=2
     )
@@ -43,7 +45,7 @@ def test_unbatched_chain_run_is_fully_accounted():
 def test_association_chain_run_is_fully_accounted():
     # association pays hop relays per STA instead of per-session overhead
     cfg = RunConfig(csma_p=1.0)
-    result = run_formation(Protocol.IEEE1901, _chain(), cfg, 1.0, np.random.default_rng(0))
+    result = run_formation(Protocol.IEEE1901, _chain(), cfg, 1.0, 0)
     assert result == FormationResult(
         total_us=144000, nc_count=2, data_frames=8, preambles=0, joined=2
     )
@@ -65,15 +67,15 @@ CHAIN_3 = {1: 0, 2: 1, 3: 2}
     ],
     ids=["chain2-epmac", "chain2-pmac", "chain2-ieee1901", "chain3-epmac", "chain3-pmac", "chain3-ieee1901"],
 )
-def test_each_slot_kind_is_charged_its_own_length(parents, protocol, expected, per_kind_timing):
+def test_each_slot_kind_is_charged_its_own_length(parents, protocol, expected, per_kind_timing, collision_free_draws):
     """Chains run under six distinct slot lengths, so a count charged to the wrong kind moves a digit group."""
     cfg = RunConfig(timing=per_kind_timing)
-    result = run_formation(protocol, tree_from_parents(parents), cfg, 1.0, np.random.default_rng(0))
+    result = run_formation(protocol, tree_from_parents(parents), cfg, 1.0, 0)
     assert result == expected
 
 
-def test_single_layer_first_cycle_matches_the_per_cycle_trace(collision_free_rng):
-    result = run_formation(Protocol.EPMAC, single_layer(2), RunConfig(), 1.0, collision_free_rng)
+def test_single_layer_first_cycle_matches_the_per_cycle_trace(collision_free_draws):
+    result = run_formation(Protocol.EPMAC, single_layer(2), RunConfig(), 1.0, 0)
     assert result == FormationResult(
         total_us=101600, nc_count=1, data_frames=5, preambles=4, joined=2
     )
@@ -83,98 +85,34 @@ def test_single_layer_first_cycle_matches_the_per_cycle_trace(collision_free_rng
 def test_formation_leaves_its_tree_unchanged(protocol):
     # sweeps hand one star to every cell of a size, so a run must not alter it
     tree = single_layer(40)
-    run_formation(protocol, tree, RunConfig(), 0.75, np.random.default_rng(3))
+    run_formation(protocol, tree, RunConfig(), 0.75, 3)
     assert tree == single_layer(40)
 
 
-def test_sessions_run_in_breadth_first_order(monkeypatch, collision_free_rng):
-    # at depth 3 BFS meets 4's two children (4 is a child of 1) before 3's one child:
-    # ascending-coordinator order would end (1, 3), (2, 3)
-    tree = tree_from_parents({1: 0, 2: 0, 3: 2, 4: 1, 5: 3, 6: 4, 7: 4})
-    seen = []
-    kernel = engine.simulate_nc_pmac
+def test_every_name_the_tracer_wraps_resolves():
+    # bench/tracer.py swaps these names on plcmac.engine and plcmac.slot_alloc for timing wrappers
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert {"run_formation", "generate_tree", "simulate_nc_pmac", "next_slot_count"} <= set(tracer.ENGINE_NAMES)
+    for module, names in ((engine, tracer.ENGINE_NAMES), (slot_alloc, tracer.SLOT_ALLOC_NAMES)):
+        for name in names:
+            assert callable(getattr(module, name)), name
 
-    def recording(pending, *args):
-        seen.append((len(pending.stas), pending.depth))
-        return kernel(pending, *args)
-
-    monkeypatch.setattr(engine, "simulate_nc_pmac", recording)
-    result = run_formation(Protocol.PMAC, tree, RunConfig(), 1.0, collision_free_rng)
-    assert seen == [(2, 1), (1, 2), (1, 2), (2, 3), (1, 3)]
-    assert result.nc_count == 5
-
-
-@pytest.mark.parametrize("protocol", list(Protocol))
-def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch, protocol):
-    # bench/tracer.py swaps these engine globals for wrappers; binding them at import time would hide every call
-    calls = dict.fromkeys(("simulate_nc_epmac", "simulate_nc_pmac", "simulate_nc_csma", "next_slot_count", "ceil_scale"), 0)
-    joined = []
-    firsts = []
-    cycles = []  # (len(first.stas), joins) per kernel call
-
-    def counting(name):
-        original = getattr(engine, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            out = original(*args)
-            if name.startswith("simulate_nc_"):
-                firsts.append(args[0])
-                joined.append(len(out.joined))
-                cycles.append((len(args[0].stas), len(out.joined)))
-            return out
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(engine, name, counting(name))
-    from plcmac import generate_tree
-
-    tree = generate_tree(120, 5, np.random.default_rng(2))
-    assert tree.max_depth == 5
-    result = run_formation(protocol, tree, RunConfig(), 0.75, np.random.default_rng(5))
-    kernel = {Protocol.EPMAC: "simulate_nc_epmac", Protocol.PMAC: "simulate_nc_pmac",
-              Protocol.IEEE1901: "simulate_nc_csma"}[protocol]
-    assert calls[kernel] == result.nc_count
-    assert sum(calls[name] for name in calls if name.startswith("simulate_nc_")) == result.nc_count
-    assert sum(joined) == tree.n_sta == result.joined
-    assert all(hasattr(first, "stas") for first in firsts)
-    # each session's calls start at its child count and fall by exactly each cycle's joins
-    child_counts, queue = [], [CCO_ID]
-    for node in queue:  # BFS: the list grows while it is walked
-        kids = tree.children.get(node, ())
-        if kids:
-            child_counts.append(len(kids))
-            queue.extend(kids)
-    remaining = iter(cycles)
-    for pending in child_counts:
-        while pending:
-            contenders, joins = next(remaining)
-            assert contenders == pending
-            pending -= joins
-    assert next(remaining, None) is None
-    if protocol is Protocol.EPMAC:
-        assert calls["ceil_scale"] == len(tree.children)  # one first window per session
-        assert calls["next_slot_count"] >= result.nc_count
-    else:
-        assert calls["ceil_scale"] == result.nc_count  # one window per cycle
-        assert calls["next_slot_count"] == 0
 
 def test_every_run_joins_every_sta():
     for protocol in Protocol:
         for seed in range(4):
-            rng = np.random.default_rng(seed)
-            result = run_formation(protocol, single_layer(25), RunConfig(), 0.5, rng)
+            result = run_formation(protocol, single_layer(25), RunConfig(), 0.5, seed)
             assert result.joined == 25
             assert result.total_us > 0
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_a_tree_with_no_stas_forms_in_no_time(protocol):
-    rng = np.random.default_rng(0)
-    result = run_formation(protocol, tree_from_parents({}), RunConfig(), 1.0, rng)
+    result = run_formation(protocol, tree_from_parents({}), RunConfig(), 1.0, 0)
     assert result == FormationResult(total_us=0, nc_count=0, data_frames=0, preambles=0, joined=0)
-    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_multi_layer_runs_join_every_sta():
@@ -182,47 +120,46 @@ def test_multi_layer_runs_join_every_sta():
 
     for protocol in Protocol:
         for seed in range(4):
-            rng = np.random.default_rng(seed)
-            tree = generate_tree(25, 4, rng)
-            result = run_formation(protocol, tree, RunConfig(), 1.0, rng)
+            tree = generate_tree(25, 4, np.random.default_rng(seed))
+            result = run_formation(protocol, tree, RunConfig(), 1.0, seed)
             assert result.joined == 25
 
 
 def test_tight_window_at_the_low_ratio_edge_still_terminates():
     # 2 pending at ratio 0.5 is the worst legal grid point
-    result = run_formation(Protocol.PMAC, single_layer(2), RunConfig(), 0.5, np.random.default_rng(0))
+    result = run_formation(Protocol.PMAC, single_layer(2), RunConfig(), 0.5, 0)
     assert result.joined == 2
 
 
 def test_runs_are_deterministic_per_seed():
     cfg = RunConfig()
-    a = run_formation(Protocol.EPMAC, single_layer(30), cfg, 0.75, np.random.default_rng(11))
-    b = run_formation(Protocol.EPMAC, single_layer(30), cfg, 0.75, np.random.default_rng(11))
+    a = run_formation(Protocol.EPMAC, single_layer(30), cfg, 0.75, 11)
+    b = run_formation(Protocol.EPMAC, single_layer(30), cfg, 0.75, 11)
     assert a == b
 
 
 def test_cycle_budget_violation_raises():
     cfg = RunConfig(max_nc=1)
     with pytest.raises(NonTermination):
-        run_formation(Protocol.EPMAC, single_layer(2), cfg, 0.5, np.random.default_rng(0))
+        run_formation(Protocol.EPMAC, single_layer(2), cfg, 0.5, 0)
 
 
 @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan")])
 def test_nonpositive_slot_ratio_is_rejected(ratio):
     with pytest.raises(ValueError, match="slot_ratio"):
-        run_formation(Protocol.PMAC, _chain(), RunConfig(), ratio, np.random.default_rng(0))
+        run_formation(Protocol.PMAC, _chain(), RunConfig(), ratio, 0)
 
 
 def test_infinite_slot_ratio_is_rejected():
     with pytest.raises(ValueError, match="slot_ratio must be positive and finite, got inf"):
-        run_formation(Protocol.PMAC, _chain(), RunConfig(), float("inf"), np.random.default_rng(0))
+        run_formation(Protocol.PMAC, _chain(), RunConfig(), float("inf"), 0)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_slot_ratio_whose_first_window_overflows_a_draw_is_rejected(protocol):
     # 2 STAs at 4.611686018427388e18 need a window of 9223372036854776000 > 2**63 slots
     with pytest.raises(ValueError, match=r"slot ratio 4\.611686018427388e\+18 gives 2 STA"):
-        run_formation(protocol, _chain(), RunConfig(), 4.611686018427388e18, np.random.default_rng(0))
+        run_formation(protocol, _chain(), RunConfig(), 4.611686018427388e18, 0)
 
 
 def test_plan_bounds_the_first_window_by_its_largest_size():

@@ -1,7 +1,10 @@
 """Golden output: frozen sha256 digests of sweep CSVs, their summaries, random trees and the demos' stdout.
 
 A digest changes only when the random stream or the model changes on
-purpose; such a change re-freezes the value and says why.
+purpose; such a change re-freezes the value and says why. The sweep,
+summary, single_layer_race and ratio_sweep_snapshot digests were last
+re-frozen when every contention draw became keyed by its identity and
+all protocols of an (n, trial) came to share one tree and ratio.
 """
 
 import hashlib
@@ -19,17 +22,17 @@ P = tuple(Protocol)
 GOLDEN = {
     "single-grid": (
         dict(protocols=P, n_values=(5, 40, 120), ratio_grid=(0.5, 1.3), trials=3, seed=11),
-        "a0d12f1d30c558ecdf2e66e170d0f3d16c127508ce4dbbe6165078a334dc6a32",
+        "e5fd8d994de76cfccd7831fd4c62ffc432ab611d6471f51b81d56c39055f3e68",
     ),
     "multi-grid": (
         dict(protocols=P, n_values=(30, 200, 600), ratio_grid=(0.75, 2.0), trials=3, seed=11,
              multi_layer=True, max_layers=6),
-        "11d961f3dde4c58e8cedb78a663a38e82ac9f0e7fff1f952d9dd6018f2c34cdf",
+        "c37a9b73f75de696726c396ca01c26dacd5b868b3278ca558578947944c2a08d",
     ),
     "multi-random": (
         dict(protocols=P, n_values=(50, 400), ratio_random=(0.5, 2.0), trials=4, seed=11,
              multi_layer=True, max_layers=4),
-        "372c7cadc4d381f3a122d141cf4288db2ba995918c1e7136ebded970f6941f57",
+        "ec6a853766337a049b46f0870d0cded06832aa576056ca77fcac4967e96dd544",
     ),
 }
 
@@ -37,19 +40,19 @@ GOLDEN = {
 # `plcmac summarize` over each plan's CSV: default, --pool-ratios, --best-ratio
 SUMMARY_GOLDEN = {
     "single-grid": (
-        "3e48ab4e5a116b399e4da6ba7da0fb1a7db76a75ebf316573c8584b6ceba47ee",
-        "ee9cbff44efd112f42975bbec6d96b69dfd0a3f2e253bdd9845f4e21c312a6c9",
-        "63b318e3b281ad58eec54653220348c546a35d797ef01a1c01bc9a18c859ad42",
+        "9e2820251409d031af60401d66acbdeb7d298a03f50c37c93fb6f6db59eef33d",
+        "69f15b13a138e5e4fccaa91013aee42bf22c3f0f6d39ca011043db7b041d3c41",
+        "6f01f0e3104f0443169bb3f9b0d2b0a50d6d80756554e834691b90d7634afb58",
     ),
     "multi-grid": (
-        "723741af07e57b4ed8b25578766283ed1f78c5d0eee594787ce2f3083a842b8a",
-        "ada79a25c6769d9a6173e99c7cf41bcaf0a038080677565176ac92fd7a2eaf6c",
-        "0b56626b52ce4d865fbbd41cacae41247b02a612d824d171fa64b1225a54c4a9",
+        "7c0409fb36d8ed771104d68d73836597301eb47b304c2bbfb3821b1fd02a05d0",
+        "a4106f50b7ff05d364f53f2f9526c0a5e35307891d8e7b9123c97c3baddb2c01",
+        "20a787b68de0fcdb780989e9ea5c610e3e301c819f5a7b950c77c3b36c3f5885",
     ),
     "multi-random": (
-        "23ebdbb2ab201868bd0d978d902926c207a1d2f69a926c34069a8f98910cc82e",
-        "b9669bf3f95628ba354ba1b1195ffb0c8c11c17854720777af8327ab45ee98f1",
-        "d8d9816ba523b37e51ffff8adf06ad7b9b7abb403ca6ac55ae54719031011d24",
+        "ee22f354eb558f25454b6c88b3d9161228c224447e87a3b5a27aaf1601ef3d12",
+        "17c205e0a9bdaab18187e37be1d599eceb5ccb2be51259d9338f60b21d1405b5",
+        "091101ff64a4b4e9bf54767d2524c89fd6410d747cc9427b65f7641bed75867e",
     ),
 }
 SUMMARY_MODES = ([], ["--pool-ratios"], ["--best-ratio"])
@@ -106,8 +109,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 DEMO_GOLDEN = {
     "calibration_walkthrough": "db90ad3e368a384a861f9517a98ec14e36e24edf9691f2b9a8b7fb31807832bc",
     "frame_airtimes": "148b38177ff50ac2e7f4d9c33f57345ffed6a71894728c057f5b4a7adaa18f8c",
-    "ratio_sweep_snapshot": "7fb2b3c9df6cad8d8492b937e0ed816509144d1657e743310410d3ad347bf5da",
-    "single_layer_race": "d91ba97e122955748119b040b5e649a6fa6570abce0be4a23f6f7b00105bf1d1",
+    "ratio_sweep_snapshot": "50d131cf9bd76f37efdfe51e68215c6f83fdaa98d5fa648ddf1d8c7e65d0b07a",
+    "single_layer_race": "4c4d4b9d4a4e9239b855a7454d279223f1fd643437fbf0952d20f216de953cff",
     "slot_adaptation_trace": "ea7a241508c985ad5a85fce91fadc879e10c0eb277afdc8cc039aad22719c72a",
     "topology_sampler": "f7200fbd850c8d3356b049f8cd608a01641656170e483b87f00153670d293a94",
 }

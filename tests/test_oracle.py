@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from oracle import epmac_single_layer_exact, exact_singleton_pmf, expected_single_layer, singleton_pmfs
-from plcmac import Protocol, RunConfig, run_formation, single_layer
+from plcmac import Protocol, RunConfig, engine, single_layer
+from plcmac.engine import formation_key
 
 TRIALS = 2000
 SEED = 7
@@ -54,9 +55,9 @@ def test_epmac_oracle_hand_pins():
 )
 def test_single_layer_means_match_the_exact_oracle(protocol, n, ratio):
     cfg = RunConfig()
-    tree = single_layer(n)
-    rng = np.random.default_rng(SEED)
-    runs = [run_formation(protocol, tree, cfg, ratio, rng) for _ in range(TRIALS)]
+    # one block of TRIALS formations: the cells of a single-layer sweep at (SEED, protocol, n, ratio)
+    keys = [formation_key(SEED, n, trial, protocol, ratio) for trial in range(TRIALS)]
+    runs = engine._run_block(protocol, cfg, [engine._sessions(single_layer(n))], [(0, ratio, k) for k in keys])
     exact = expected_single_layer(protocol, n, ratio, cfg)
     observed = (np.array([r.nc_count for r in runs], float), np.array([r.total_us for r in runs], float))
     z = [(x.mean() - mean) / (x.std(ddof=1) / math.sqrt(TRIALS)) for x, mean in zip(observed, exact)]
