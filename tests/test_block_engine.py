@@ -34,7 +34,7 @@ def _reference(protocol, tree, cfg, ratio, key):
 
 
 def _block(protocol, cfg, cases):
-    """One block over every case; a tree shared by several cases is read once."""
+    """Every case in one block, results in case order, an error as its type."""
     trees = [engine._sessions(tree) for tree, _, _ in cases]
     return [_outcome(r) for r in engine._run_block(protocol, cfg, trees, [(i, r, k) for i, (_, r, k) in enumerate(cases)])]
 
@@ -52,7 +52,7 @@ def _cases(seed, count):
         n = int(rng.integers(1, 90))
         tree = generate_tree(n, int(rng.integers(1, 7)), rng) if i % 4 else single_layer(n)
         ratio = (0.3, 0.5, 1.0, 1.3, 2.0, float(rng.uniform(0.2, 3.0)))[i % 6]
-        cases.append((tree, ratio, int(rng.integers(0, 2**63)) * 2 + i % 2))
+        cases.append((tree, ratio, int(rng.integers(0, 2**63)) * 2 + i % 2))  # keys over all 64 bits
     return cases
 
 
@@ -127,7 +127,7 @@ def test_a_multi_layer_run_at_ratio_1e18_equals_the_reference_or_raises():
                           multi_layer=True, max_layers=3)
     got = _sweep_or_error(run_experiment, plan)
     assert got == _sweep_or_error(ref.run_experiment, plan)
-    assert got is ValueError or [r.preambles >= 10**18 for r in got if r.protocol != "ieee1901"]
+    assert got is ValueError or all(r.preambles >= 10**18 for r in got if r.protocol != "ieee1901")
 
 
 def _always_collide(keys, counts, windows, coins=False):
