@@ -89,17 +89,50 @@ def test_formation_leaves_its_tree_unchanged(protocol):
     assert tree == single_layer(40)
 
 
-def test_every_name_the_tracer_wraps_resolves():
-    # bench/tracer.py swaps these names on plcmac.engine and plcmac.slot_alloc for timing wrappers
+def _tracer():
     path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # bench/tracer.py swaps these names on plcmac.engine and plcmac.slot_alloc for timing wrappers
+    tracer = _tracer()
     assert {"run_formation", "generate_tree", "simulate_nc_pmac", "next_slot_count"} <= set(tracer.ENGINE_NAMES)
     for module, names in ((engine, tracer.ENGINE_NAMES), (slot_alloc, tracer.SLOT_ALLOC_NAMES)):
         for name in names:
             assert callable(getattr(module, name)), name
 
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch, protocol):
+    # bench/tracer.py swaps the engine globals it names for wrappers; binding one at import time would hide its calls
+    multi = ExperimentPlan(protocols=(protocol,), n_values=(12, 30), ratio_grid=(0.5, 1.0), trials=2, seed=4, multi_layer=True, max_layers=3)
+    single = ExperimentPlan(protocols=(protocol,), n_values=(10, 20), ratio_grid=(0.5, 1.0), trials=2, seed=4)
+    expected = [run_experiment(multi), run_experiment(single)]
+    names = _tracer().ENGINE_NAMES
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        original = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(engine, name, counting(name))
+    assert run_experiment(multi) == expected[0]
+    assert calls["generate_tree"] == 4  # one tree per (n, trial) pair, shared by both ratio cells
+    assert run_experiment(single) == expected[1]
+    assert calls["single_layer"] == 2  # one star per size, shared by its trials
+    # the block engine prices every session itself: the per-cycle kernels and the controller go uncalled
+    assert {name: count for name, count in calls.items() if count} == {"generate_tree": 4, "single_layer": 2}
 
 def test_every_run_joins_every_sta():
     for protocol in Protocol:
