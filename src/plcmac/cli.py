@@ -25,6 +25,7 @@ from .complexity import (
 from .core import Protocol, RunConfig, TimingTable
 from .engine import (
     CSV_HEADER,
+    GROUP_STAS,
     ExperimentPlan,
     ResultRow,
     run_experiment,
@@ -103,7 +104,10 @@ def _add_sweep_args(p: argparse.ArgumentParser, multi: bool) -> argparse.Argumen
                     help="draw the ratio uniformly per trial instead of a grid")
     p.add_argument("--trials", type=int, default=None, help=f"trials per cell (default: {ExperimentPlan.trials})")
     p.add_argument("--seed", type=int, default=None, help=f"master seed (default: {ExperimentPlan.seed})")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: 1)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: 1); workers split the sweep by groups of (n, trial) pairs, "
+                        f"so a sweep whose pairs hold at most {GROUP_STAS} STAs over its ratio cells is one "
+                        "group and runs in one process")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     if multi:
         p.add_argument("--max-layers", type=int, default=None,
@@ -235,29 +239,33 @@ def _cmd_timing(_args: argparse.Namespace) -> int:
     return 0
 
 
-_INT_FIELDS = operator.itemgetter("n_node", "elapsed_us", "trial", "nc_count", "data_frames", "preambles", "layers")
+# every integer column must parse, though only n_node and elapsed_us are kept
+_INT_FIELDS = operator.itemgetter(*map(CSV_HEADER.index, (
+    "n_node", "elapsed_us", "trial", "nc_count", "data_frames", "preambles", "layers")))
+_PROTOCOL, _RATIO = CSV_HEADER.index("protocol"), CSV_HEADER.index("ratio")
 
 
-def _read_rows(path: str) -> list[dict]:
+def _read_rows(path: str) -> list[tuple[str, int, float, int]]:
+    """(protocol, n_node, ratio, elapsed_us) of every data row of a sweep CSV; blank lines are skipped."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
+            reader = csv.reader(fh)
+            if tuple(next(reader, ())) != CSV_HEADER:
                 raise UsageError(f"{path}: header does not match {','.join(CSV_HEADER)}")
             rows = []
             for raw in reader:
-                # DictReader fills a short row with None and files a long row's extras under None
-                if len(raw) != len(CSV_HEADER) or None in raw.values():
+                if not raw:
+                    continue
+                if len(raw) != len(CSV_HEADER):
                     raise UsageError(f"{path}: line {reader.line_num} does not have {len(CSV_HEADER)} fields")
                 try:
-                    # every integer column must parse, though only n_node and elapsed_us are kept
                     n_node, elapsed_us, *_ = map(int, _INT_FIELDS(raw))
-                    ratio = float(raw["ratio"])
+                    ratio = float(raw[_RATIO])
                 except ValueError as exc:
                     raise UsageError(f"{path}: line {reader.line_num}: {exc}") from exc
                 if not math.isfinite(ratio):
-                    raise UsageError(f"{path}: line {reader.line_num}: ratio {raw['ratio']!r} is not finite")
-                rows.append({"protocol": raw["protocol"], "n_node": n_node, "ratio": ratio, "elapsed_us": elapsed_us})
+                    raise UsageError(f"{path}: line {reader.line_num}: ratio {raw[_RATIO]!r} is not finite")
+                rows.append((raw[_PROTOCOL], n_node, ratio, elapsed_us))
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not rows:
@@ -268,14 +276,9 @@ def _read_rows(path: str) -> list[dict]:
 def _cmd_summarize(args: argparse.Namespace) -> int:
     if args.best_ratio and args.pool_ratios:
         raise UsageError("--best-ratio and --pool-ratios are mutually exclusive")
-    rows = _read_rows(args.results)
     groups: dict[tuple, list[int]] = {}
-    for row in rows:
-        if args.pool_ratios:
-            key = (row["protocol"], row["n_node"], None)
-        else:
-            key = (row["protocol"], row["n_node"], row["ratio"])
-        groups.setdefault(key, []).append(row["elapsed_us"])
+    for protocol, n_node, ratio, elapsed_us in _read_rows(args.results):
+        groups.setdefault((protocol, n_node, None if args.pool_ratios else ratio), []).append(elapsed_us)
 
     # keys are unique, and no two pooled keys share (protocol, n), so their None ratios are never compared
     chosen = sorted(zip(groups, summarize_groups(list(groups.values()))), key=operator.itemgetter(0))

@@ -4,9 +4,10 @@ Every contention draw is a pure function of its identity: the formation
 (seed, n, trial, protocol and the ratio's value), the coordinator's node
 id, the cycle's index within its session and the STA's rank. So a
 session's course depends on nothing outside it, and the engine steps
-every pending session of a block of formations at once: one keyed draw
-over all pending STAs, one count of the STAs alone in their slot, and
-closed-form slot counts by kind added to each formation's totals.
+every pending session of a block of formations at once, whatever their
+protocols: one keyed draw over all pending STAs, one count of the STAs
+alone in their slot, and closed-form slot counts by kind added to each
+formation's totals.
 """
 
 from __future__ import annotations
@@ -142,11 +143,12 @@ BIN_SLOTS = 2**14  # a run's draws are binned while its windows add up to at mos
 
 
 class _Sessions(NamedTuple):
-    """A tree as the engine reads it: its coordinator sessions, ascending by node id, and a few sums."""
+    """A tree as the engine reads it: its coordinator sessions, crowded ones first, each part by node id; a few sums."""
 
     nodes: np.ndarray    # coordinator node ids
     pending: np.ndarray  # each coordinator's children: its session's STAs
     depth: np.ndarray    # the children's depth, k
+    crowded: int         # sessions of two or more STAs, which come first
     n_sta: int
     max_depth: int
     joins: int           # STAs over all sessions; equals n_sta for a well-formed tree
@@ -158,10 +160,11 @@ def _sessions(tree: NetworkTree) -> _Sessions:
     parent = np.asarray(tree.parent, dtype=np.int64)
     children = np.bincount(parent[1:], minlength=len(parent))
     nodes = np.flatnonzero(children)
+    nodes = nodes[np.argsort(children[nodes] < 2, kind="stable")]
     pending = children[nodes]
     depth = np.asarray(tree.depth, dtype=np.int64)[nodes] + 1
-    return _Sessions(nodes, pending, depth, tree.n_sta, tree.max_depth, int(pending.sum()),
-                     int(pending @ depth), 2 * int((depth - 1).sum()))
+    return _Sessions(nodes, pending, depth, int(np.count_nonzero(pending > 1)), tree.n_sta, tree.max_depth,
+                     int(pending.sum()), int(pending @ depth), 2 * int((depth - 1).sum()))
 
 
 class _Ratios:
@@ -205,221 +208,259 @@ class _Ratios:
         return out.astype(np.int64) if out.max(initial=0) <= _INT64_MAX else out
 
 
-def _draw_joins(ckeys, counts, windows, csma_p):
-    """Joins per drawing session, and with csma_p the transmitters, from one keyed draw per STA.
+def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
+    """Joins per drawing session, and with csma_p the transmitters of sessions coins_from on, from one keyed draw per STA.
 
     A draw joins when no other draw of its session, among the
-    transmitters, took its slot. Memory follows the draws, not the
+    transmitters, took its slot. With csma_p set, a draw of a session
+    coins_from or later transmits when its coin lies below csma_p, and
+    every other draw transmits. Memory follows the draws, not the
     windows: the draws go in runs of sessions of about DRAW_CHUNK, and a
     run whose windows add up to at most BIN_SLOTS bins them at each
-    session's offset with one bincount; a wider run sorts (session, slot)
-    pairs instead. Sessions may draw nothing (counts of 0).
+    session's offset with one bincount; a wider run sorts one
+    session * window + slot key per draw instead (in Python ints where
+    that could pass 2**63). Sessions may draw nothing (counts of 0).
     """
     n = len(counts)
-    joins = np.empty(n, dtype=np.int64)
-    sent = None if csma_p is None else np.empty(n, dtype=np.int64)
-    ends = np.cumsum(counts)
-    cuts = np.searchsorted(ends, np.arange(DRAW_CHUNK, int(ends[-1]), DRAW_CHUNK), side="right")
+    joins = np.zeros(n, dtype=np.int64)
+    sent = None if csma_p is None else np.zeros(n - coins_from, dtype=np.int64)
+    cuts = np.searchsorted(np.cumsum(counts), np.arange(DRAW_CHUNK, int(counts.sum()), DRAW_CHUNK), side="right")
     bounds = sorted({0, n, *cuts.tolist()})
     for lo, hi in zip(bounds, bounds[1:]):
         c, w, keys = counts[lo:hi], windows[lo:hi], ckeys[lo:hi]
+        if not (m := int(c.sum())):
+            continue
+        coins = sent is not None and hi > coins_from
         binned = w.max() <= BIN_SLOTS and w.sum() <= BIN_SLOTS
-        if binned and (m := int(c.sum())) < 1024:
+        if binned and m < 1024:
             # a dummy last session, whose joins are dropped, pads a short run to a power of two of at least
             # 128 draws and to 128 slots: numpy caches freed buffers under 1 KB by exact size, few sizes keep it small
             c = np.append(c, max(128, 1 << m.bit_length()) - m)
             w = np.append(w, max(1, 128 - int(w.sum())))
             keys = np.append(keys, np.uint64(0))
-        slots, u = keyed_draws(keys, c, w, sent is not None)
-        send = None if u is None else u < csma_p
+        slots, u = keyed_draws(keys, c, w, coins)
         sess = np.repeat(np.arange(len(c)), c)
+        if coins:  # from here on, only the transmitting draws
+            send = u < csma_p
+            send[: int(c[: max(coins_from - lo, 0)].sum())] = True  # a draw before coins_from sends whatever its coin
+            first = max(coins_from, lo)
+            sent[first - coins_from:hi - coins_from] = np.bincount(sess[send], minlength=len(c))[first - lo:hi - lo]
+            sess, slots = sess[send], slots[send]
+        # a draw joins when its (session, slot) cell holds no other draw; owner is the session of each such cell
         if binned:
-            cell = np.repeat(np.cumsum(w) - w, c) + slots
-            hits = np.bincount(cell if send is None else cell[send], minlength=int(w.sum()))
-            alone = hits[cell] == 1
+            off = np.cumsum(w)
+            hits = np.bincount(slots + (off - w)[sess], minlength=int(off[-1]))
+            owner = np.searchsorted(off, np.flatnonzero(hits == 1), side="right")
         else:
-            pick = np.arange(len(slots)) if send is None else np.flatnonzero(send)
-            order = np.lexsort((slots[pick], sess[pick]))
-            by_sess, by_slot = sess[pick][order], slots[pick][order]
-            same = (by_sess[1:] == by_sess[:-1]) & (by_slot[1:] == by_slot[:-1])
-            lone = np.ones(len(order), dtype=bool)
+            top = int(w.max())
+            fits = len(c) * top <= _INT64_MAX
+            cell = np.sort(sess * top + slots if fits else sess.astype(object) * top + slots.astype(object))
+            same = cell[1:] == cell[:-1]
+            lone = np.ones(len(cell), dtype=bool)
             lone[1:] &= ~same
             lone[:-1] &= ~same
-            alone = np.zeros(len(slots), dtype=bool)
-            alone[pick[order[lone]]] = True
-        if send is not None:
-            alone &= send
-            sent[lo:hi] = np.bincount(sess[send], minlength=len(c))[: hi - lo]
-        joins[lo:hi] = np.bincount(sess[alone], minlength=len(c))[: hi - lo]
+            owner = (cell[lone] // top).astype(np.int64)
+        joins[lo:hi] = np.bincount(owner, minlength=len(c))[: hi - lo]
     return joins, sent
 
 
+_SESSION_ORDER = {Protocol.EPMAC: 0, Protocol.PMAC: 1, Protocol.IEEE1901: 2}  # a block holds its sessions in this order
+
+
 def _run_block(
-    protocol: Protocol,
     cfg: RunConfig,
     trees: Sequence[_Sessions],
-    formations: Sequence[tuple[int, float, int]],
+    formations: Sequence[tuple[Protocol, int, float, int]],
 ) -> list[FormationResult | Exception]:
-    """Run formations, each (index into trees, slot ratio, key), in lockstep; one result or error per formation.
+    """Run formations, each (protocol, index into trees, slot ratio, key), in lockstep; one result or error per formation.
 
-    Each step runs one networking cycle of every pending session. Its
-    window comes from ceil_scale (P-MAC floors it at 2 for two or more
-    contenders) or, for E-PMAC, from the slot controller written over
-    arrays, which restarts a session whose probes ran out with a fresh
-    first PTE. A lone E-PMAC or P-MAC contender joins without a draw; a
-    lone CSMA contender still flips its coin. Slots are priced once per
-    formation from its totals: windows, cycles and first cycles per
-    session, plus sums over the tree (relay frames 2*(k-1) per E-PMAC or
-    P-MAC session at depth k >= 2). A formation whose cycle count would
-    pass cfg.max_nc gets a NonTermination, and one whose window would
-    pass 2**63 slots with a draw to make a ValueError; the others run on.
+    Each step runs one networking cycle of every pending session, whatever
+    its protocol. Sessions are held E-PMAC first, then P-MAC, then CSMA,
+    and stay in that order as the block shrinks, so each protocol's rule
+    runs on its own contiguous slice. A window comes from ceil_scale
+    (P-MAC floors it at 2 for two or more contenders) or, for E-PMAC,
+    from the slot controller written over arrays, which restarts a
+    session whose probes ran out with a fresh first PTE. A lone E-PMAC or
+    P-MAC contender joins without a draw; a lone CSMA contender still
+    flips its coin. Slots are priced once per formation from its totals:
+    windows, cycles and first cycles per session, plus sums over the tree
+    (relay frames 2*(k-1) per E-PMAC or P-MAC session at depth k >= 2). A
+    formation whose cycle count would pass cfg.max_nc gets a
+    NonTermination, and one whose window would pass 2**63 slots with a
+    draw to make a ValueError; the others run on.
     """
-    epmac = protocol is Protocol.EPMAC
-    pmac = protocol is Protocol.PMAC
-    csma_p = cfg.csma_p if protocol is Protocol.IEEE1901 else None
     n_form = len(formations)
-    picks = [trees[t] for t, _, _ in formations]
-    sizes = np.array([len(t.nodes) for t in picks], dtype=np.int64)
-    form = np.repeat(np.arange(n_form), sizes)
-    n_ses = len(form)
-
-    def stacked(field: str) -> np.ndarray:  # one tree field over every session of the block
-        return np.concatenate([getattr(t, field) for t in picks]) if n_ses else form
-
-    ratios = _Ratios([ratio for _, ratio, _ in formations])
-    zeros = np.zeros(n_ses, dtype=np.int64)
-    st = {  # one entry per session; a drained one stays, with pend 0, until the arrays shrink
-        "form": form,
-        "pend": stacked("pending"),
-        "skey": _child_keys(np.array([k for *_, k in formations], dtype=np.uint64)[form], stacked("nodes")),
-        "cyc": zeros,   # cycles run, which is also the index of the next one
-        "paid": zeros,  # window slots over the session's cycles
-    }
-    if epmac:
-        growth = _Ratios([cfg.k1, cfg.k2])  # k1 after a thin PTE, k2 after an idle one
-        n0 = ratios.windows(form, st["pend"])
-        st.update(n0=n0, wp=n0, sp=zeros, tf=zeros, first=np.ones(n_ses, dtype=bool), firsts=zeros, batch=zeros)
-    elif csma_p is not None:
-        st.update(sent=zeros, cco=stacked("depth") == 1)  # the CCO's session opens with central beacons
-    # per formation, what its drained sessions ran and paid
-    totals = {key: np.zeros(n_form, dtype=np.int64) for key in ("cyc", "paid", "firsts", "batch", "sent") if key in st}
-    if csma_p is not None:
-        totals["central"] = np.zeros(n_form, dtype=np.int64)
-    outcome: list = [None] * n_form
-    form_cycles = np.zeros(n_form, dtype=np.int64)
-    most = max(int(sizes.max(initial=0)), 1)  # sessions of the largest formation
+    order = sorted(range(n_form), key=lambda f: _SESSION_ORDER[formations[f][0]])
+    picks = [trees[formations[f][1]] for f in order]
+    most = max(1, *(len(t.nodes) for t in picks))  # sessions of the largest formation
     free_steps = cfg.max_nc // most  # no formation can pass its budget before this
-    paid_bound = 0  # no session has paid more window slots than this
+    # a lone E-PMAC or P-MAC contender joins in the first cycle, in ceil(ratio) slots, without a draw: its
+    # session is priced before the first step (unless the budget can bind there, which counts it as pending)
+    lone = np.zeros(n_form, dtype=np.int64)
+    sizes = []  # sessions each formation brings into the block
+    per_protocol = [0, 0, 0]
+    for f, t in zip(order, picks):
+        protocol = formations[f][0]
+        size = t.crowded if free_steps and protocol is not Protocol.IEEE1901 else len(t.nodes)
+        sizes.append(size)
+        lone[f] = len(t.nodes) - size
+        per_protocol[_SESSION_ORDER[protocol]] += size
+    e, p = per_protocol[0], per_protocol[0] + per_protocol[1]  # [0, e) E-PMAC, [e, p) P-MAC, [p, end) CSMA
+    form = np.repeat(np.array(order, dtype=np.int64), sizes)
+    pending, nodes, depth = (np.concatenate([getattr(t, name)[:size] for t, size in zip(picks, sizes)])
+                             if len(form) else form for name in ("pending", "nodes", "depth"))
+    ratios = _Ratios([ratio for _, _, ratio, _ in formations])
+    growth = _Ratios([cfg.k1, cfg.k2])  # E-PMAC's window grows by k1 after a thin PTE, by k2 after an idle one
+    window = ratios.windows(np.arange(n_form), np.ones(n_form, dtype=np.int64))  # a lone contender's
+    paid_bound = int(window.max(initial=0)) if lone.any() else 0  # no session has paid more window slots than this
+    firsts = lone * np.array([protocol is Protocol.EPMAC for protocol, *_ in formations])
+    # per formation, what its settled sessions ran and paid
+    totals = {
+        "paid": lone * (window.astype(object) if paid_bound * most > _INT64_MAX else window),
+        "cyc": lone,
+        "firsts": firsts,
+        "batch": firsts * (-(-1 // cfg.tdf_capacity) - (-1 // cfg.sdf_capacity)),
+        **{name: np.zeros(n_form, dtype=np.int64) for name in ("sent", "central")},
+    }
+
+    def zeros(size: int, *names: str) -> dict[str, np.ndarray]:
+        return {name: np.zeros(size, dtype=np.int64) for name in names}
+
+    # per-session state, one array per variable in session order; a drained session stays, with pending 0, until
+    # a shrink settles it into its formation's totals. E-PMAC's controller covers [0, e), CSMA's counts [p, end).
+    keys = np.array([k for *_, k in formations], dtype=np.uint64)[form]
+    st = {"form": form, "pend": pending, "key": _child_keys(keys, nodes), **zeros(len(form), "cyc", "paid")}
+    ep = {"n0": ratios.windows(form[:e], pending[:e]), **zeros(e, "wp", "sp", "tf", "firsts", "batch")}
+    cs = {"cco": depth[p:] == 1, **zeros(len(form) - p, "sent")}  # the CCO's session opens with central beacons
+    del form, pending, nodes, depth, keys  # only the state arrays stay alive through the steps
+    outcome: list = [None] * n_form
     step = 0
 
-    def keep_only(keep: np.ndarray) -> None:
-        for key, v in st.items():  # one array at a time, so the state is never held twice
-            st[key] = v[keep]
+    def settle(gone: np.ndarray) -> None:
+        """Add the drained sessions that gone picks to their formations' totals."""
+        form, gone_e, gone_c = st["form"], gone[:e], gone[p:]
+        f, f_e, f_c = form[gone], form[:e][gone_e], form[p:][gone_c]
+        for name, where, v in (("paid", f, st["paid"][gone]), ("cyc", f, st["cyc"][gone]),
+                               ("firsts", f_e, ep["firsts"][gone_e]), ("batch", f_e, ep["batch"][gone_e]),
+                               ("sent", f_c, cs["sent"][gone_c]), ("central", f_c, st["cyc"][p:][gone_c] * cs["cco"][gone_c])):
+            if v.dtype == object and totals[name].dtype != object:
+                totals[name] = totals[name].astype(object)
+            np.add.at(totals[name], where, v)
 
-    def fail(errors: dict) -> np.ndarray:
-        """Record each formation's error and drop all its sessions; returns the kept mask over sessions."""
+    def shrink(keep: np.ndarray) -> None:
+        """Settle the sessions keep drops and drop them, one array at a time, so the state is never held twice."""
+        nonlocal e, p
+        settle(~keep)
+        for rows, picked in ((ep, keep[:e]), (cs, keep[p:]), (st, keep)):
+            for name, v in rows.items():
+                rows[name] = v[picked]
+        e, p = int(np.count_nonzero(keep[:e])), int(np.count_nonzero(keep[:p]))
+
+    def fail(errors: dict) -> None:
+        """Record each formation's error and drop all its sessions."""
         failed = np.zeros(n_form, dtype=bool)
         for f, exc in errors.items():
             outcome[f] = exc
             failed[f] = True
-        keep = ~failed[st["form"]]
-        keep_only(keep)
-        return keep
+        shrink(~failed[st["form"]])
+        for total in totals.values():
+            total[failed] = 0
 
-    while st["pend"].any():
-        step += 1
-        active = st["pend"] > 0
-        form_cycles += np.bincount(st["form"], weights=active, minlength=n_form).astype(np.int64)
-        if step > free_steps and (over := form_cycles > cfg.max_nc).any():
-            waiting = np.bincount(st["form"], weights=st["pend"], minlength=n_form)
-            fail({f: NonTermination(
-                f"{protocol.value} run exceeded max_nc={cfg.max_nc} with {int(waiting[f])} STA(s) still pending"
-            ) for f in np.flatnonzero(over).tolist()})
-            form_cycles[over] = 0  # it has no sessions left to count
-            if not st["pend"].any():
-                break
-            active = st["pend"] > 0
+    while True:
         pend = st["pend"]
-        if epmac:
-            wp, sp, first = st["wp"], st["sp"], st["first"]
-            idle = sp == 0
-            restart = idle & ~first & (st["tf"] > cfg.t_f_max)  # probes ran out: a fresh first PTE
-            thin = ~idle & (sp / wp <= cfg.eta_min)
-            first = first | restart
-            w = np.where(first, st["n0"], np.where(idle | thin, growth.windows(idle.astype(np.intp), wp), wp))
-        else:
-            w = ratios.windows(st["form"], pend)
-            if pmac:
-                w[(w < 2) & (pend >= 2)] = 2  # two contenders in one slot collide forever
+        active = pend > 0
+        if not active.any():
+            break
+        step += 1
+        if step > free_steps:  # from here a formation's cycles may pass its budget
+            form = st["form"]
+            cycles = np.bincount(form, weights=st["cyc"] + active, minlength=n_form) + totals["cyc"]
+            if over := np.flatnonzero(cycles > cfg.max_nc).tolist():
+                waiting = np.bincount(form, weights=pend, minlength=n_form)
+                fail({f: NonTermination(
+                    f"{formations[f][0].value} run exceeded max_nc={cfg.max_nc} with {int(waiting[f])} STA(s) still pending"
+                ) for f in over})
+                step -= 1  # the step again, without the failed formations' sessions
+                continue
+        if e:
+            tf = ep["tf"]
+            if step == 1:
+                first = np.ones(e, dtype=bool)
+                w_e = ep["n0"]
+            else:
+                sp, wp = ep["sp"], ep["wp"]
+                idle = sp == 0
+                first = idle & (tf > cfg.t_f_max)  # probes ran out: a fresh first PTE
+                thin = ~idle & (sp / wp <= cfg.eta_min)
+                w_e = np.where(first, ep["n0"], np.where(idle | thin, growth.windows(idle.astype(np.intp), wp), wp))
+        w = ratios.windows(st["form"][e:], pend[e:])
+        if p > e:
+            w_p = w[: p - e]
+            w_p[(w_p < 2) & (pend[e:p] >= 2)] = 2  # two contenders in one slot collide forever
+        if e:
+            w = np.concatenate((w_e, w))
         if w.dtype == object:  # a window above 2**63 - 1 slots
-            bad = np.flatnonzero((w > MAX_WINDOW) & ((pend >= 2) | (csma_p is not None)))
+            bad = np.flatnonzero((w > MAX_WINDOW) & ((pend >= 2) | (np.arange(len(w)) >= p)))
             if len(bad):
-                keep = fail({int(st["form"][i]): ValueError(
+                fail({int(st["form"][i]): ValueError(
                     f"a window of {w[i]} slots is above 2**63, more than one draw can take"
                 ) for i in bad.tolist()})
-                if not st["pend"].any():
-                    break
-                w, pend, active = w[keep], st["pend"], active[keep]
-                if epmac:
-                    first, restart = first[keep], restart[keep]
-            exact = w
-            w = np.minimum(w, _INT64_MAX).astype(np.int64)  # 2**63 draws as 2**63 - 1: no draw reaches its top slot
+                step -= 1
+                continue
+            exact, w = w, np.minimum(w, _INT64_MAX).astype(np.int64)  # 2**63 draws as 2**63 - 1: no draw reaches its top slot
+            if st["paid"].dtype != object:
+                st["paid"] = st["paid"].astype(object)
         else:
             exact = w
             paid_bound += int(w.max())
             if paid_bound * most > _INT64_MAX and st["paid"].dtype != object:  # sums that could wrap: Python ints
-                st["paid"], totals["paid"] = st["paid"].astype(object), totals["paid"].astype(object)
-        # a lone E-PMAC or P-MAC contender joins without a draw; a lone CSMA contender flips its coin
-        counts = pend if csma_p is not None else np.where(pend >= 2, pend, 0)
-        s, sent = _draw_joins(_child_keys(st["skey"], st["cyc"]), counts, w, csma_p)
-        if csma_p is not None:
-            st["sent"] = st["sent"] + sent
-        else:
-            s[pend == 1] = 1
-        st["pend"] = pend - s
-        st["cyc"] = st["cyc"] + active
-        st["paid"] = st["paid"] + (exact * active if epmac else exact)  # a drained session's ratio window is 0
-        if epmac:
-            st["firsts"] = st["firsts"] + (first & active)
-            st["batch"] = st["batch"] - (-s // cfg.tdf_capacity) - (-s // cfg.sdf_capacity)
-            st["tf"] = np.where(s > 0, 0, np.where(restart, 0, st["tf"]) + 1)
-            st["wp"], st["sp"], st["first"] = np.where(active, exact, 1), s, np.zeros(len(s), dtype=bool)
-        done = active & (st["pend"] == 0)
-        if done.any():
-            gone = st["form"][done]
-            for key, total in totals.items():
-                if key == "central":
-                    np.add.at(total, gone, st["cyc"][done] * st["cco"][done])
-                    continue
-                if st[key].dtype == object and total.dtype != object:
-                    totals[key] = total = total.astype(object)
-                np.add.at(total, gone, st[key][done])
-            # once half the sessions have drained, shrink to the next power of two, padded with drained
-            # ones: numpy caches freed buffers under 1 KB by exact size, and few sizes keep that cache small
-            keep = st["pend"] > 0
-            left = int(keep.sum())
-            if 2 * left <= len(keep):
-                keep[np.flatnonzero(~keep)[: (1 << max(left - 1, 0).bit_length()) - left]] = True
-                keep_only(keep)
+                st["paid"] = st["paid"].astype(object)
+        counts = np.where(pend >= 2, pend, 0)  # a lone E-PMAC or P-MAC contender joins without a draw
+        counts[p:] = pend[p:]  # a lone CSMA contender flips its coin
+        # the cycle keys, _child_keys at cycle index step - 1
+        s, sent = _draw_joins(_mix(st["key"] + np.uint64(step * _GAMMA & _MASK)), counts, w, cfg.csma_p, p)
+        s[:p][pend[:p] == 1] = 1
+        pend -= s
+        st["cyc"] += active
+        st["paid"] += exact * active  # an E-PMAC session's window stays open after it drains; it is not paid
+        cs["sent"] += sent
+        if e:
+            s_e, active_e = s[:e], active[:e]
+            ep["firsts"] += first & active_e
+            ep["batch"] -= (-s_e // cfg.tdf_capacity) + (-s_e // cfg.sdf_capacity)
+            ep["tf"] = np.where(s_e > 0, 0, np.where(first, 0, tf) + 1)
+            ep["wp"], ep["sp"] = np.where(active_e, exact[:e], 1), s_e
+        # once half the sessions have drained, shrink each protocol's slice to the next power of two (or to
+        # nothing), padded with its drained ones: numpy caches freed buffers under 1 KB by exact size, and few
+        # sizes keep that cache small
+        keep = pend > 0
+        if 2 * int(np.count_nonzero(keep)) <= len(keep):
+            for lo, hi in ((0, e), (e, p), (p, len(keep))):
+                kept = int(np.count_nonzero(keep[lo:hi]))
+                pad = (1 << (kept - 1).bit_length()) - kept if kept else 0
+                keep[lo + np.flatnonzero(~keep[lo:hi])[:pad]] = True
+            shrink(keep)
+    settle(np.ones(len(st["pend"]), dtype=bool))
 
-    for f, t in enumerate(picks):
+    columns = zip(*(total.tolist() for total in totals.values()))
+    for f, ((protocol, t, _, _), (paid, cycles, firsts, batch, sent, central)) in enumerate(zip(formations, columns)):
         if outcome[f] is not None:
             continue
-        if t.joins != t.n_sta:
+        tree = trees[t]
+        if tree.joins != tree.n_sta:
             outcome[f] = RuntimeError("formation ended with unjoined STAs despite empty sessions")
             continue
-        cycles, paid, n = int(totals["cyc"][f]), int(totals["paid"][f]), t.n_sta
-        if epmac:
-            firsts = int(totals["firsts"][f])
-            data = firsts + int(totals["batch"][f]) + n + t.relays
+        n = tree.n_sta
+        if protocol is Protocol.EPMAC:
+            data = firsts + batch + n + tree.relays
             counts = (paid + n + cycles - firsts, data, 0, 0, 0, 0)
-        elif pmac:
-            data = 3 * t.hops + t.relays
+        elif protocol is Protocol.PMAC:
+            data = 3 * tree.hops + tree.relays
             counts = (cycles + paid + n, data, 0, 0, 0, 0)
         else:
-            central, extra = int(totals["central"][f]), t.hops - n  # a request/indication pair per extra hop
+            extra = tree.hops - n  # a request/indication pair per extra hop
             counts = (0, 0, central, cycles - central, paid + extra, n + extra)
-            data = cycles + int(totals["sent"][f]) + n + 2 * extra
+            data = cycles + sent + n + 2 * extra
         outcome[f] = FormationResult(cfg.timing.cost(counts), cycles, data, counts[0], n)
     return outcome
 
@@ -446,7 +487,7 @@ def run_formation(
     if not (slot_ratio > 0 and math.isfinite(slot_ratio)):
         raise ValueError(f"slot_ratio must be positive and finite, got {slot_ratio!r}")
     check_first_window(slot_ratio, tree.n_sta)
-    result = _run_block(protocol, cfg, [_sessions(tree)], [(0, slot_ratio, key)])[0]
+    result = _run_block(cfg, [_sessions(tree)], [(protocol, 0, slot_ratio, key)])[0]
     if isinstance(result, Exception):
         raise result
     return result
@@ -557,6 +598,8 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     The trees are built once and every protocol runs them in one block.
     A pair whose tree fails ends the group's building: the pairs before
     it still run, and no cell after it can come before it in cell order.
+    An error of the block itself, not tied to one formation, is charged
+    to the group's first cell in row order.
     """
     rows: list[tuple[int, ResultRow]] = []
     failures: list[tuple[int, Exception]] = []
@@ -580,39 +623,41 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
             failures.append((plan.cell_index(0, n_idx, 0, trial), exc))
             break
         cells.extend((len(trees) - 1, n_idx, ratio_idx, trial, r) for ratio_idx, r in enumerate(ratios))
+    formations, indices = [], []  # every protocol's cells, each with its index in row order
     for proto_idx, protocol in enumerate(plan.protocols):
         code = _PROTOCOL_CODE[protocol]
         prefix = [_fold(0, plan.seed, plan.n_values[n_idx], trial, code) for n_idx, trial in group[:len(trees)]]
-        formations = [(t, r, _fold(prefix[t], *_as_fraction(r))) for t, _, _, _, r in cells]
-        indices = [plan.cell_index(proto_idx, n_idx, ratio_idx, trial) for _, n_idx, ratio_idx, trial, _ in cells]
-        try:
-            results = _run_block(protocol, plan, trees, formations) if cells else []
-        except Exception as exc:
-            failures.append((min(indices), exc))
+        formations += [(protocol, t, r, _fold(prefix[t], *_as_fraction(r))) for t, _, _, _, r in cells]
+        indices += [plan.cell_index(proto_idx, n_idx, ratio_idx, trial) for _, n_idx, ratio_idx, trial, _ in cells]
+    try:
+        results = _run_block(plan, trees, formations) if cells else []
+    except Exception as exc:
+        return rows, [*failures, (min(indices), exc)]
+    for index, (protocol, t, r, _), result in zip(indices, formations, results):
+        if isinstance(result, Exception):
+            failures.append((index, result))
             continue
-        for index, (t, n_idx, _, trial, r), result in zip(indices, cells, results):
-            if isinstance(result, Exception):
-                failures.append((index, result))
-                continue
-            rows.append((index, ResultRow(
-                protocol=protocol.value,
-                n_node=plan.n_values[n_idx],
-                ratio=r,
-                trial=trial,
-                elapsed_us=result.total_us,
-                nc_count=result.nc_count,
-                data_frames=result.data_frames,
-                preambles=result.preambles,
-                layers=trees[t].max_depth,
-            )))
+        n_idx, trial = group[t]
+        rows.append((index, ResultRow(
+            protocol=protocol.value,
+            n_node=plan.n_values[n_idx],
+            ratio=r,
+            trial=trial,
+            elapsed_us=result.total_us,
+            nc_count=result.nc_count,
+            data_frames=result.data_frames,
+            preambles=result.preambles,
+            layers=trees[t].max_depth,
+        )))
     return rows, failures
 
 
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     """Run every cell of the plan; rows come back ordered by cell coordinates.
 
-    Cells run in groups of (n, trial) pairs, one block per protocol.
-    jobs > 1 fans the groups out to worker processes; every row is a
+    Cells run in groups of (n, trial) pairs, one block per group over
+    every protocol. jobs > 1 fans the groups out to worker processes, so
+    a plan that fits one group runs in one process; every row is a
     pure function of its cell, so the rows are identical either way. If
     cells fail, the first failing cell in row order raises, with the
     cell named in the exception's cell attribute.

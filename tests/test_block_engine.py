@@ -1,5 +1,6 @@
 """The block engine: equal to the scalar reference engine, keyed by identity, and failing as the scalar one did."""
 
+import functools
 import math
 
 import numpy as np
@@ -33,10 +34,16 @@ def _reference(protocol, tree, cfg, ratio, key):
         return type(exc)
 
 
-def _block(protocol, cfg, cases):
-    """Every case in one block, results in case order, an error as its type."""
+def _mixed(cfg, picks, cases):
+    """Every (protocol, case index) pick in one block, results in pick order, an error as its type."""
     trees = [engine._sessions(tree) for tree, _, _ in cases]
-    return [_outcome(r) for r in engine._run_block(protocol, cfg, trees, [(i, r, k) for i, (_, r, k) in enumerate(cases)])]
+    formations = [(protocol, i, cases[i][1], cases[i][2]) for protocol, i in picks]
+    return [_outcome(r) for r in engine._run_block(cfg, trees, formations)]
+
+
+def _block(protocol, cfg, cases):
+    """Every case in one block of one protocol, results in case order, an error as its type."""
+    return _mixed(cfg, [(protocol, i) for i in range(len(cases))], cases)
 
 
 def _cases(seed, count):
@@ -72,14 +79,48 @@ def test_golden_plans_equal_the_reference_engine(name):
     assert run_experiment(plan) == ref.run_experiment(plan)
 
 
+@functools.cache
+def _expected(protocol, config):
+    """The reference engine's outcome of every case, run once per protocol and config for all tests."""
+    cfg = CONFIGS[config]
+    return [_reference(protocol, tree, cfg, ratio, key) for tree, ratio, key in CASES]
+
+
 @pytest.mark.parametrize("config", list(CONFIGS))
 @pytest.mark.parametrize("protocol", P, ids=[p.value for p in P])
 def test_one_block_equals_the_reference_formation_by_formation(protocol, config):
     cfg = CONFIGS[config]
-    expected = [_reference(protocol, tree, cfg, ratio, key) for tree, ratio, key in CASES]
+    expected = _expected(protocol, config)
     assert _block(protocol, cfg, CASES) == expected
     # a formation's result does not depend on the block it runs in
     assert _block(protocol, cfg, CASES[::-3]) == expected[::-3]
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_a_block_of_all_three_protocols_equals_the_reference(config):
+    cfg = CONFIGS[config]
+    picks = [(protocol, i) for protocol in P for i in range(len(CASES))]
+    expected = [_expected(protocol, config)[i] for protocol, i in picks]
+    assert _mixed(cfg, picks, CASES) == expected
+    # the engine orders sessions by protocol itself, so the order formations come in changes nothing
+    shuffled = np.random.default_rng(9).permutation(len(picks)).tolist()
+    assert _mixed(cfg, [picks[j] for j in shuffled], CASES) == [expected[j] for j in shuffled]
+
+
+def test_a_budget_that_binds_fails_only_its_own_formations_in_a_mixed_block():
+    cases = CASES[:24]
+    picks = [(protocol, i) for i in range(len(cases)) for protocol in P]
+    cycles = {p: max(r.nc_count for r in _block(p, RunConfig(), cases)) for p in P}
+    # a budget one cycle short of the longest formation, which every other protocol's formations stay within
+    longest = max(P, key=cycles.get)
+    budget = cycles[longest] - 1
+    assert budget >= max(c for p, c in cycles.items() if p is not longest)
+    cfg = RunConfig(max_nc=budget)
+    got = _mixed(cfg, picks, cases)
+    assert got == [_reference(protocol, cases[i][0], cfg, cases[i][1], cases[i][2]) for protocol, i in picks]
+    failed = {protocol for (protocol, _), r in zip(picks, got) if r is NonTermination}
+    assert failed == {longest}
+    assert sum(r is NonTermination for r in got) < len(cases)
 
 
 def test_forced_restarts_happen_in_the_property_cases(monkeypatch):
@@ -145,9 +186,44 @@ def test_a_window_grown_past_2_63_raises_value_error_in_both_engines(monkeypatch
         ref.run_formation(Protocol.EPMAC, tree, RunConfig(), 2e18, 0)
     # the other formations of the block run on
     trees = [engine._sessions(tree), engine._sessions(single_layer(1))]
-    got = engine._run_block(Protocol.EPMAC, RunConfig(), trees, [(0, 2e18, 0), (1, 2e18, 0)])
+    got = engine._run_block(RunConfig(), trees, [(Protocol.EPMAC, 0, 2e18, 0), (Protocol.EPMAC, 1, 2e18, 0)])
     assert isinstance(got[0], ValueError)
     assert got[1] == ref.run_formation(Protocol.EPMAC, single_layer(1), RunConfig(), 2e18, 0)
+
+
+def test_a_window_past_2_63_fails_only_its_own_formation_in_a_mixed_block(monkeypatch):
+    monkeypatch.setattr(engine, "keyed_draws", _always_collide)
+    cases = [(single_layer(2), 2e18, 0), (single_layer(1), 2e18, 1), (single_layer(3), 0.5, 2)]
+    # the crowded E-PMAC star fails; lone contenders of every protocol, and a CSMA star whose coins
+    # all transmit into one slot until its budget runs out, finish or fail on their own
+    picks = [(Protocol.EPMAC, 0), (Protocol.IEEE1901, 1), (Protocol.PMAC, 1), (Protocol.EPMAC, 1), (Protocol.IEEE1901, 2)]
+    cfg = RunConfig(max_nc=50)
+    got = _mixed(cfg, picks, cases)
+    assert got == [_reference(protocol, cases[i][0], cfg, cases[i][1], cases[i][2]) for protocol, i in picks]
+    assert got[0] is ValueError and got[-1] is NonTermination
+    assert all(isinstance(r, engine.FormationResult) for r in got[1:-1])
+
+
+def test_an_all_protocol_sweep_takes_the_steps_of_its_longest_protocol(monkeypatch):
+    # one lockstep step makes one _draw_joins call, which the engine reads through its module globals
+    calls = []
+    original = engine._draw_joins
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "_draw_joins", counting)
+
+    def steps(protocols):
+        plan = ExperimentPlan(**{**GOLDEN["multi-grid"][0], "protocols": protocols})
+        assert len(engine._groups(plan)) == 1
+        calls.clear()
+        run_experiment(plan)
+        return len(calls)
+
+    alone = [steps((protocol,)) for protocol in P]
+    assert steps(P) == max(alone) < sum(alone)
 
 
 def _rows(**kw):
