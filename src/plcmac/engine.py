@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
+from functools import cache
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Protocol, RunConfig
+from .core import Protocol, RunConfig, TimingTable
 from .slot_alloc import MAX_WINDOW, _as_fraction, check_first_window
 from .topology import NetworkTree, generate_tree, single_layer
 
@@ -49,20 +50,14 @@ class FormationResult:
 
 _MASK = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 over the golden ratio
+_STRIDE = 2 * _GAMMA & _MASK  # from one rank's words to the next: a rank takes a slot word and a coin word
 _M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _UNIT = 2.0**-53
 _PROTOCOL_CODE = {Protocol.EPMAC: 1, Protocol.PMAC: 2, Protocol.IEEE1901: 3}  # stable, whatever the enum order
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64's finalizer on one 64-bit word."""
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix(z: np.ndarray) -> np.ndarray:
-    """_mix64 over a uint64 array, in place; numpy's uint64 products wrap mod 2**64."""
+    """SplitMix64's finalizer over a uint64 array, in place; numpy's uint64 products wrap mod 2**64."""
     z ^= z >> 30
     z *= np.uint64(_M1)
     z ^= z >> 27
@@ -76,17 +71,29 @@ def _child_keys(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return _mix(keys + (counters.astype(np.uint64) + np.uint64(1)) * np.uint64(_GAMMA))
 
 
-def _fold(h: int, *words: int) -> int:
-    """Fold non-negative words of any size into the 64-bit key h, each as its 64-bit limbs and then their count."""
+def _fold(h: np.ndarray, *words) -> np.ndarray:
+    """Fold words into the 64-bit keys h, key by key: each word as its 64-bit limbs, low first, and then their count.
+
+    A word is one non-negative int for every key, or a column of them,
+    one per key, of any size. A key folds a limb l as
+    finalizer((h ^ l) + gamma), so a word's limb count follows its limbs
+    and words of any size key distinctly.
+    """
+    gamma = np.uint64(_GAMMA)
     for word in words:
-        count = 0
-        while True:
-            h = _mix64(((h ^ (word & _MASK)) + _GAMMA) & _MASK)
-            count += 1
-            word >>= 64
-            if not word:
-                break
-        h = _mix64(((h ^ count) + _GAMMA) & _MASK)
+        try:
+            h = _mix((h ^ np.asarray(word, dtype=np.uint64)) + gamma)
+            count = np.uint64(1)
+        except OverflowError:  # some word has two limbs or more
+            rest = np.asarray(word, dtype=object).reshape(-1)
+            h = _mix((h ^ (rest & _MASK).astype(np.uint64)) + gamma)
+            count = np.ones(h.shape, dtype=np.uint64)
+            rest = rest >> 64
+            while (more := rest != 0).any():
+                h = np.where(more, _mix((h ^ (rest & _MASK).astype(np.uint64)) + gamma), h)
+                count += more
+                rest = rest >> 64
+        h = _mix((h ^ count) + gamma)
     return h
 
 
@@ -98,7 +105,16 @@ def formation_key(seed: int, n: int, trial: int, protocol: Protocol, ratio: floa
     not its place in a grid. A word's limb count follows its limbs, so
     words of any size, a seed among them, key distinctly.
     """
-    return _fold(_fold(0, seed, n, trial, _PROTOCOL_CODE[protocol]), *_as_fraction(ratio))
+    words = (seed, n, trial, _PROTOCOL_CODE[protocol], *_as_fraction(ratio))
+    return int(_fold(np.zeros(1, dtype=np.uint64), *words)[0])
+
+
+@cache
+def _rank_strides() -> np.ndarray:
+    """rank * _STRIDE for the ranks of a usual draw run, made on first use; read-only."""
+    table = np.arange(2 * DRAW_CHUNK, dtype=np.uint64) * np.uint64(_STRIDE)
+    table.flags.writeable = False
+    return table
 
 
 def keyed_draws(
@@ -107,26 +123,27 @@ def keyed_draws(
     """Slots, and with coins the transmit uniforms, of counts[i] draws from session i's windows[i] slots.
 
     keys[i] is the session's cycle key. Its draw of rank r hashes
-    (keys[i], 2r) to h and takes slot floor((h >> 11) * 2**-53 * windows[i]),
-    clipped to windows[i] - 1. The 53-bit uniform times the window is
-    rounded once, so a slot's probability is off 1/windows[i] by less
-    than windows[i] / 2**53; the clip catches a product that rounds up
-    to the window. A coin is the 53-bit uniform of the second word
-    (keys[i], 2r + 1); the STA transmits when it lies below csma_p.
-    Draws come back session by session, in rank order.
+    (keys[i], 2r) to h and takes slot floor((h >> 11) * (windows[i] *
+    2**-53)). The window times 2**-53 is exact, so the 53-bit uniform
+    times the window is rounded once, and a slot's probability is off
+    1/windows[i] by less than windows[i] / 2**53. Below 2**52 slots the
+    largest uniform, 1 - 2**-53, rounds to less than the window; a run
+    with a wider window clips its slots to windows[i] - 1. A coin is the
+    53-bit uniform of the second word (keys[i], 2r + 1); the STA
+    transmits when it lies below csma_p. Draws come back session by
+    session, in rank order.
     """
-    stride = np.uint64(2 * _GAMMA & _MASK)
     starts = (np.cumsum(counts) - counts).astype(np.uint64)
     # key + (2r + 1) * gamma for rank r = position - start
-    x = np.repeat(keys + np.uint64(_GAMMA) - starts * stride, counts)
-    x += np.arange(len(x), dtype=np.uint64) * stride
+    x = np.repeat(keys + np.uint64(_GAMMA) - starts * np.uint64(_STRIDE), counts)
+    ranks = _rank_strides()
+    x += ranks[: len(x)] if len(x) <= len(ranks) else np.arange(len(x), dtype=np.uint64) * np.uint64(_STRIDE)
     coin = x + np.uint64(_GAMMA) if coins else None
     u = (_mix(x) >> 11).astype(np.float64)
-    u *= _UNIT
-    top = np.repeat(windows, counts)
-    u *= top
-    top -= 1
-    slots = np.minimum(u.astype(np.int64), top, out=top)
+    u *= np.repeat(windows * _UNIT, counts)
+    slots = u.astype(np.int64)
+    if windows.max(initial=0) >= 2**52:
+        np.minimum(slots, np.repeat(windows - 1, counts), out=slots)
     if coin is None:
         return slots, None
     u = (_mix(coin) >> 11).astype(np.float64)
@@ -138,33 +155,53 @@ def keyed_draws(
 
 _INT64_MAX = 2**63 - 1
 GROUP_STAS = 2**16  # a group's (n, trial) pairs hold at most this many STAs over their ratio cells (one pair may hold more)
-DRAW_CHUNK = 2**12  # the draws of one step are handled in runs of sessions of about this many draws
+DRAW_CHUNK = 2**13  # the draws of one step are handled in runs of sessions of about this many draws
 BIN_SLOTS = 2**14  # a run's draws are binned while its windows add up to at most this many slots (128 KB of bins)
+SHRINK_FLOOR = 64  # a block of this many sessions or fewer no longer shrinks
 
 
-class _Sessions(NamedTuple):
-    """A tree as the engine reads it: its coordinator sessions, crowded ones first, each part by node id; a few sums."""
+class _Table(NamedTuple):
+    """Trees as the engine reads them: each tree's coordinator sessions, crowded ones first, each part by node id,
+    one tree after another; and per-tree columns."""
 
-    nodes: np.ndarray    # coordinator node ids
-    pending: np.ndarray  # each coordinator's children: its session's STAs
-    depth: np.ndarray    # the children's depth, k
-    crowded: int         # sessions of two or more STAs, which come first
-    n_sta: int
-    max_depth: int
-    joins: int           # STAs over all sessions; equals n_sta for a well-formed tree
-    hops: int            # sum of k over all STAs
-    relays: int          # sum of 2*(k-1) over all sessions: the relay frames of E-PMAC and P-MAC
+    nodes: np.ndarray      # coordinator node ids
+    pending: np.ndarray    # each coordinator's children: its session's STAs
+    depth: np.ndarray      # the children's depth, k
+    start: np.ndarray      # tree t's sessions are [start[t], start[t + 1])
+    crowded: np.ndarray    # sessions of two or more STAs, which come first
+    n_sta: np.ndarray
+    max_depth: list[int]
+    joins: np.ndarray      # STAs over all sessions; equals n_sta for a well-formed tree
+    hops: np.ndarray       # sum of k over all STAs
+    relays: np.ndarray     # sum of 2*(k-1) over all sessions: the relay frames of E-PMAC and P-MAC
 
 
-def _sessions(tree: NetworkTree) -> _Sessions:
-    parent = np.asarray(tree.parent, dtype=np.int64)
-    children = np.bincount(parent[1:], minlength=len(parent))
-    nodes = np.flatnonzero(children)
-    nodes = nodes[np.argsort(children[nodes] < 2, kind="stable")]
-    pending = children[nodes]
-    depth = np.asarray(tree.depth, dtype=np.int64)[nodes] + 1
-    return _Sessions(nodes, pending, depth, int(np.count_nonzero(pending > 1)), tree.n_sta, tree.max_depth,
-                     int(pending.sum()), int(pending @ depth), 2 * int((depth - 1).sum()))
+def _sessions(trees: Sequence[NetworkTree]) -> _Table:
+    """The sessions of every tree, from one pass over all their nodes."""
+    sizes = np.array([len(t.parent) for t in trees], dtype=np.int64)
+    total = int(sizes.sum())
+    nodes = np.fromiter(chain(*(t.parent for t in trees), *(t.depth for t in trees)), np.int64, 2 * total)
+    parent, depth = nodes[:total], nodes[total:]  # every tree's nodes, one tree after another
+    first = np.cumsum(sizes) - sizes  # each tree's CCO
+    owner = np.repeat(np.arange(len(trees)), sizes)
+    parent += first[owner]
+    parent[first] = -1  # a CCO is no child
+    children = np.bincount(parent[parent >= 0], minlength=total)
+    coords = np.flatnonzero(children)
+    coords = coords[np.argsort(2 * owner[coords] + (children[coords] < 2), kind="stable")]
+    tree = owner[coords]
+    pending, depth = children[coords], depth[coords] + 1
+    start = np.zeros(len(trees) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tree, minlength=len(trees)), out=start[1:])
+
+    def per_tree(x: np.ndarray) -> np.ndarray:
+        upto = np.zeros(len(x) + 1, dtype=np.int64)
+        np.cumsum(x, out=upto[1:])
+        return upto[start[1:]] - upto[start[:-1]]
+
+    return _Table(coords - first[tree], pending, depth, start, np.bincount(tree[pending > 1], minlength=len(trees)),
+                  np.array([t.n_sta for t in trees], dtype=np.int64), [t.max_depth for t in trees],
+                  per_tree(pending), per_tree(pending * depth), 2 * per_tree(depth - 1))
 
 
 class _Ratios:
@@ -215,11 +252,14 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
     transmitters, took its slot. With csma_p set, a draw of a session
     coins_from or later transmits when its coin lies below csma_p, and
     every other draw transmits. Memory follows the draws, not the
-    windows: the draws go in runs of sessions of about DRAW_CHUNK, and a
-    run whose windows add up to at most BIN_SLOTS bins them at each
-    session's offset with one bincount; a wider run sorts one
-    session * window + slot key per draw instead (in Python ints where
-    that could pass 2**63). Sessions may draw nothing (counts of 0).
+    windows: the draws go in runs of sessions of about DRAW_CHUNK. Each
+    draw's slot is first moved to its session's place in the run, with
+    one repeat: a run whose windows add up to at most BIN_SLOTS lays the
+    windows end to end and bins the draws with one bincount; a wider run
+    gives session i the slots from i * (widest window) on and sorts the
+    draws (in Python ints where that could pass 2**63). A session's
+    transmitters are read off the running count of transmitting draws.
+    Sessions may draw nothing (counts of 0).
     """
     n = len(counts)
     joins = np.zeros(n, dtype=np.int64)
@@ -231,7 +271,8 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
         if not (m := int(c.sum())):
             continue
         coins = sent is not None and hi > coins_from
-        binned = w.max() <= BIN_SLOTS and w.sum() <= BIN_SLOTS
+        top = int(w.max())
+        binned = top <= BIN_SLOTS and int(w.sum()) <= BIN_SLOTS
         if binned and m < 1024:
             # a dummy last session, whose joins are dropped, pads a short run to a power of two of at least
             # 128 draws and to 128 slots: numpy caches freed buffers under 1 KB by exact size, few sizes keep it small
@@ -239,22 +280,28 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
             w = np.append(w, max(1, 128 - int(w.sum())))
             keys = np.append(keys, np.uint64(0))
         slots, u = keyed_draws(keys, c, w, coins)
-        sess = np.repeat(np.arange(len(c)), c)
+        # a draw joins when its (session, slot) cell holds no other draw; owner is the session of each such cell
+        if binned:
+            off = np.cumsum(w)
+            slots += np.repeat(off - w, c)
+        elif len(c) * top <= _INT64_MAX:
+            slots += np.repeat(np.arange(0, len(c) * top, top), c)
+        else:
+            slots = slots.astype(object) + np.repeat(np.arange(len(c)).astype(object) * top, c)
         if coins:  # from here on, only the transmitting draws
             send = u < csma_p
             send[: int(c[: max(coins_from - lo, 0)].sum())] = True  # a draw before coins_from sends whatever its coin
             first = max(coins_from, lo)
-            sent[first - coins_from:hi - coins_from] = np.bincount(sess[send], minlength=len(c))[first - lo:hi - lo]
-            sess, slots = sess[send], slots[send]
-        # a draw joins when its (session, slot) cell holds no other draw; owner is the session of each such cell
+            upto = np.zeros(len(send) + 1, dtype=np.int64)  # transmitters among the draws before each
+            np.cumsum(send, out=upto[1:])
+            ends = np.cumsum(c)[first - lo:hi - lo]
+            sent[first - coins_from:hi - coins_from] = upto[ends] - upto[ends - c[first - lo:hi - lo]]
+            slots = slots[send]
         if binned:
-            off = np.cumsum(w)
-            hits = np.bincount(slots + (off - w)[sess], minlength=int(off[-1]))
+            hits = np.bincount(slots, minlength=int(off[-1]))
             owner = np.searchsorted(off, np.flatnonzero(hits == 1), side="right")
         else:
-            top = int(w.max())
-            fits = len(c) * top <= _INT64_MAX
-            cell = np.sort(sess * top + slots if fits else sess.astype(object) * top + slots.astype(object))
+            cell = np.sort(slots)
             same = cell[1:] == cell[:-1]
             lone = np.ones(len(cell), dtype=bool)
             lone[1:] &= ~same
@@ -267,12 +314,41 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
 _SESSION_ORDER = {Protocol.EPMAC: 0, Protocol.PMAC: 1, Protocol.IEEE1901: 2}  # a block holds its sessions in this order
 
 
+class _Columns(NamedTuple):
+    """A block's results: each FormationResult field as a column over its formations, and each failed one's error."""
+
+    total_us: list[int]
+    nc_count: list[int]
+    data_frames: list[int]
+    preambles: list[int]
+    joined: list[int]
+    errors: dict[int, Exception]
+
+    def result(self, f: int) -> FormationResult | Exception:
+        return self.errors.get(f) or FormationResult(*(column[f] for column in self[:5]))
+
+
+def _price(timing: TimingTable, kinds: Sequence[np.ndarray]) -> list[int]:
+    """timing.cost of every formation at once, kinds[k][f] being formation f's slots of the k-th kind.
+
+    In int64 when no total can pass 2**63 - 1: counts are non-negative,
+    so no total passes the cost of each kind's largest count. Else in
+    Python ints.
+    """
+    kinds = np.array(kinds)
+    bound = timing.cost(kinds.max(axis=1, initial=0).tolist())
+    return timing.cost(kinds if bound <= _INT64_MAX else kinds.astype(object)).tolist()
+
+
 def _run_block(
     cfg: RunConfig,
-    trees: Sequence[_Sessions],
-    formations: Sequence[tuple[Protocol, int, float, int]],
-) -> list[FormationResult | Exception]:
-    """Run formations, each (protocol, index into trees, slot ratio, key), in lockstep; one result or error per formation.
+    table: _Table,
+    protocol: Sequence[Protocol],
+    tree: Sequence[int],
+    ratio: Sequence[float],
+    key: Sequence[int],
+) -> _Columns:
+    """Run formations in lockstep: formation f runs protocol[f] on table's tree[f], at slot ratio ratio[f], keyed key[f].
 
     Each step runs one networking cycle of every pending session, whatever
     its protocol. Sessions are held E-PMAC first, then P-MAC, then CSMA,
@@ -282,38 +358,36 @@ def _run_block(
     from the slot controller written over arrays, which restarts a
     session whose probes ran out with a fresh first PTE. A lone E-PMAC or
     P-MAC contender joins without a draw; a lone CSMA contender still
-    flips its coin. Slots are priced once per formation from its totals:
-    windows, cycles and first cycles per session, plus sums over the tree
-    (relay frames 2*(k-1) per E-PMAC or P-MAC session at depth k >= 2). A
-    formation whose cycle count would pass cfg.max_nc gets a
-    NonTermination, and one whose window would pass 2**63 slots with a
-    draw to make a ValueError; the others run on.
+    flips its coin. Slots are priced once, for all formations together,
+    from their totals: windows, cycles and first cycles per session, plus
+    sums over the tree (relay frames 2*(k-1) per E-PMAC or P-MAC session
+    at depth k >= 2). A formation whose cycle count would pass cfg.max_nc
+    gets a NonTermination, and one whose window would pass 2**63 slots
+    with a draw to make a ValueError; the others run on.
     """
-    n_form = len(formations)
-    order = sorted(range(n_form), key=lambda f: _SESSION_ORDER[formations[f][0]])
-    picks = [trees[formations[f][1]] for f in order]
-    most = max(1, *(len(t.nodes) for t in picks))  # sessions of the largest formation
+    n_form = len(protocol)
+    code = np.fromiter(map(_SESSION_ORDER.__getitem__, protocol), np.int64, n_form)
+    tree = np.asarray(tree, dtype=np.int64)
+    order = np.argsort(code, kind="stable")
+    sessions = np.diff(table.start)[tree]
+    most = max(1, int(sessions.max(initial=0)))  # sessions of the largest formation
     free_steps = cfg.max_nc // most  # no formation can pass its budget before this
     # a lone E-PMAC or P-MAC contender joins in the first cycle, in ceil(ratio) slots, without a draw: its
     # session is priced before the first step (unless the budget can bind there, which counts it as pending)
-    lone = np.zeros(n_form, dtype=np.int64)
-    sizes = []  # sessions each formation brings into the block
-    per_protocol = [0, 0, 0]
-    for f, t in zip(order, picks):
-        protocol = formations[f][0]
-        size = t.crowded if free_steps and protocol is not Protocol.IEEE1901 else len(t.nodes)
-        sizes.append(size)
-        lone[f] = len(t.nodes) - size
-        per_protocol[_SESSION_ORDER[protocol]] += size
-    e, p = per_protocol[0], per_protocol[0] + per_protocol[1]  # [0, e) E-PMAC, [e, p) P-MAC, [p, end) CSMA
-    form = np.repeat(np.array(order, dtype=np.int64), sizes)
-    pending, nodes, depth = (np.concatenate([getattr(t, name)[:size] for t, size in zip(picks, sizes)])
-                             if len(form) else form for name in ("pending", "nodes", "depth"))
-    ratios = _Ratios([ratio for _, _, ratio, _ in formations])
+    size = np.where((code < 2) & (free_steps > 0), table.crowded[tree], sessions)  # sessions it brings into the block
+    lone = sessions - size
+    e, p = int(size[code == 0].sum()), int(size[code < 2].sum())  # [0, e) E-PMAC, [e, p) P-MAC, [p, end) CSMA
+    # every formation's sessions, in session order, gathered from the table
+    size = size[order]
+    form = np.repeat(order, size)
+    at = np.repeat(table.start[tree[order]] - (np.cumsum(size) - size), size) + np.arange(len(form))
+    pending, nodes, depth = table.pending[at], table.nodes[at], table.depth[at]
+    values, rat = np.unique(np.asarray(ratio, dtype=np.float64), return_inverse=True)
+    ratios = _Ratios(values.tolist())
     growth = _Ratios([cfg.k1, cfg.k2])  # E-PMAC's window grows by k1 after a thin PTE, by k2 after an idle one
-    window = ratios.windows(np.arange(n_form), np.ones(n_form, dtype=np.int64))  # a lone contender's
+    window = ratios.windows(rat, np.ones(n_form, dtype=np.int64))  # a lone contender's
     paid_bound = int(window.max(initial=0)) if lone.any() else 0  # no session has paid more window slots than this
-    firsts = lone * np.array([protocol is Protocol.EPMAC for protocol, *_ in formations])
+    firsts = lone * (code == 0)
     # per formation, what its settled sessions ran and paid
     totals = {
         "paid": lone * (window.astype(object) if paid_bound * most > _INT64_MAX else window),
@@ -328,12 +402,12 @@ def _run_block(
 
     # per-session state, one array per variable in session order; a drained session stays, with pending 0, until
     # a shrink settles it into its formation's totals. E-PMAC's controller covers [0, e), CSMA's counts [p, end).
-    keys = np.array([k for *_, k in formations], dtype=np.uint64)[form]
+    keys = np.asarray(key, dtype=np.uint64)[form]
     st = {"form": form, "pend": pending, "key": _child_keys(keys, nodes), **zeros(len(form), "cyc", "paid")}
-    ep = {"n0": ratios.windows(form[:e], pending[:e]), **zeros(e, "wp", "sp", "tf", "firsts", "batch")}
+    ep = {"n0": ratios.windows(rat[form[:e]], pending[:e]), **zeros(e, "wp", "sp", "tf", "firsts", "batch")}
     cs = {"cco": depth[p:] == 1, **zeros(len(form) - p, "sent")}  # the CCO's session opens with central beacons
     del form, pending, nodes, depth, keys  # only the state arrays stay alive through the steps
-    outcome: list = [None] * n_form
+    errors: dict[int, Exception] = {}
     step = 0
 
     def settle(gone: np.ndarray) -> None:
@@ -356,15 +430,14 @@ def _run_block(
                 rows[name] = v[picked]
         e, p = int(np.count_nonzero(keep[:e])), int(np.count_nonzero(keep[:p]))
 
-    def fail(errors: dict) -> None:
+    def fail(failed: dict) -> None:
         """Record each formation's error and drop all its sessions."""
-        failed = np.zeros(n_form, dtype=bool)
-        for f, exc in errors.items():
-            outcome[f] = exc
-            failed[f] = True
-        shrink(~failed[st["form"]])
+        errors.update(failed)
+        gone = np.zeros(n_form, dtype=bool)
+        gone[list(failed)] = True
+        shrink(~gone[st["form"]])
         for total in totals.values():
-            total[failed] = 0
+            total[gone] = 0
 
     while True:
         pend = st["pend"]
@@ -378,7 +451,7 @@ def _run_block(
             if over := np.flatnonzero(cycles > cfg.max_nc).tolist():
                 waiting = np.bincount(form, weights=pend, minlength=n_form)
                 fail({f: NonTermination(
-                    f"{formations[f][0].value} run exceeded max_nc={cfg.max_nc} with {int(waiting[f])} STA(s) still pending"
+                    f"{protocol[f].value} run exceeded max_nc={cfg.max_nc} with {int(waiting[f])} STA(s) still pending"
                 ) for f in over})
                 step -= 1  # the step again, without the failed formations' sessions
                 continue
@@ -393,7 +466,7 @@ def _run_block(
                 first = idle & (tf > cfg.t_f_max)  # probes ran out: a fresh first PTE
                 thin = ~idle & (sp / wp <= cfg.eta_min)
                 w_e = np.where(first, ep["n0"], np.where(idle | thin, growth.windows(idle.astype(np.intp), wp), wp))
-        w = ratios.windows(st["form"][e:], pend[e:])
+        w = ratios.windows(rat[st["form"][e:]], pend[e:])
         if p > e:
             w_p = w[: p - e]
             w_p[(w_p < 2) & (pend[e:p] >= 2)] = 2  # two contenders in one slot collide forever
@@ -430,11 +503,11 @@ def _run_block(
             ep["batch"] -= (-s_e // cfg.tdf_capacity) + (-s_e // cfg.sdf_capacity)
             ep["tf"] = np.where(s_e > 0, 0, np.where(first, 0, tf) + 1)
             ep["wp"], ep["sp"] = np.where(active_e, exact[:e], 1), s_e
-        # once half the sessions have drained, shrink each protocol's slice to the next power of two (or to
-        # nothing), padded with its drained ones: numpy caches freed buffers under 1 KB by exact size, and few
-        # sizes keep that cache small
+        # once half the sessions of a block above SHRINK_FLOOR have drained, shrink each protocol's slice to the
+        # next power of two (or to nothing), padded with its drained ones: numpy caches freed buffers under 1 KB
+        # by exact size, and few sizes keep that cache small
         keep = pend > 0
-        if 2 * int(np.count_nonzero(keep)) <= len(keep):
+        if len(keep) > SHRINK_FLOOR and 2 * int(np.count_nonzero(keep)) <= len(keep):
             for lo, hi in ((0, e), (e, p), (p, len(keep))):
                 kept = int(np.count_nonzero(keep[lo:hi]))
                 pad = (1 << (kept - 1).bit_length()) - kept if kept else 0
@@ -442,27 +515,18 @@ def _run_block(
             shrink(keep)
     settle(np.ones(len(st["pend"]), dtype=bool))
 
-    columns = zip(*(total.tolist() for total in totals.values()))
-    for f, ((protocol, t, _, _), (paid, cycles, firsts, batch, sent, central)) in enumerate(zip(formations, columns)):
-        if outcome[f] is not None:
-            continue
-        tree = trees[t]
-        if tree.joins != tree.n_sta:
-            outcome[f] = RuntimeError("formation ended with unjoined STAs despite empty sessions")
-            continue
-        n = tree.n_sta
-        if protocol is Protocol.EPMAC:
-            data = firsts + batch + n + tree.relays
-            counts = (paid + n + cycles - firsts, data, 0, 0, 0, 0)
-        elif protocol is Protocol.PMAC:
-            data = 3 * tree.hops + tree.relays
-            counts = (cycles + paid + n, data, 0, 0, 0, 0)
-        else:
-            extra = tree.hops - n  # a request/indication pair per extra hop
-            counts = (0, 0, central, cycles - central, paid + extra, n + extra)
-            data = cycles + sent + n + 2 * extra
-        outcome[f] = FormationResult(cfg.timing.cost(counts), cycles, data, counts[0], n)
-    return outcome
+    # every formation priced at once, from its totals and its tree's sums
+    paid, cycles, firsts, batch, sent, central = totals.values()
+    n, hops, relays = table.n_sta[tree], table.hops[tree], table.relays[tree]
+    extra = hops - n  # IEEE 1901.1 pays a request/indication pair per extra hop
+    epmac, csma = code == 0, code == 2
+    data = np.where(epmac, firsts + batch + n, 3 * hops) + relays  # E-PMAC's and P-MAC's data frames
+    kinds = (np.where(csma, 0, paid + n + cycles - firsts), np.where(csma, 0, data), central,
+             np.where(csma, cycles - central, 0), np.where(csma, paid + extra, 0), np.where(csma, n + extra, 0))
+    frames = np.where(csma, cycles + sent + n + 2 * extra, data)
+    for f in np.flatnonzero(table.joins[tree] != n).tolist():
+        errors.setdefault(f, RuntimeError("formation ended with unjoined STAs despite empty sessions"))
+    return _Columns(_price(cfg.timing, kinds), cycles.tolist(), frames.tolist(), kinds[0].tolist(), n.tolist(), errors)
 
 
 def run_formation(
@@ -487,7 +551,7 @@ def run_formation(
     if not (slot_ratio > 0 and math.isfinite(slot_ratio)):
         raise ValueError(f"slot_ratio must be positive and finite, got {slot_ratio!r}")
     check_first_window(slot_ratio, tree.n_sta)
-    result = _run_block(cfg, [_sessions(tree)], [(protocol, 0, slot_ratio, key)])[0]
+    result = _run_block(cfg, _sessions([tree]), (protocol,), (0,), (slot_ratio,), (key,)).result(0)
     if isinstance(result, Exception):
         raise result
     return result
@@ -595,16 +659,18 @@ def _groups(plan: ExperimentPlan) -> list[Group]:
 def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, ResultRow]], list[tuple[int, Exception]]]:
     """Rows of every cell of the group's pairs, and every failure, each with its cell index.
 
-    The trees are built once and every protocol runs them in one block.
-    A pair whose tree fails ends the group's building: the pairs before
-    it still run, and no cell after it can come before it in cell order.
-    An error of the block itself, not tied to one formation, is charged
-    to the group's first cell in row order.
+    The trees are built once and every protocol runs them in one block,
+    whose formations go in as columns, protocol by protocol in plan
+    order, each over the cells of the pairs in group order. A pair whose
+    tree fails ends the group's building: the pairs before it still run,
+    and no cell after it can come before it in cell order. An error of
+    the block itself, not tied to one formation, is charged to the
+    group's first cell in row order.
     """
-    rows: list[tuple[int, ResultRow]] = []
     failures: list[tuple[int, Exception]] = []
-    trees: list[_Sessions] = []  # one per pair; a single-layer plan's trials share their star
-    cells: list[tuple[int, int, int, int, float]] = []  # (pair, n index, ratio index, trial, ratio)
+    nets: list[NetworkTree] = []  # a single-layer plan's trials share their star
+    tree: list[int] = []  # each built pair's tree, an index into nets
+    drawn: list[float] = []  # each built pair's ratio, in random mode
     for n_idx, trial in group:
         n = plan.n_values[n_idx]
         try:
@@ -612,43 +678,51 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
                 rng = np.random.default_rng(np.random.SeedSequence((plan.seed, n, trial)))
             if plan.ratio_random is not None:
                 lo, hi = plan.ratio_random
-                ratios = (float(lo + (hi - lo) * rng.random()),)
-            else:
-                ratios = plan.ratio_grid
+                ratio = float(lo + (hi - lo) * rng.random())
             if plan.multi_layer:
-                trees.append(_sessions(generate_tree(n, plan.max_layers, rng)))
-            else:
-                trees.append(trees[-1] if trees and trees[-1].n_sta == n else _sessions(single_layer(n)))
+                nets.append(generate_tree(n, plan.max_layers, rng))
+            elif not nets or nets[-1].n_sta != n:
+                nets.append(single_layer(n))
         except Exception as exc:
             failures.append((plan.cell_index(0, n_idx, 0, trial), exc))
             break
-        cells.extend((len(trees) - 1, n_idx, ratio_idx, trial, r) for ratio_idx, r in enumerate(ratios))
-    formations, indices = [], []  # every protocol's cells, each with its index in row order
-    for proto_idx, protocol in enumerate(plan.protocols):
-        code = _PROTOCOL_CODE[protocol]
-        prefix = [_fold(0, plan.seed, plan.n_values[n_idx], trial, code) for n_idx, trial in group[:len(trees)]]
-        formations += [(protocol, t, r, _fold(prefix[t], *_as_fraction(r))) for t, _, _, _, r in cells]
-        indices += [plan.cell_index(proto_idx, n_idx, ratio_idx, trial) for _, n_idx, ratio_idx, trial, _ in cells]
+        tree.append(len(nets) - 1)
+        if plan.ratio_random is not None:
+            drawn.append(ratio)
+    if not tree:
+        return [], failures
+    # the cells of one protocol, pair by pair, each pair's ratio cells in order
+    pairs, cells, protocols = len(tree), plan.ratio_cells, len(plan.protocols)
+    n_idx, trial = (np.array(column) for column in zip(*group[:pairs]))
+    pair = np.repeat(np.arange(pairs), cells)
+    ratio_idx = np.tile(np.arange(cells), pairs)
+    values, value = (plan.ratio_grid, ratio_idx) if plan.ratio_random is None else (drawn, pair)
+    # keys: (seed, n, trial) folded once per pair, each protocol code once, each distinct ratio's fraction once
+    sizes = np.array(plan.n_values)[n_idx]
+    prefix = _fold(np.zeros(pairs, dtype=np.uint64), plan.seed, sizes, trial)
+    codes = np.array([_PROTOCOL_CODE[protocol] for protocol in plan.protocols])
+    keys = _fold(np.tile(prefix, protocols), np.repeat(codes, pairs)).reshape(protocols, pairs)[:, pair]
+    num, den = (np.array(part, dtype=object)[value] for part in zip(*map(_as_fraction, values)))
+    keys = _fold(keys, num, den).ravel()
+    # row order: protocol, then size, then ratio cell, then trial
+    cell = (n_idx[pair] * cells + ratio_idx) * plan.trials + trial[pair]
+    index = (np.arange(protocols)[:, None] * (len(plan.n_values) * cells * plan.trials) + cell).ravel().tolist()
+    ratio = [values[v] for v in value.tolist()]
     try:
-        results = _run_block(plan, trees, formations) if cells else []
+        table = _sessions(nets)
+        block = _run_block(plan, table, np.repeat(np.array(plan.protocols, dtype=object), len(pair)),
+                           np.tile(np.array(tree)[pair], protocols), ratio * protocols, keys)
     except Exception as exc:
-        return rows, [*failures, (min(indices), exc)]
-    for index, (protocol, t, r, _), result in zip(indices, formations, results):
-        if isinstance(result, Exception):
-            failures.append((index, result))
-            continue
-        n_idx, trial = group[t]
-        rows.append((index, ResultRow(
-            protocol=protocol.value,
-            n_node=plan.n_values[n_idx],
-            ratio=r,
-            trial=trial,
-            elapsed_us=result.total_us,
-            nc_count=result.nc_count,
-            data_frames=result.data_frames,
-            preambles=result.preambles,
-            layers=trees[t].max_depth,
-        )))
+        return [], [*failures, (min(index), exc)]
+    layers = [table.max_depth[tree[i]] for i in pair.tolist()]
+    made = map(ResultRow, [protocol.value for protocol in plan.protocols for _ in pair],
+               [plan.n_values[i] for i in n_idx[pair].tolist()] * protocols, ratio * protocols,
+               trial[pair].tolist() * protocols, block.total_us, block.nc_count, block.data_frames, block.preambles,
+               layers * protocols)
+    rows = list(zip(index, made))
+    if block.errors:
+        failures += [(index[f], exc) for f, exc in block.errors.items()]
+        rows = [row for f, row in enumerate(rows) if f not in block.errors]
     return rows, failures
 
 

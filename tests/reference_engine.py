@@ -7,6 +7,8 @@ controller of slot_alloc. Each cycle hands its kernel a KeyedCycle in
 place of a numpy Generator, which deals the cycle's keyed draws through
 plcmac.engine.keyed_draws. A draw depends only on its identity, so this
 loop and the block engine must agree on every field of every result.
+Formation keys are folded here as the engine once folded them, one
+word and one 64-bit limb at a time in Python ints.
 """
 
 from __future__ import annotations
@@ -15,10 +17,56 @@ import numpy as np
 
 from plcmac import engine
 from plcmac.core import Protocol, RunConfig
-from plcmac.engine import ExperimentPlan, FormationResult, NonTermination, ResultRow, formation_key
+from plcmac.engine import ExperimentPlan, FormationResult, NonTermination, ResultRow
 from plcmac.mac_protocols import PendingSet, simulate_nc_csma, simulate_nc_epmac, simulate_nc_pmac
-from plcmac.slot_alloc import ceil_scale, check_first_window, fresh_state, next_slot_count, record_pte
+from plcmac.slot_alloc import _as_fraction, ceil_scale, check_first_window, fresh_state, next_slot_count, record_pte
 from plcmac.topology import CCO_ID, NetworkTree, generate_tree, single_layer
+
+
+_MASK = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_PROTOCOL_CODE = {Protocol.EPMAC: 1, Protocol.PMAC: 2, Protocol.IEEE1901: 3}
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer on one 64-bit word."""
+    z = ((z ^ (z >> 30)) * _M1) & _MASK
+    z = ((z ^ (z >> 27)) * _M2) & _MASK
+    return z ^ (z >> 31)
+
+
+def _fold(h: int, *words: int) -> int:
+    """Fold non-negative words of any size into the 64-bit key h, each as its 64-bit limbs and then their count."""
+    for word in words:
+        count = 0
+        while True:
+            h = _mix64(((h ^ (word & _MASK)) + _GAMMA) & _MASK)
+            count += 1
+            word >>= 64
+            if not word:
+                break
+        h = _mix64(((h ^ count) + _GAMMA) & _MASK)
+    return h
+
+
+def formation_key(seed: int, n: int, trial: int, protocol: Protocol, ratio: float) -> int:
+    """The formation's key, folded one word and one limb at a time in Python ints."""
+    return _fold(_fold(0, seed, n, trial, _PROTOCOL_CODE[protocol]), *_as_fraction(ratio))
+
+
+def keyed_draws(keys, counts, windows, coins=False):
+    """The keyed draws as first written: ranks from a fresh arange, the uniform scaled by 2**-53 and then by the
+    window, and every slot clipped to its window's top."""
+    stride = np.uint64(2 * _GAMMA & _MASK)
+    starts = (np.cumsum(counts) - counts).astype(np.uint64)
+    x = np.repeat(keys + np.uint64(_GAMMA) - starts * stride, counts)
+    x += np.arange(len(x), dtype=np.uint64) * stride
+    coin = x + np.uint64(_GAMMA) if coins else None
+    u = (engine._mix(x) >> 11).astype(np.float64) * 2.0**-53
+    top = np.repeat(windows, counts)
+    slots = np.minimum((u * top).astype(np.int64), top - 1)
+    return slots, (None if coin is None else (engine._mix(coin) >> 11).astype(np.float64) * 2.0**-53)
 
 
 class KeyedCycle:

@@ -36,9 +36,10 @@ def _reference(protocol, tree, cfg, ratio, key):
 
 def _mixed(cfg, picks, cases):
     """Every (protocol, case index) pick in one block, results in pick order, an error as its type."""
-    trees = [engine._sessions(tree) for tree, _, _ in cases]
-    formations = [(protocol, i, cases[i][1], cases[i][2]) for protocol, i in picks]
-    return [_outcome(r) for r in engine._run_block(cfg, trees, formations)]
+    table = engine._sessions([tree for tree, _, _ in cases])
+    protocol, tree = zip(*picks)
+    block = engine._run_block(cfg, table, protocol, tree, [cases[i][1] for i in tree], [cases[i][2] for i in tree])
+    return [_outcome(block.result(f)) for f in range(len(picks))]
 
 
 def _block(protocol, cfg, cases):
@@ -185,8 +186,9 @@ def test_a_window_grown_past_2_63_raises_value_error_in_both_engines(monkeypatch
     with pytest.raises(ValueError, match="above 2\\*\\*63"):
         ref.run_formation(Protocol.EPMAC, tree, RunConfig(), 2e18, 0)
     # the other formations of the block run on
-    trees = [engine._sessions(tree), engine._sessions(single_layer(1))]
-    got = engine._run_block(RunConfig(), trees, [(Protocol.EPMAC, 0, 2e18, 0), (Protocol.EPMAC, 1, 2e18, 0)])
+    table = engine._sessions([tree, single_layer(1)])
+    block = engine._run_block(RunConfig(), table, (Protocol.EPMAC,) * 2, (0, 1), (2e18, 2e18), (0, 0))
+    got = [block.result(f) for f in range(2)]
     assert isinstance(got[0], ValueError)
     assert got[1] == ref.run_formation(Protocol.EPMAC, single_layer(1), RunConfig(), 2e18, 0)
 
@@ -340,3 +342,111 @@ def test_ratio_windows_are_exact_in_every_tier():
         f = np.repeat(np.arange(len(block)), len(x))
         got = windows.windows(f, np.tile(x, len(block)))
         assert got.tolist() == [-(-num * int(p) // den) for num, den in map(engine._as_fraction, block) for p in x]
+
+
+@pytest.mark.parametrize(
+    "chunk, bins, floor",
+    [(64, 128, 0), (2**14, 16, 10**9), (300, 2**15, 64)],
+    ids=["short-runs-always-shrink", "sorted-runs-never-shrink", "runs-cut-mid-step"],
+)
+def test_draw_runs_and_shrinks_do_not_change_a_mixed_block(chunk, bins, floor, monkeypatch):
+    # how a step's draws are cut into runs, binned or sorted, and when the block shrinks are the engine's own business
+    monkeypatch.setattr(engine, "DRAW_CHUNK", chunk)
+    monkeypatch.setattr(engine, "BIN_SLOTS", bins)
+    monkeypatch.setattr(engine, "SHRINK_FLOOR", floor)
+    picks = [(protocol, i) for protocol in P for i in range(len(CASES))]
+    assert _mixed(CONFIGS["default"], picks, CASES) == [_expected(protocol, "default")[i] for protocol, i in picks]
+
+
+# ---- the array fold, pricing in columns and the draws' edges; sizes fixed before the first run
+
+
+LIMBS = [0, 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**127 + 5, 2**128, 2**191 + 2**64, 2**192 - 1]  # 0 to 3 limbs
+
+
+def test_the_array_fold_equals_the_scalar_fold_key_by_key():
+    rng = np.random.default_rng(15)
+    keys = [0, 1, 2**64 - 1, *(2 * int(k) + 1 for k in rng.integers(0, 2**63, len(LIMBS) - 3))]
+    h = np.array(keys, dtype=np.uint64)
+    small = [int(w) for w in rng.integers(0, 2**62, len(keys))]
+    for column in (LIMBS, LIMBS[::-1], small, [*small[:5], *LIMBS[5:]]):
+        assert engine._fold(h, column).tolist() == [ref._fold(k, w) for k, w in zip(keys, column)]
+    # a scalar word of any size is every key's; words fold one after another
+    for seed in (0, 2**64 - 1, 2**64, 2**70, 2**200 + 3):
+        got = engine._fold(h, seed, LIMBS, 3).tolist()
+        assert got == [ref._fold(k, seed, w, 3) for k, w in zip(keys, LIMBS)]
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.5, 1e30, 1.2345678901234567, 0.30000000000000004, 9.87654321e-7])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64, 2**70, 2**130 + 1])
+def test_formation_keys_equal_the_scalar_fold(seed, ratio):
+    for protocol in P:
+        assert engine.formation_key(seed, 650, 3, protocol, ratio) == ref.formation_key(seed, 650, 3, protocol, ratio)
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [dict(ratio_grid=(0.5, 1.2345678901234567, 2.0)), dict(ratio_random=(0.5, 2.0))],
+    ids=["grid", "random"],
+)
+def test_a_sweep_seeded_past_2_64_equals_the_reference_row_for_row(mode):
+    plan = ExperimentPlan(protocols=P, n_values=(3, 30), trials=3, seed=2**70, multi_layer=True, max_layers=3, **mode)
+    assert run_experiment(plan) == ref.run_experiment(plan)
+
+
+def test_columns_priced_at_once_equal_cost_formation_by_formation(per_kind_timing):
+    rng = np.random.default_rng(16)
+    kinds = rng.integers(0, 10**4, (6, 50))
+    for timing in (engine.RunConfig().timing, per_kind_timing):
+        assert engine._price(timing, list(kinds)) == [timing.cost(column) for column in kinds.T.tolist()]
+    # 10**4 association indications at 10**15 us each pass 2**63: the total is made in Python ints
+    assert per_kind_timing.cost(kinds.max(axis=1).tolist()) > 2**63
+    # a column already in Python ints, past 2**63 itself
+    paid = np.array([2**63 + 5, 3, 2**70], dtype=object)
+    kinds = [paid, *(np.array([1, 2, 3]) for _ in range(5))]
+    assert engine._price(per_kind_timing, kinds) == [per_kind_timing.cost(c) for c in zip(*(k.tolist() for k in kinds))]
+
+
+def _unmix(z: int) -> int:
+    """The inverse of SplitMix64's finalizer."""
+
+    def unshift(z: int, s: int) -> int:  # the inverse of z ^= z >> s
+        x = z
+        for _ in range(64 // s + 1):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31) * pow(ref._M2, -1, 2**64) & ref._MASK
+    z = unshift(z, 27) * pow(ref._M1, -1, 2**64) & ref._MASK
+    return unshift(z, 30)
+
+
+@pytest.mark.parametrize("window", [2**52 - 1, 2**52, 2**53 + 1, 2**63 - 1])
+def test_the_largest_uniform_takes_a_slot_below_the_window(window):
+    top = 2**64 - 1  # (h >> 11) is 2**53 - 1: the uniform 1 - 2**-53
+    key = (_unmix(top) - ref._GAMMA) & ref._MASK  # rank 0 hashes key + gamma
+    assert ref._mix64((key + ref._GAMMA) & ref._MASK) == top
+    keys, counts, windows = np.array([key], dtype=np.uint64), np.array([1]), np.array([window])
+    slots, _ = engine.keyed_draws(keys, counts, windows)
+    assert 0 <= window - 1 - int(slots[0]) <= window >> 52  # below the window, and as near its top as floats get
+    assert slots.tolist() == ref.keyed_draws(keys, counts, windows)[0].tolist()
+
+
+@pytest.mark.parametrize("coins", [False, True])
+def test_keyed_draws_equal_the_first_written_draws_bit_for_bit(coins):
+    # runs past the cached rank table, windows on both sides of 2**52, sessions that draw nothing
+    rng = np.random.default_rng(17)
+    sessions = 400
+    counts = rng.integers(0, 200, sessions)
+    counts[[5, 50]] = (2**15 + 3, 0)
+    windows = np.where(rng.random(sessions) < 0.5, rng.integers(1, 2**20, sessions), rng.integers(2**51, 2**63, sessions))
+    keys = _cycle_keys(sessions, seed=18)
+    # windows held below 2**52 take the path without the clip; cuts past session 5 draw more than the rank table holds
+    cuts = [(slice(0, sessions), 2**51), (slice(0, 5), 2**51), (slice(6, 100), 2**63 - 1), (slice(6, sessions), 2**63 - 1),
+            (slice(0, 0), 1)]
+    for cut, widest in cuts:
+        w = np.minimum(windows[cut], widest)
+        got = engine.keyed_draws(keys[cut], counts[cut], w, coins)
+        want = ref.keyed_draws(keys[cut], counts[cut], w, coins)
+        assert got[0].tolist() == want[0].tolist()
+        assert (got[1] is None) == (not coins) and (not coins or got[1].tolist() == want[1].tolist())

@@ -57,7 +57,9 @@ def test_single_layer_means_match_the_exact_oracle(protocol, n, ratio):
     cfg = RunConfig()
     # one block of TRIALS formations: the cells of a single-layer sweep at (SEED, protocol, n, ratio)
     keys = [formation_key(SEED, n, trial, protocol, ratio) for trial in range(TRIALS)]
-    runs = engine._run_block(cfg, [engine._sessions(single_layer(n))], [(protocol, 0, ratio, k) for k in keys])
+    block = engine._run_block(cfg, engine._sessions([single_layer(n)]), (protocol,) * TRIALS, (0,) * TRIALS,
+                              (ratio,) * TRIALS, keys)
+    runs = [block.result(f) for f in range(TRIALS)]
     exact = expected_single_layer(protocol, n, ratio, cfg)
     observed = (np.array([r.nc_count for r in runs], float), np.array([r.total_us for r in runs], float))
     z = [(x.mean() - mean) / (x.std(ddof=1) / math.sqrt(TRIALS)) for x, mean in zip(observed, exact)]
