@@ -331,12 +331,13 @@ class _Columns(NamedTuple):
 def _price(timing: TimingTable, kinds: Sequence[np.ndarray]) -> list[int]:
     """timing.cost of every formation at once, kinds[k][f] being formation f's slots of the k-th kind.
 
-    In int64 when no total can pass 2**63 - 1: counts are non-negative,
-    so no total passes the cost of each kind's largest count. Else in
-    Python ints.
+    In int64 when no total or product can pass 2**63 - 1: counts are
+    non-negative, so none passes the cost of each kind's largest count,
+    taken as at least 1 so that a kind no formation uses still bounds its
+    slot length. Else in Python ints.
     """
     kinds = np.array(kinds)
-    bound = timing.cost(kinds.max(axis=1, initial=0).tolist())
+    bound = timing.cost(np.maximum(kinds.max(axis=1, initial=0), 1).tolist())
     return timing.cost(kinds if bound <= _INT64_MAX else kinds.astype(object)).tolist()
 
 
@@ -515,9 +516,12 @@ def _run_block(
             shrink(keep)
     settle(np.ones(len(st["pend"]), dtype=bool))
 
-    # every formation priced at once, from its totals and its tree's sums
-    paid, cycles, firsts, batch, sent, central = totals.values()
-    n, hops, relays = table.n_sta[tree], table.hops[tree], table.relays[tree]
+    # every formation priced at once, from its totals and its tree's sums; each count below is at most three times
+    # the sum of these columns' largest values, so when that could pass 2**63 - 1 they are made in Python ints
+    columns = [*totals.values(), table.n_sta[tree], table.hops[tree], table.relays[tree]]
+    if 3 * sum(int(column.max(initial=0)) for column in columns) > _INT64_MAX:
+        columns = [column.astype(object) for column in columns]
+    paid, cycles, firsts, batch, sent, central, n, hops, relays = columns
     extra = hops - n  # IEEE 1901.1 pays a request/indication pair per extra hop
     epmac, csma = code == 0, code == 2
     data = np.where(epmac, firsts + batch + n, 3 * hops) + relays  # E-PMAC's and P-MAC's data frames
@@ -704,9 +708,7 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     keys = _fold(np.tile(prefix, protocols), np.repeat(codes, pairs)).reshape(protocols, pairs)[:, pair]
     num, den = (np.array(part, dtype=object)[value] for part in zip(*map(_as_fraction, values)))
     keys = _fold(keys, num, den).ravel()
-    # row order: protocol, then size, then ratio cell, then trial
-    cell = (n_idx[pair] * cells + ratio_idx) * plan.trials + trial[pair]
-    index = (np.arange(protocols)[:, None] * (len(plan.n_values) * cells * plan.trials) + cell).ravel().tolist()
+    index = plan.cell_index(np.arange(protocols)[:, None], n_idx[pair], ratio_idx, trial[pair]).ravel().tolist()
     ratio = [values[v] for v in value.tolist()]
     try:
         table = _sessions(nets)

@@ -405,6 +405,29 @@ def test_columns_priced_at_once_equal_cost_formation_by_formation(per_kind_timin
     paid = np.array([2**63 + 5, 3, 2**70], dtype=object)
     kinds = [paid, *(np.array([1, 2, 3]) for _ in range(5))]
     assert engine._price(per_kind_timing, kinds) == [per_kind_timing.cost(c) for c in zip(*(k.tolist() for k in kinds))]
+    # a slot length past 2**63 on a kind whose counts are all 0: int64 cannot hold the length itself
+    timing = engine.TimingTable(central_beacon_slot_us=2**63)
+    kinds = [np.array([3, 0, 7]), np.array([1, 2, 3]), np.zeros(3, dtype=np.int64), *(np.array([0, 5, 1]) for _ in range(3))]
+    assert engine._price(timing, kinds) == [timing.cost(c) for c in zip(*(k.tolist() for k in kinds))]
+
+
+@pytest.mark.parametrize("protocol", P, ids=[p.value for p in P])
+def test_counts_past_2_63_made_after_the_block_equal_the_reference(protocol):
+    # 1024 lone contenders pay 1024 * (2**53 - 1) = 2**63 - 1024 window slots, which int64 holds; the preambles,
+    # those slots plus one per STA and cycle, pass 2**63 only when the counts by kind are made
+    tree = tree_from_parents({k: k - 1 for k in range(1, 1025)})
+    cfg, ratio = RunConfig(), float(2**53 - 1)
+    assert engine.run_formation(protocol, tree, cfg, ratio, 5) == ref.run_formation(protocol, tree, cfg, ratio, 5)
+
+
+@pytest.mark.parametrize("protocol", P, ids=[p.value for p in P])
+def test_slot_lengths_past_2_63_on_kinds_a_protocol_never_uses_equal_the_reference(protocol):
+    # E-PMAC and P-MAC use no proxy beacon or association slot; IEEE 1901.1 uses no preamble or data frame slot
+    unused = dict(proxy_beacon_slot_us=2**63, assoc_req_slot_us=2**64 + 1, assoc_ind_slot_us=2**63)
+    if protocol is Protocol.IEEE1901:
+        unused = dict(preamble_slot_us=2**63, data_frame_slot_us=2**64 + 1)
+    cfg, tree = RunConfig(timing=engine.TimingTable(**unused)), single_layer(20)
+    assert engine.run_formation(protocol, tree, cfg, 1.0, 3) == ref.run_formation(protocol, tree, cfg, 1.0, 3)
 
 
 def _unmix(z: int) -> int:
