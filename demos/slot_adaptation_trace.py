@@ -6,7 +6,8 @@ collisions, and recovers, printing the window the controller picks each
 time.
 """
 
-from plcmac import RunConfig, fresh_state, next_slot_count, record_pte
+from plcmac import RunConfig
+from plcmac.slot_alloc import fresh_state, next_slot_count, record_pte
 
 
 def run_trace(n0: int, joins_script: list[int]) -> None:

@@ -37,14 +37,6 @@ from .engine import (
     run_formation,
     summarize,
 )
-from .mac_protocols import (
-    NcOutcome,
-    PendingSet,
-    contend,
-    simulate_nc_csma,
-    simulate_nc_epmac,
-    simulate_nc_pmac,
-)
 from .phy_timing import (
     FdplcPhyParams,
     Ieee1901PhyParams,
@@ -52,14 +44,6 @@ from .phy_timing import (
     fdplc_data_frame_time,
     fdplc_preamble_time,
     ieee1901_frame_time,
-)
-from .slot_alloc import (
-    SlotAllocState,
-    ZeroSlots,
-    ceil_scale,
-    fresh_state,
-    next_slot_count,
-    record_pte,
 )
 from .topology import (
     NetworkTree,

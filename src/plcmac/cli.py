@@ -206,17 +206,16 @@ def _cmd_sweep(args: argparse.Namespace, multi: bool) -> int:
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
+    shapes = [TreeShape(m, k) for m in args.m for k in args.k]  # a bad shape fails before any output
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["m", "k", "pmac_frames", "epmac_frames", "delta_exact", "delta_approx"])
-    for m in args.m:
-        for k in args.k:
-            shape = TreeShape(m, k)
-            pmac = pmac_total_frames(shape)
-            epmac = epmac_total_frames(shape)
-            if pmac_total_frames_closed(shape) != pmac or epmac_total_frames_closed(shape) != epmac:
-                print(f"closed form disagrees with recurrence at m={m} k={k}", file=sys.stderr)
-                return 3
-            w.writerow([m, k, pmac, epmac, f"{float(delta_sta_exact(shape)):.6f}", delta_sta_approx(shape)])
+    for shape in shapes:
+        pmac = pmac_total_frames(shape)
+        epmac = epmac_total_frames(shape)
+        if pmac_total_frames_closed(shape) != pmac or epmac_total_frames_closed(shape) != epmac:
+            print(f"closed form disagrees with recurrence at m={shape.m} k={shape.k}", file=sys.stderr)
+            return 3
+        w.writerow([shape.m, shape.k, pmac, epmac, f"{float(delta_sta_exact(shape)):.6f}", delta_sta_approx(shape)])
     return 0
 
 

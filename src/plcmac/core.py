@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from operator import attrgetter, mul
@@ -77,8 +78,8 @@ class RunConfig:
             raise ValueError("t_f_max must be non-negative")
         if not 0.0 < self.eta_min < 1.0:
             raise ValueError("eta_min must lie strictly inside (0, 1)")
-        if not 1.0 < self.k1 < self.k2:
-            raise ValueError("growth factors must satisfy 1 < k1 < k2")
+        if not 1.0 < self.k1 < self.k2 < math.inf:
+            raise ValueError("growth factors must be finite and satisfy 1 < k1 < k2")
         if not 0.0 < self.csma_p <= 1.0:
             raise ValueError("csma_p must lie in (0, 1]")
         if self.tdf_capacity < 1 or self.sdf_capacity < 1:

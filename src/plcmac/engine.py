@@ -211,35 +211,35 @@ class _Ratios:
         fracs = [_as_fraction(r) for r in ratios]
         self.num, self.den = [p for p, _ in fracs], [q for _, q in fracs]
         self.num_max, self.den_max = max(self.num, default=1), max(self.den, default=1)
-        fits = max(self.num_max, self.den_max) <= _INT64_MAX
-        self.num64 = np.array(self.num if fits else [], dtype=np.int64)
-        self.den64 = np.array(self.den if fits else [], dtype=np.int64)
-        whole = [p // q for p, q in fracs]
-        self.whole_max = max(whole, default=0)
-        self.whole = np.array(whole if self.whole_max <= _INT64_MAX else [], dtype=np.int64)
-        self.part = np.array([(p % q) / q for p, q in fracs])  # each correctly rounded
+        # each numerator and denominator mod 2**64, as int64: the values themselves wherever they are below 2**63
+        self.num64 = np.array([p & _MASK for p in self.num], dtype=np.uint64).astype(np.int64)
+        self.den64 = np.array([q & _MASK for q in self.den], dtype=np.uint64).astype(np.int64)
+        self.value = np.array([p / q for p, q in fracs])  # each correctly rounded
+        self.value_max = float(self.value.max(initial=0))
 
     def windows(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
         """ceil(factor[f[i]] * x[i]) per i for x >= 0, exactly: int64 when every value fits, else Python ints.
 
         Three ways, cheapest first: int64 products when they cannot
-        overflow; else the whole part in int64 plus the ceiling of the
-        fraction part in floats, checked against the float error
-        (below x * 2**-51) and redone in Python ints for the rare product
-        too near an integer; else Python ints throughout.
+        overflow; else, while every factor * x is below 2**50 and every
+        denominator at most 2**62, a float estimate and one exact
+        correction; else Python ints throughout. The estimate rounds three
+        times, by a relative 2**-53 each, so it lies within 3/8 of
+        factor * x and its ceiling c within one of the true one. The
+        residue c * den - num * x then lies in [-den, 2 * den), so int64
+        holds it, and products that wrap mod 2**64 give it exactly.
         """
         top = int(x.max(initial=0))
-        if len(self.num64) and self.num_max * top <= _INT64_MAX:
+        if self.num_max * top <= _INT64_MAX and self.den_max <= _INT64_MAX:
             return -(-self.num64[f] * x // self.den64[f])
-        if len(self.whole) and (self.whole_max + 1) * top <= _INT64_MAX and top < 2**40:
-            y = self.part[f] * x
-            c = np.ceil(y)
-            gap = c - y
-            tol = x * 2.0**-48
-            w = self.whole[f] * x + c.astype(np.int64)
-            for i in np.flatnonzero((gap < tol) | (gap > 1 - tol)).tolist():
-                w[i] = -(-self.num[f[i]] * int(x[i]) // self.den[f[i]])
-            return w
+        if self.value_max * top < 2**50 and self.den_max <= 2**62:
+            c = np.ceil(self.value[f] * x).astype(np.int64)
+            den = self.den64[f]
+            d = c.view(np.uint64) * den.view(np.uint64) - self.num64[f].view(np.uint64) * x.view(np.uint64)
+            d = d.view(np.int64)
+            c += d < 0
+            c -= d >= den
+            return c
         num, den = np.array(self.num, dtype=object)[f], np.array(self.den, dtype=object)[f]
         out = -(-num * x.astype(object) // den)
         return out.astype(np.int64) if out.max(initial=0) <= _INT64_MAX else out
@@ -311,9 +311,6 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
     return joins, sent
 
 
-_SESSION_ORDER = {Protocol.EPMAC: 0, Protocol.PMAC: 1, Protocol.IEEE1901: 2}  # a block holds its sessions in this order
-
-
 class _Columns(NamedTuple):
     """A block's results: each FormationResult field as a column over its formations, and each failed one's error."""
 
@@ -326,19 +323,6 @@ class _Columns(NamedTuple):
 
     def result(self, f: int) -> FormationResult | Exception:
         return self.errors.get(f) or FormationResult(*(column[f] for column in self[:5]))
-
-
-def _price(timing: TimingTable, kinds: Sequence[np.ndarray]) -> list[int]:
-    """timing.cost of every formation at once, kinds[k][f] being formation f's slots of the k-th kind.
-
-    In int64 when no total or product can pass 2**63 - 1: counts are
-    non-negative, so none passes the cost of each kind's largest count,
-    taken as at least 1 so that a kind no formation uses still bounds its
-    slot length. Else in Python ints.
-    """
-    kinds = np.array(kinds)
-    bound = timing.cost(np.maximum(kinds.max(axis=1, initial=0), 1).tolist())
-    return timing.cost(kinds if bound <= _INT64_MAX else kinds.astype(object)).tolist()
 
 
 def _run_block(
@@ -367,7 +351,7 @@ def _run_block(
     with a draw to make a ValueError; the others run on.
     """
     n_form = len(protocol)
-    code = np.fromiter(map(_SESSION_ORDER.__getitem__, protocol), np.int64, n_form)
+    code = np.fromiter(map(_PROTOCOL_CODE.__getitem__, protocol), np.int64, n_form) - 1  # a block's session order
     tree = np.asarray(tree, dtype=np.int64)
     order = np.argsort(code, kind="stable")
     sessions = np.diff(table.start)[tree]
@@ -516,10 +500,12 @@ def _run_block(
             shrink(keep)
     settle(np.ones(len(st["pend"]), dtype=bool))
 
-    # every formation priced at once, from its totals and its tree's sums; each count below is at most three times
-    # the sum of these columns' largest values, so when that could pass 2**63 - 1 they are made in Python ints
+    # every formation priced at once, from its totals and its tree's sums. Each count below is at most top, so each
+    # price is at most the cost of top slots of every kind, which also bounds every slot length: when that could
+    # pass 2**63 - 1, the columns, and so every count and price, are Python ints
     columns = [*totals.values(), table.n_sta[tree], table.hops[tree], table.relays[tree]]
-    if 3 * sum(int(column.max(initial=0)) for column in columns) > _INT64_MAX:
+    top = max(1, 3 * sum(int(column.max(initial=0)) for column in columns))
+    if cfg.timing.cost([top] * len(fields(TimingTable))) > _INT64_MAX:
         columns = [column.astype(object) for column in columns]
     paid, cycles, firsts, batch, sent, central, n, hops, relays = columns
     extra = hops - n  # IEEE 1901.1 pays a request/indication pair per extra hop
@@ -530,7 +516,7 @@ def _run_block(
     frames = np.where(csma, cycles + sent + n + 2 * extra, data)
     for f in np.flatnonzero(table.joins[tree] != n).tolist():
         errors.setdefault(f, RuntimeError("formation ended with unjoined STAs despite empty sessions"))
-    return _Columns(_price(cfg.timing, kinds), cycles.tolist(), frames.tolist(), kinds[0].tolist(), n.tolist(), errors)
+    return _Columns(cfg.timing.cost(kinds).tolist(), cycles.tolist(), frames.tolist(), kinds[0].tolist(), n.tolist(), errors)
 
 
 def run_formation(

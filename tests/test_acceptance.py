@@ -22,7 +22,6 @@ from plcmac import (
     RunConfig,
     TreeShape,
     calibrate_time_difference,
-    contend,
     epmac_single_layer_frames,
     epmac_total_frames,
     epmac_total_frames_closed,
@@ -39,6 +38,7 @@ from plcmac import (
 )
 from plcmac import engine
 from plcmac.cli import main as cli_main
+from plcmac.mac_protocols import contend
 from plcmac.phy_timing import NOMINAL_IEEE1901_BEACON_US, NOMINAL_IEEE1901_MME_US
 
 SEED = 7

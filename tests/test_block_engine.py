@@ -333,14 +333,31 @@ def test_formation_keys_follow_values_not_positions():
 
 
 def test_ratio_windows_are_exact_in_every_tier():
-    # 17-digit numerators overflow int64 products, so the whole block takes the float tier; 1e30 forces Python ints
+    # 17-digit numerators overflow int64 products, so a block holding one takes the float tier while every
+    # ratio * x is below 2**50 and every denominator at most 2**62; a wider block takes Python ints
     rng = np.random.default_rng(4)
     ratios = [1.25, 0.5, 2.0, 1.2345678901234567, 0.1, *rng.uniform(0.2, 3.0, 40).tolist(), 9.87654321e-7]
-    x = np.array([0, 1, 2, 3, 4, 5, 8, 10, 20, 40, 80, 100, 1000, 4096, 99991, 2**20])
-    for block in (ratios, [*ratios, 1e30]):
-        windows = engine._Ratios(block)
+    x = [0, 1, 2, 3, 4, 5, 8, 10, 20, 40, 80, 100, 1000, 4096, 99991, 2**20]
+    top = 911978932750335  # the largest x with 1.2345678901234567 * x below 2**50; 1023545369856930 for 1.1
+    blocks = [
+        (ratios, x),
+        ([*ratios, 1e30], x),
+        # products exactly on an integer: a 17-digit ratio over 156250000000000, and 1.1 * 100, whose float
+        # product 110.00000000000001 has a ceiling one too high
+        ([1.2623133404418496, 1.1, 0.7], [10, 100, *(156250000000000 * j for j in (1, 2, 5))]),
+        # just under the float tier's limit, where float ceilings come out one too low (1.2345678901234567)
+        # and one too high (1.1), and just over it
+        ([1.2345678901234567], range(top - 2**15, top + 1)),
+        ([1.1, 1.0000000000000002], range(1023545369856930 - 2**15, 1023545369856930 + 1)),
+        ([1.2345678901234567], range(top + 1, top + 2**10)),
+        # a denominator of 4 * 10**18, just under 2**62, so residues reach 8 * 10**18; and one of 10**20, past it
+        ([0.00039388171737486725], range(2858472117839062783 - 2**12, 2858472117839062783 + 1)),
+        ([0.00010189550964360691], range(2**63 - 2**10, 2**63)),
+    ]
+    for block, x in blocks:
+        x = np.array(x, dtype=np.int64)
         f = np.repeat(np.arange(len(block)), len(x))
-        got = windows.windows(f, np.tile(x, len(block)))
+        got = engine._Ratios(block).windows(f, np.tile(x, len(block)))
         assert got.tolist() == [-(-num * int(p) // den) for num, den in map(engine._as_fraction, block) for p in x]
 
 
@@ -395,20 +412,27 @@ def test_a_sweep_seeded_past_2_64_equals_the_reference_row_for_row(mode):
 
 
 def test_columns_priced_at_once_equal_cost_formation_by_formation(per_kind_timing):
+    # a block makes all its counts and prices in int64 or all in Python ints; each case lands on one side
     rng = np.random.default_rng(16)
-    kinds = rng.integers(0, 10**4, (6, 50))
-    for timing in (engine.RunConfig().timing, per_kind_timing):
-        assert engine._price(timing, list(kinds)) == [timing.cost(column) for column in kinds.T.tolist()]
-    # 10**4 association indications at 10**15 us each pass 2**63: the total is made in Python ints
-    assert per_kind_timing.cost(kinds.max(axis=1).tolist()) > 2**63
-    # a column already in Python ints, past 2**63 itself
-    paid = np.array([2**63 + 5, 3, 2**70], dtype=object)
-    kinds = [paid, *(np.array([1, 2, 3]) for _ in range(5))]
-    assert engine._price(per_kind_timing, kinds) == [per_kind_timing.cost(c) for c in zip(*(k.tolist() for k in kinds))]
-    # a slot length past 2**63 on a kind whose counts are all 0: int64 cannot hold the length itself
-    timing = engine.TimingTable(central_beacon_slot_us=2**63)
-    kinds = [np.array([3, 0, 7]), np.array([1, 2, 3]), np.zeros(3, dtype=np.int64), *(np.array([0, 5, 1]) for _ in range(3))]
-    assert engine._price(timing, kinds) == [timing.cost(c) for c in zip(*(k.tolist() for k in kinds))]
+    trees = [generate_tree(n, 4, rng) for n in (5, 30, 80)]
+    default = RunConfig().timing
+    huge = engine.TimingTable(**{name: length << 60 for name, length in per_kind_timing.to_dict().items()})
+    cases = [
+        # random counts under default and per-kind timing: int64
+        *((timing, tree, ratio, 0) for timing in (default, per_kind_timing) for tree in trees for ratio in (0.5, 1.3)),
+        # slot lengths of 2**60 and more on every kind: prices past 2**63
+        *((huge, tree, 1.0, 2**63) for tree in trees),
+        # 1024 lone contenders pay 1024 * 2**53 window slots: a count column of 2**63 or more
+        (default, tree_from_parents({k: k - 1 for k in range(1, 1025)}), float(2**53), 400 * 2**63),
+        # a 2**63 slot length on proxy beacons, which no protocol pays on a star: Python ints, though no count needs them
+        (engine.TimingTable(proxy_beacon_slot_us=2**63), single_layer(20), 1.0, 0),
+    ]
+    for protocol in P:
+        for timing, tree, ratio, least in cases:
+            cfg = RunConfig(timing=timing)
+            got = engine.run_formation(protocol, tree, cfg, ratio, 3)
+            assert got == ref.run_formation(protocol, tree, cfg, ratio, 3)
+            assert got.total_us >= least
 
 
 @pytest.mark.parametrize("protocol", P, ids=[p.value for p in P])

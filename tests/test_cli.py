@@ -88,6 +88,7 @@ def test_bad_size_range_exits_2(tmp_path):
         ["sweep-single", "--n", "10", "--ratios", "0"],
         ["sweep-multi", "--n", "10", "--max-layers", "0"],
         ["sweep-single", "--n", "10", "--jobs", "0"],
+        ["sweep-single", "--n", "5", "--k2", "inf", "--protocols", "epmac"],
     ],
 )
 def test_bad_sweep_values_exit_2(argv, tmp_path, capsys):
@@ -449,6 +450,13 @@ def test_complexity_custom_grid(capsys):
     assert main(["complexity", "--m", "2", "--k", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "2,2,34,16,3.000000,5"
+
+
+def test_complexity_bad_shape_exits_2_before_any_output(capsys):
+    assert main(["complexity", "--m", "2", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: m must be at least 2")
 
 
 def test_timing_report(capsys):

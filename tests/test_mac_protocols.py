@@ -6,18 +6,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from plcmac import (
+from plcmac import RunConfig, mac_protocols
+from plcmac.mac_protocols import (
+    BINCOUNT_MAX_SLOTS,
     NcOutcome,
     PendingSet,
-    RunConfig,
+    _singletons,
     contend,
-    fresh_state,
     simulate_nc_csma,
     simulate_nc_epmac,
     simulate_nc_pmac,
 )
-from plcmac import mac_protocols
-from plcmac.mac_protocols import BINCOUNT_MAX_SLOTS, _singletons
+from plcmac.slot_alloc import fresh_state
 
 
 def _cycle_us(out, cfg=RunConfig()):

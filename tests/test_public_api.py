@@ -15,23 +15,17 @@ PUBLIC_NAMES = [
     "FormationResult",
     "Ieee1901PhyParams",
     "InconsistentMeasurement",
-    "NcOutcome",
     "NegativeResult",
     "NetworkTree",
     "NonTermination",
-    "PendingSet",
     "Protocol",
     "ResultRow",
     "RunConfig",
-    "SlotAllocState",
     "SummaryStats",
     "TimingTable",
     "TooFewSymbols",
     "TreeShape",
-    "ZeroSlots",
     "calibrate_time_difference",
-    "ceil_scale",
-    "contend",
     "delta_sta_approx",
     "delta_sta_exact",
     "epmac_session_frames",
@@ -40,21 +34,15 @@ PUBLIC_NAMES = [
     "epmac_total_frames_closed",
     "fdplc_data_frame_time",
     "fdplc_preamble_time",
-    "fresh_state",
     "generate_tree",
     "ieee1901_frame_time",
     "measurement_residuals",
     "min_first_layer",
-    "next_slot_count",
     "pmac_session_frames",
     "pmac_total_frames",
     "pmac_total_frames_closed",
-    "record_pte",
     "run_experiment",
     "run_formation",
-    "simulate_nc_csma",
-    "simulate_nc_epmac",
-    "simulate_nc_pmac",
     "simulate_pte_measurement",
     "single_layer",
     "solve_calibration",

@@ -2,19 +2,8 @@
 
 import pytest
 
-from plcmac import (
-    ExperimentPlan,
-    Protocol,
-    RunConfig,
-    SlotAllocState,
-    ZeroSlots,
-    ceil_scale,
-    fresh_state,
-    next_slot_count,
-    record_pte,
-    run_experiment,
-)
-from plcmac.slot_alloc import _as_fraction
+from plcmac import ExperimentPlan, Protocol, RunConfig, run_experiment
+from plcmac.slot_alloc import SlotAllocState, ZeroSlots, _as_fraction, ceil_scale, fresh_state, next_slot_count, record_pte
 
 CFG = RunConfig()
 
@@ -55,10 +44,12 @@ def test_params_validation():
         RunConfig(eta_min=0.0)
     with pytest.raises(ValueError, match="eta_min must lie strictly inside"):
         RunConfig(eta_min=1.0)
-    with pytest.raises(ValueError, match="growth factors must satisfy"):
+    with pytest.raises(ValueError, match="growth factors must be finite and satisfy"):
         RunConfig(k1=1.0)
-    with pytest.raises(ValueError, match="growth factors must satisfy"):
+    with pytest.raises(ValueError, match="growth factors must be finite and satisfy"):
         RunConfig(k1=2.0, k2=2.0)
+    with pytest.raises(ValueError, match="growth factors must be finite and satisfy"):
+        RunConfig(k2=float("inf"))
 
 
 def test_first_round_uses_n0():
