@@ -336,19 +336,19 @@ def _run_block(
     """Run formations in lockstep: formation f runs protocol[f] on table's tree[f], at slot ratio ratio[f], keyed key[f].
 
     Each step runs one networking cycle of every pending session, whatever
-    its protocol. Sessions are held E-PMAC first, then P-MAC, then CSMA,
-    and stay in that order as the block shrinks, so each protocol's rule
-    runs on its own contiguous slice. A window comes from ceil_scale
-    (P-MAC floors it at 2 for two or more contenders) or, for E-PMAC,
-    from the slot controller written over arrays, which restarts a
-    session whose probes ran out with a fresh first PTE. A lone E-PMAC or
-    P-MAC contender joins without a draw; a lone CSMA contender still
-    flips its coin. Slots are priced once, for all formations together,
-    from their totals: windows, cycles and first cycles per session, plus
-    sums over the tree (relay frames 2*(k-1) per E-PMAC or P-MAC session
-    at depth k >= 2). A formation whose cycle count would pass cfg.max_nc
-    gets a NonTermination, and one whose window would pass 2**63 slots
-    with a draw to make a ValueError; the others run on.
+    its protocol. Sessions are held E-PMAC first, then P-MAC, then CSMA, and
+    stay in that order as the block shrinks, so each protocol's rule runs on
+    its own contiguous slice. A window comes from ceil_scale (P-MAC floors
+    it at 2 for two or more contenders) or, for E-PMAC, from the slot
+    controller written over arrays, which sets a session's next window after
+    each cycle and restarts one whose probes ran out with a fresh first PTE.
+    A lone E-PMAC or P-MAC contender joins without a draw; a lone CSMA
+    contender still flips its coin. Slots are priced once, for all
+    formations together, from their totals: windows, cycles and first cycles
+    per session, plus sums over the tree (relay frames 2*(k-1) per E-PMAC or
+    P-MAC session at depth k >= 2). A formation whose cycle count would pass
+    cfg.max_nc gets a NonTermination, and one whose window would pass 2**63
+    slots with a draw to make a ValueError; the others run on.
     """
     n_form = len(protocol)
     code = np.fromiter(map(_PROTOCOL_CODE.__getitem__, protocol), np.int64, n_form) - 1  # a block's session order
@@ -357,9 +357,8 @@ def _run_block(
     sessions = np.diff(table.start)[tree]
     most = max(1, int(sessions.max(initial=0)))  # sessions of the largest formation
     free_steps = cfg.max_nc // most  # no formation can pass its budget before this
-    # a lone E-PMAC or P-MAC contender joins in the first cycle, in ceil(ratio) slots, without a draw: its
-    # session is priced before the first step (unless the budget can bind there, which counts it as pending)
-    size = np.where((code < 2) & (free_steps > 0), table.crowded[tree], sessions)  # sessions it brings into the block
+    # a lone E-PMAC or P-MAC contender joins in the first cycle, in ceil(ratio) slots, without a draw: priced now
+    size = np.where(code < 2, table.crowded[tree], sessions)  # sessions it brings into the block
     lone = sessions - size
     e, p = int(size[code == 0].sum()), int(size[code < 2].sum())  # [0, e) E-PMAC, [e, p) P-MAC, [p, end) CSMA
     # every formation's sessions, in session order, gathered from the table
@@ -389,7 +388,9 @@ def _run_block(
     # a shrink settles it into its formation's totals. E-PMAC's controller covers [0, e), CSMA's counts [p, end).
     keys = np.asarray(key, dtype=np.uint64)[form]
     st = {"form": form, "pend": pending, "key": _child_keys(keys, nodes), **zeros(len(form), "cyc", "paid")}
-    ep = {"n0": ratios.windows(rat[form[:e]], pending[:e]), **zeros(e, "wp", "sp", "tf", "firsts", "batch")}
+    n0 = ratios.windows(rat[form[:e]], pending[:e])
+    # E-PMAC's next PTE per session: its window, whether it is a fresh first one, and the idle streak before it
+    ep = {"n0": n0, "w": n0, "first": np.ones(e, dtype=bool), **zeros(e, "tf", "firsts", "batch")}
     cs = {"cco": depth[p:] == 1, **zeros(len(form) - p, "sent")}  # the CCO's session opens with central beacons
     del form, pending, nodes, depth, keys  # only the state arrays stay alive through the steps
     errors: dict[int, Exception] = {}
@@ -440,23 +441,12 @@ def _run_block(
                 ) for f in over})
                 step -= 1  # the step again, without the failed formations' sessions
                 continue
-        if e:
-            tf = ep["tf"]
-            if step == 1:
-                first = np.ones(e, dtype=bool)
-                w_e = ep["n0"]
-            else:
-                sp, wp = ep["sp"], ep["wp"]
-                idle = sp == 0
-                first = idle & (tf > cfg.t_f_max)  # probes ran out: a fresh first PTE
-                thin = ~idle & (sp / wp <= cfg.eta_min)
-                w_e = np.where(first, ep["n0"], np.where(idle | thin, growth.windows(idle.astype(np.intp), wp), wp))
         w = ratios.windows(rat[st["form"][e:]], pend[e:])
         if p > e:
             w_p = w[: p - e]
             w_p[(w_p < 2) & (pend[e:p] >= 2)] = 2  # two contenders in one slot collide forever
         if e:
-            w = np.concatenate((w_e, w))
+            w = np.concatenate((ep["w"], w))
         if w.dtype == object:  # a window above 2**63 - 1 slots
             bad = np.flatnonzero((w > MAX_WINDOW) & ((pend >= 2) | (np.arange(len(w)) >= p)))
             if len(bad):
@@ -466,13 +456,11 @@ def _run_block(
                 step -= 1
                 continue
             exact, w = w, np.minimum(w, _INT64_MAX).astype(np.int64)  # 2**63 draws as 2**63 - 1: no draw reaches its top slot
-            if st["paid"].dtype != object:
-                st["paid"] = st["paid"].astype(object)
         else:
             exact = w
-            paid_bound += int(w.max())
-            if paid_bound * most > _INT64_MAX and st["paid"].dtype != object:  # sums that could wrap: Python ints
-                st["paid"] = st["paid"].astype(object)
+        paid_bound += int(exact.max())
+        if paid_bound * most > _INT64_MAX and st["paid"].dtype != object:  # sums that could wrap: Python ints
+            st["paid"] = st["paid"].astype(object)
         counts = np.where(pend >= 2, pend, 0)  # a lone E-PMAC or P-MAC contender joins without a draw
         counts[p:] = pend[p:]  # a lone CSMA contender flips its coin
         # the cycle keys, _child_keys at cycle index step - 1
@@ -480,14 +468,17 @@ def _run_block(
         s[:p][pend[:p] == 1] = 1
         pend -= s
         st["cyc"] += active
-        st["paid"] += exact * active  # an E-PMAC session's window stays open after it drains; it is not paid
+        st["paid"] = st["paid"] + exact * active  # Python ints once a window is; a drained session pays nothing
         cs["sent"] += sent
-        if e:
-            s_e, active_e = s[:e], active[:e]
-            ep["firsts"] += first & active_e
-            ep["batch"] -= (-s_e // cfg.tdf_capacity) + (-s_e // cfg.sdf_capacity)
-            ep["tf"] = np.where(s_e > 0, 0, np.where(first, 0, tf) + 1)
-            ep["wp"], ep["sp"] = np.where(active_e, exact[:e], 1), s_e
+        if e:  # E-PMAC's slot controller sets each session's next PTE from the joins s of the one just run
+            s, w, idle = s[:e], exact[:e], s[:e] == 0
+            ep["firsts"] += ep["first"] & active[:e]
+            ep["batch"] -= (-s // cfg.tdf_capacity) + (-s // cfg.sdf_capacity)
+            ep["tf"] = np.where(idle, np.where(ep["first"], 0, ep["tf"]) + 1, 0)
+            ep["first"] = idle & (ep["tf"] > cfg.t_f_max)  # probes ran out: a fresh first PTE
+            # a thin PTE stretches the window by k1, an idle one (always thin) by k2; a drained session keeps 1 slot
+            grown = np.where(s / w <= cfg.eta_min, growth.windows(idle.astype(np.intp), w), w)
+            ep["w"] = np.where(pend[:e] > 0, np.where(ep["first"], ep["n0"], grown), 1)
         # once half the sessions of a block above SHRINK_FLOOR have drained, shrink each protocol's slice to the
         # next power of two (or to nothing), padded with its drained ones: numpy caches freed buffers under 1 KB
         # by exact size, and few sizes keep that cache small
@@ -683,18 +674,17 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
         return [], failures
     # the cells of one protocol, pair by pair, each pair's ratio cells in order
     pairs, cells, protocols = len(tree), plan.ratio_cells, len(plan.protocols)
-    n_idx, trial = (np.array(column) for column in zip(*group[:pairs]))
     pair = np.repeat(np.arange(pairs), cells)
+    n_idx, trial = (np.array(column)[pair] for column in zip(*group[:pairs]))
     ratio_idx = np.tile(np.arange(cells), pairs)
     values, value = (plan.ratio_grid, ratio_idx) if plan.ratio_random is None else (drawn, pair)
-    # keys: (seed, n, trial) folded once per pair, each protocol code once, each distinct ratio's fraction once
     sizes = np.array(plan.n_values)[n_idx]
-    prefix = _fold(np.zeros(pairs, dtype=np.uint64), plan.seed, sizes, trial)
-    codes = np.array([_PROTOCOL_CODE[protocol] for protocol in plan.protocols])
-    keys = _fold(np.tile(prefix, protocols), np.repeat(codes, pairs)).reshape(protocols, pairs)[:, pair]
-    num, den = (np.array(part, dtype=object)[value] for part in zip(*map(_as_fraction, values)))
-    keys = _fold(keys, num, den).ravel()
-    index = plan.cell_index(np.arange(protocols)[:, None], n_idx[pair], ratio_idx, trial[pair]).ravel().tolist()
+    # keys: formation_key's six words, folded for every formation at once
+    codes = np.repeat([_PROTOCOL_CODE[protocol] for protocol in plan.protocols], len(pair))
+    num, den = (np.tile(np.array(part, dtype=object)[value], protocols) for part in zip(*map(_as_fraction, values)))
+    keys = _fold(np.zeros(len(codes), dtype=np.uint64), plan.seed, np.tile(sizes, protocols), np.tile(trial, protocols),
+                 codes, num, den)
+    index = plan.cell_index(np.arange(protocols)[:, None], n_idx, ratio_idx, trial).ravel().tolist()
     ratio = [values[v] for v in value.tolist()]
     try:
         table = _sessions(nets)
@@ -703,10 +693,9 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     except Exception as exc:
         return [], [*failures, (min(index), exc)]
     layers = [table.max_depth[tree[i]] for i in pair.tolist()]
-    made = map(ResultRow, [protocol.value for protocol in plan.protocols for _ in pair],
-               [plan.n_values[i] for i in n_idx[pair].tolist()] * protocols, ratio * protocols,
-               trial[pair].tolist() * protocols, block.total_us, block.nc_count, block.data_frames, block.preambles,
-               layers * protocols)
+    made = map(ResultRow, [protocol.value for protocol in plan.protocols for _ in pair], sizes.tolist() * protocols,
+               ratio * protocols, trial.tolist() * protocols, block.total_us, block.nc_count, block.data_frames,
+               block.preambles, layers * protocols)
     rows = list(zip(index, made))
     if block.errors:
         failures += [(index[f], exc) for f, exc in block.errors.items()]

@@ -23,8 +23,7 @@ class _PendingFields(NamedTuple):
 class PendingSet(_PendingFields):
     """How many STAs still wait to join one session, all at the same tree depth (>= 1).
 
-    STAs of a session are exchangeable, so they have no ids here: stas
-    names them by rank, range(count).
+    STAs of a session are exchangeable, so they have no ids here, only a count.
     """
 
     __slots__ = ()
@@ -39,31 +38,21 @@ class PendingSet(_PendingFields):
     # _replace builds through _make, so route it through the checks too
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    @property
-    def stas(self) -> range:
-        return range(self.count)
-
 
 class NcOutcome(NamedTuple):
     """One networking cycle's result for one session.
 
-    joins counts the STAs that got through; joined names them by rank,
-    range(joins), for readers that count them with len().
-    slot_counts holds the slots the cycle paid for, one count per
-    TimingTable field in field order: (preamble, data frame, central
-    beacon, proxy beacon, association request, association indication).
-    data_frames counts frames sent, which for association is not the
-    slots paid: every request slot costs, used or not.
+    joins counts the STAs that got through. slot_counts holds the slots
+    the cycle paid for, one count per TimingTable field in field order:
+    (preamble, data frame, central beacon, proxy beacon, association
+    request, association indication). data_frames counts frames sent,
+    which for association is not the slots paid: every request slot
+    costs, used or not.
     """
 
     joins: int
     slot_counts: tuple[int, int, int, int, int, int]
     data_frames: int
-    slots_used: int
-
-    @property
-    def joined(self) -> range:
-        return range(self.joins)
 
 
 BINCOUNT_MAX_SLOTS = 2**20  # the widest window counted with one int64 per slot (8 MB)
@@ -115,7 +104,7 @@ def simulate_nc_epmac(
     if s:
         data += -(-s // cfg.tdf_capacity) + s + -(-s // cfg.sdf_capacity)
         preambles += s
-    return NcOutcome(s, (preambles, data, 0, 0, 0, 0), data, n_slot)
+    return NcOutcome(s, (preambles, data, 0, 0, 0, 0), data)
 
 
 def simulate_nc_pmac(
@@ -132,7 +121,7 @@ def simulate_nc_pmac(
     """
     s = contend(pending.count, n_slot, rng)
     data = 3 * pending.depth * s
-    return NcOutcome(s, (1 + n_slot + s, data, 0, 0, 0, 0), data, n_slot)
+    return NcOutcome(s, (1 + n_slot + s, data, 0, 0, 0, 0), data)
 
 
 def simulate_nc_csma(
@@ -149,19 +138,13 @@ def simulate_nc_csma(
     association indication, plus one request/indication pair per extra
     hop. Non-transmitters and collided STAs wait for the next cycle.
     """
-    count = pending.count
     if n_slot < 1:
         raise ValueError("need at least one slot")
-    if count == 1:
-        # scalar draws consume the same stream as size=1 ones, without numpy's size handling
-        rng.integers(0, n_slot)
-        s = transmitters = int(rng.random() < cfg.csma_p)
-    else:
-        slots = rng.integers(0, n_slot, size=count)
-        sending = rng.random(count) < cfg.csma_p
-        s = _singletons(slots[sending], n_slot)
-        transmitters = int(np.count_nonzero(sending))
+    slots = rng.integers(0, n_slot, size=pending.count)
+    sending = rng.random(pending.count) < cfg.csma_p
+    s = _singletons(slots[sending], n_slot)
+    transmitters = int(np.count_nonzero(sending))
     relayed = s * (pending.depth - 1)  # a request/indication pair per winner per extra hop
     req, ind = n_slot + relayed, s + relayed
     counts = (0, 0, 1, 0, req, ind) if pending.depth == 1 else (0, 0, 0, 1, req, ind)
-    return NcOutcome(s, counts, 1 + transmitters + s + 2 * relayed, n_slot)
+    return NcOutcome(s, counts, 1 + transmitters + s + 2 * relayed)

@@ -142,13 +142,13 @@ def run_formation(protocol: Protocol, tree: NetworkTree, cfg: RunConfig, slot_ra
                 if n_slot == 0:
                     state = fresh_state(n0)
                     n_slot = next_slot_count(state, cfg)
-                joins, cycle_counts, frames, _ = simulate_nc_epmac(batch, n_slot, state.t_pte == 0, cfg, rng)
+                joins, cycle_counts, frames = simulate_nc_epmac(batch, n_slot, state.t_pte == 0, cfg, rng)
                 state = record_pte(state, n_slot, joins)
             else:
                 n_slot = ceil_scale(slot_ratio, pending)
                 if pmac and n_slot < 2 and pending >= 2:
                     n_slot = 2
-                joins, cycle_counts, frames, _ = kernel(batch, n_slot, cfg, rng)
+                joins, cycle_counts, frames = kernel(batch, n_slot, cfg, rng)
             cycle += 1
             nc_count += 1
             paid.append(cycle_counts)

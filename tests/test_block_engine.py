@@ -71,6 +71,8 @@ CONFIGS = {
     "no-idle-probe": RunConfig(t_f_max=0, max_nc=3000),
     "shy-csma": RunConfig(csma_p=0.3),
     "controller": RunConfig(k1=1.1, k2=1.7, eta_min=0.6),
+    # nearly every PTE with a join is thin, so the window grows by k1 on most cycles
+    "thin-everywhere": RunConfig(k1=1.9, k2=2.0, eta_min=0.99, t_f_max=8),
 }
 
 
@@ -143,7 +145,9 @@ def test_forced_restarts_happen_in_the_property_cases(monkeypatch):
 def test_the_cycle_budget_binds_where_the_reference_binds(protocol):
     cases = CASES[:24]
     cycles = sorted({r.nc_count for r in _block(protocol, RunConfig(), cases)})
-    for longest in cycles[-3:]:
+    # budgets below the largest formation's session count can bind before the first step
+    most = max(len(tree.children) for tree, _, _ in cases)
+    for longest in (*cycles[-3:], most // 2 + 1, most // 2):
         for budget in (longest, longest - 1):
             cfg = RunConfig(max_nc=budget)
             got = _block(protocol, cfg, cases)
@@ -170,6 +174,15 @@ def test_a_multi_layer_run_at_ratio_1e18_equals_the_reference_or_raises():
     got = _sweep_or_error(run_experiment, plan)
     assert got == _sweep_or_error(ref.run_experiment, plan)
     assert got is ValueError or all(r.preambles >= 10**18 for r in got if r.protocol != "ieee1901")
+
+
+def test_a_window_grown_past_int64_as_its_session_drains_equals_the_reference():
+    # both STAs of the first star join in 1e10 slots, whose thin PTE grows the drained session's window to 1e21:
+    # Python ints, while the other star's windows stay far below 2**63
+    cfg = RunConfig(k1=1e11, k2=1e12)
+    cases = [(single_layer(2), 5e9, 7), (single_layer(30), 0.5, 8)]
+    expected = [_reference(Protocol.EPMAC, tree, cfg, ratio, key) for tree, ratio, key in cases]
+    assert _block(Protocol.EPMAC, cfg, cases) == expected
 
 
 def _always_collide(keys, counts, windows, coins=False):

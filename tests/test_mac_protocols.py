@@ -27,8 +27,6 @@ def _cycle_us(out, cfg=RunConfig()):
 def test_pending_set_is_a_validated_count():
     ps = PendingSet(3)
     assert (ps.count, ps.depth) == (3, 1)
-    assert len(ps.stas) == ps.count
-    assert list(PendingSet(4, depth=2).stas) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         PendingSet(0)
     with pytest.raises(ValueError):
@@ -42,8 +40,8 @@ def test_pending_set_is_a_validated_count():
 
 def test_value_types_are_immutable():
     fields_of = {
-        PendingSet(2, depth=2): ("count", "depth", "stas"),
-        NcOutcome(1, (2, 0, 0, 0, 0, 0), 0, 1): ("joins", "joined", "slot_counts", "data_frames", "slots_used"),
+        PendingSet(2, depth=2): ("count", "depth"),
+        NcOutcome(1, (2, 0, 0, 0, 0, 0), 0): ("joins", "slot_counts", "data_frames"),
         fresh_state(4): ("n_slot", "n_sta", "t_f", "t_pte"),
     }
     for value, names in fields_of.items():
@@ -88,7 +86,6 @@ def test_batched_cycle_first_round_trace(collision_free_rng):
     assert _cycle_us(out) == 101600
     assert out.data_frames == 5
     assert out.slot_counts == (4, 5, 0, 0, 0, 0)
-    assert out.slots_used == 2
 
 
 def test_batched_cycle_later_round_trace():
