@@ -428,10 +428,7 @@ def _run_block(
     while True:
         pend = st["pend"]
         active = pend > 0
-        if not active.any():
-            break
-        step += 1
-        if step > free_steps:  # from here a formation's cycles may pass its budget
+        if step >= free_steps:  # the next step may pass a budget; checked before the exit, so lone totals are too
             form = st["form"]
             cycles = np.bincount(form, weights=st["cyc"] + active, minlength=n_form) + totals["cyc"]
             if over := np.flatnonzero(cycles > cfg.max_nc).tolist():
@@ -439,9 +436,11 @@ def _run_block(
                 fail({f: NonTermination(
                     f"{protocol[f].value} run exceeded max_nc={cfg.max_nc} with {int(waiting[f])} STA(s) still pending"
                 ) for f in over})
-                step -= 1  # the step again, without the failed formations' sessions
-                continue
-        w = ratios.windows(rat[st["form"][e:]], pend[e:])
+                continue  # the step again, without the failed formations' sessions
+        if not active.any():
+            break
+        step += 1
+        w =ratios.windows(rat[st["form"][e:]], pend[e:])
         if p > e:
             w_p = w[: p - e]
             w_p[(w_p < 2) & (pend[e:p] >= 2)] = 2  # two contenders in one slot collide forever

@@ -155,6 +155,18 @@ def test_the_cycle_budget_binds_where_the_reference_binds(protocol):
             assert NonTermination in got or budget == longest
 
 
+@pytest.mark.parametrize("protocol", P[:2], ids=[p.value for p in P[:2]])
+def test_a_budget_below_a_lone_contender_chain_fails_before_any_step(protocol):
+    # every session of the chain is one contender, priced before the first step, so no step runs to check it
+    tree, ratio, key = CASES[1]
+    sessions = len(tree.children)
+    for budget in range(1, sessions + 1):
+        cfg = RunConfig(max_nc=budget)
+        got = _block(protocol, cfg, [CASES[1]])
+        assert got == [_reference(protocol, tree, cfg, ratio, key)]
+        assert (got[0] is NonTermination) == (budget < sessions)
+
+
 def test_the_budget_message_keeps_its_prefix():
     # three contenders in two slots: at most one joins per cycle, so a budget of one cycle runs out
     with pytest.raises(NonTermination, match=r"^pmac run exceeded max_nc=1 with \d+ STA\(s\) still pending"):

@@ -158,7 +158,7 @@ def test_association_cycle_collision_still_pays_every_request_slot():
 @pytest.mark.parametrize("csma_p", [0.05, 0.75, 1.0])
 @pytest.mark.parametrize("n_slot", [1, 3, 40])
 def test_lone_association_contender_consumes_the_size_one_stream(csma_p, n_slot):
-    """A lone contender's scalar draws leave the stream where size=1 draws would."""
+    """A lone contender takes the size-1 draws of the stream, and leaves it where they would."""
     cfg = RunConfig(csma_p=csma_p)
     for seed in range(20):
         rng = np.random.default_rng(seed)
