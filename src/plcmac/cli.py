@@ -11,7 +11,7 @@ import math
 import operator
 import os
 import sys
-from typing import IO, ContextManager, Sequence
+from typing import IO, Iterator, Sequence
 
 from .complexity import (
     TreeShape,
@@ -162,12 +162,15 @@ def _resolve_ratios(args: argparse.Namespace) -> tuple[tuple[float, ...] | None,
 _STDOUT = (None, "-")  # --out values that mean stdout
 
 
-def _open_out(path: str | None) -> ContextManager[IO[str]]:
-    """The output file, or stdout for None or "-"; an unwritable path is a usage error."""
+@contextlib.contextmanager
+def _open_out(path: str | None) -> Iterator[IO[str]]:
+    """The output file, or stdout for None or "-"; a file that cannot be opened, written or closed is a usage error."""
     if path in _STDOUT:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -192,7 +195,7 @@ def _cmd_sweep(args: argparse.Namespace, multi: bool) -> int:
     out = args.out
     if out not in _STDOUT:  # fail before any cell runs; the file is opened, and so truncated, only once there are rows
         where = out if os.path.exists(out) else os.path.dirname(out) or "."
-        if os.path.isdir(out) or not os.access(where, os.W_OK):
+        if not out or os.path.isdir(out) or not os.access(where, os.W_OK):
             raise UsageError(f"cannot write {out}: not a writable file in an existing directory")
     try:
         rows = run_experiment(plan, **_given(args, jobs="jobs"))
@@ -347,10 +350,15 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # _open_out makes a file's write errors usage errors, so this is stdout, closed or full
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
+    return status
 
 
 def entry() -> None:

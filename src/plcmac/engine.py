@@ -249,17 +249,18 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
     """Joins per drawing session, and with csma_p the transmitters of sessions coins_from on, from one keyed draw per STA.
 
     A draw joins when no other draw of its session, among the
-    transmitters, took its slot. With csma_p set, a draw of a session
-    coins_from or later transmits when its coin lies below csma_p, and
-    every other draw transmits. Memory follows the draws, not the
-    windows: the draws go in runs of sessions of about DRAW_CHUNK. Each
-    draw's slot is first moved to its session's place in the run, with
-    one repeat: a run whose windows add up to at most BIN_SLOTS lays the
-    windows end to end and bins the draws with one bincount; a wider run
-    gives session i the slots from i * (widest window) on and sorts the
-    draws (in Python ints where that could pass 2**63). A session's
-    transmitters are read off the running count of transmitting draws.
-    Sessions may draw nothing (counts of 0).
+    transmitters, took its slot, so a session's only draw joins whenever
+    it transmits. With csma_p set, a draw of a session coins_from or later
+    transmits when its coin lies below csma_p, and every other draw
+    transmits. Memory follows the draws, not the windows: the draws go in
+    runs of sessions of about DRAW_CHUNK. Each draw's slot is first moved
+    to its session's place in the run, with one repeat: a run whose
+    windows add up to at most BIN_SLOTS lays the windows end to end and
+    bins the draws with one bincount; a wider run gives session i the
+    slots from i * (widest window) on and sorts the draws (in Python ints
+    where that could pass 2**63). A session's transmitters are read off
+    the running count of transmitting draws. Sessions may draw nothing
+    (counts of 0).
     """
     n = len(counts)
     joins = np.zeros(n, dtype=np.int64)
@@ -268,17 +269,11 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
     bounds = sorted({0, n, *cuts.tolist()})
     for lo, hi in zip(bounds, bounds[1:]):
         c, w, keys = counts[lo:hi], windows[lo:hi], ckeys[lo:hi]
-        if not (m := int(c.sum())):
+        if not c.any():
             continue
         coins = sent is not None and hi > coins_from
         top = int(w.max())
         binned = top <= BIN_SLOTS and int(w.sum()) <= BIN_SLOTS
-        if binned and m < 1024:
-            # a dummy last session, whose joins are dropped, pads a short run to a power of two of at least
-            # 128 draws and to 128 slots: numpy caches freed buffers under 1 KB by exact size, few sizes keep it small
-            c = np.append(c, max(128, 1 << m.bit_length()) - m)
-            w = np.append(w, max(1, 128 - int(w.sum())))
-            keys = np.append(keys, np.uint64(0))
         slots, u = keyed_draws(keys, c, w, coins)
         # a draw joins when its (session, slot) cell holds no other draw; owner is the session of each such cell
         if binned:
@@ -307,7 +302,7 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
             lone[1:] &= ~same
             lone[:-1] &= ~same
             owner = (cell[lone] // top).astype(np.int64)
-        joins[lo:hi] = np.bincount(owner, minlength=len(c))[: hi - lo]
+        joins[lo:hi] = np.bincount(owner, minlength=len(c))
     return joins, sent
 
 
@@ -342,8 +337,10 @@ def _run_block(
     it at 2 for two or more contenders) or, for E-PMAC, from the slot
     controller written over arrays, which sets a session's next window after
     each cycle and restarts one whose probes ran out with a fresh first PTE.
-    A lone E-PMAC or P-MAC contender joins without a draw; a lone CSMA
-    contender still flips its coin. Slots are priced once, for all
+    An E-PMAC or P-MAC session lone from the start joins in its first cycle
+    and is priced before the first step; one lone later would draw a slot
+    alone in its window and join, but none is: a draw that fails to join
+    shares its slot with another that fails. Slots are priced once, for all
     formations together, from their totals: windows, cycles and first cycles
     per session, plus sums over the tree (relay frames 2*(k-1) per E-PMAC or
     P-MAC session at depth k >= 2). A formation whose cycle count would pass
@@ -440,7 +437,7 @@ def _run_block(
         if not active.any():
             break
         step += 1
-        w =ratios.windows(rat[st["form"][e:]], pend[e:])
+        w = ratios.windows(rat[st["form"][e:]], pend[e:])
         if p > e:
             w_p = w[: p - e]
             w_p[(w_p < 2) & (pend[e:p] >= 2)] = 2  # two contenders in one slot collide forever
@@ -460,11 +457,8 @@ def _run_block(
         paid_bound += int(exact.max())
         if paid_bound * most > _INT64_MAX and st["paid"].dtype != object:  # sums that could wrap: Python ints
             st["paid"] = st["paid"].astype(object)
-        counts = np.where(pend >= 2, pend, 0)  # a lone E-PMAC or P-MAC contender joins without a draw
-        counts[p:] = pend[p:]  # a lone CSMA contender flips its coin
         # the cycle keys, _child_keys at cycle index step - 1
-        s, sent = _draw_joins(_mix(st["key"] + np.uint64(step * _GAMMA & _MASK)), counts, w, cfg.csma_p, p)
-        s[:p][pend[:p] == 1] = 1
+        s, sent = _draw_joins(_mix(st["key"] + np.uint64(step * _GAMMA & _MASK)), pend, w, cfg.csma_p, p)
         pend -= s
         st["cyc"] += active
         st["paid"] = st["paid"] + exact * active  # Python ints once a window is; a drained session pays nothing
@@ -478,15 +472,9 @@ def _run_block(
             # a thin PTE stretches the window by k1, an idle one (always thin) by k2; a drained session keeps 1 slot
             grown = np.where(s / w <= cfg.eta_min, growth.windows(idle.astype(np.intp), w), w)
             ep["w"] = np.where(pend[:e] > 0, np.where(ep["first"], ep["n0"], grown), 1)
-        # once half the sessions of a block above SHRINK_FLOOR have drained, shrink each protocol's slice to the
-        # next power of two (or to nothing), padded with its drained ones: numpy caches freed buffers under 1 KB
-        # by exact size, and few sizes keep that cache small
+        # once half the sessions of a block above SHRINK_FLOOR have drained, drop the drained ones
         keep = pend > 0
         if len(keep) > SHRINK_FLOOR and 2 * int(np.count_nonzero(keep)) <= len(keep):
-            for lo, hi in ((0, e), (e, p), (p, len(keep))):
-                kept = int(np.count_nonzero(keep[lo:hi]))
-                pad = (1 << (kept - 1).bit_length()) - kept if kept else 0
-                keep[lo + np.flatnonzero(~keep[lo:hi])[:pad]] = True
             shrink(keep)
     settle(np.ones(len(st["pend"]), dtype=bool))
 

@@ -231,6 +231,45 @@ def test_a_window_past_2_63_fails_only_its_own_formation_in_a_mixed_block(monkey
     assert all(isinstance(r, engine.FormationResult) for r in got[1:-1])
 
 
+def test_no_epmac_or_pmac_session_is_left_with_one_sta(monkeypatch):
+    # a draw that fails to join shares its slot with another that fails too, so a crowded session keeps no STA
+    # or two and more: only sessions lone from the start, priced before the first step, hold one contender
+    lone = []
+    original = engine._draw_joins
+
+    def watching(ckeys, counts, windows, csma_p, coins_from=0):
+        lone.append(int(np.count_nonzero(counts[:coins_from] == 1)))
+        return original(ckeys, counts, windows, csma_p, coins_from)
+
+    monkeypatch.setattr(engine, "_draw_joins", watching)
+    picks = [(protocol, i) for protocol in P for i in range(len(CASES))]
+    for config in ("default", "thin-everywhere"):
+        assert _mixed(CONFIGS[config], picks, CASES) == [_expected(protocol, config)[i] for protocol, i in picks]
+    assert len(lone) > 100 and sum(lone) == 0
+
+
+def test_a_window_stretched_past_2_63_beside_draws_in_the_clipped_window_equals_the_reference(monkeypatch):
+    # three contenders in 6 slots: a first PTE with one join (thin) or none (idle) stretches the window by
+    # k1 = 2e18 or k2 = 3e18, past 2**63, with two STAs left, which fails the formation. Beside it, a star of 1024
+    # at ratio 2**53 opens a window of exactly 2**63 slots, drawn as 2**63 - 1 in a run whose offsets pass int64
+    cfg = RunConfig(k1=2e18, k2=3e18)
+    key = next(k for k in range(64) if _reference(Protocol.EPMAC, single_layer(3), cfg, 2.0, k) is ValueError)
+    cases = [(single_layer(3), 2.0, key), (single_layer(1024), float(2**53), 1), (single_layer(30), 0.5, 2)]
+    runs = []
+    original = engine.keyed_draws
+
+    def watching(keys, counts, windows, coins=False):
+        runs.append((int(windows.max()), len(windows)))
+        return original(keys, counts, windows, coins)
+
+    monkeypatch.setattr(engine, "keyed_draws", watching)
+    picks = [(Protocol.EPMAC, 0), *((protocol, 1) for protocol in P), (Protocol.PMAC, 2), (Protocol.IEEE1901, 2)]
+    got = _mixed(cfg, picks, cases)
+    assert got == [_reference(protocol, cases[i][0], cfg, cases[i][1], cases[i][2]) for protocol, i in picks]
+    assert got[0] is ValueError and all(isinstance(r, engine.FormationResult) for r in got[1:])
+    assert any(top == 2**63 - 1 and sessions >= 2 for top, sessions in runs)
+
+
 def test_an_all_protocol_sweep_takes_the_steps_of_its_longest_protocol(monkeypatch):
     # one lockstep step makes one _draw_joins call, which the engine reads through its module globals
     calls = []

@@ -2,6 +2,9 @@
 
 import csv
 import gc
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -201,6 +204,53 @@ def test_unwritable_sweep_output_is_rejected_before_any_cell_runs(tmp_path, caps
         assert main(["sweep-single", "--n", "3", "--trials", "1", "--out", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
     assert not (tmp_path / "missing").exists()
+
+
+def test_an_empty_out_path_is_rejected_before_any_cell_runs(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    assert main(["sweep-single", "--n", "3", "--trials", "1", "--out", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write : ")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SWEEP = ["sweep-single", "--n", "5", "--trials", "1"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, sink, target",
+    [
+        ([*SWEEP, "--out", "/dev/full"], None, "/dev/full"),
+        (SWEEP, "full", "stdout"),
+        (["summarize", "{rows}", "--out", "/dev/full"], None, "/dev/full"),
+        (["timing"], "full", "stdout"),
+        (["timing"], "closed", "stdout"),
+        (["complexity"], "closed", "stdout"),
+        (["sweep-single", "--n", "50", "150", "--trials", "3"], "closed", "stdout"),
+    ],
+    ids=["sweep-out-full", "sweep-stdout-full", "summarize-out-full", "timing-stdout-full", "timing-pipe-closed",
+         "complexity-pipe-closed", "sweep-pipe-closed"],
+)
+def test_an_output_that_cannot_be_written_exits_2_with_one_error_line(argv, sink, target, tmp_path):
+    rows = tmp_path / "rows.csv"
+    assert main([*SWEEP, "--out", str(rows)]) == 0
+    argv = [arg.format(rows=rows) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    if sink == "closed":  # a pipe whose reader is gone before the first write, as after `| head -1`
+        reader, stdout = os.pipe()
+        os.close(reader)
+    else:
+        stdout = os.open("/dev/full" if sink == "full" else os.devnull, os.O_WRONLY)
+    try:
+        done = subprocess.run([sys.executable, "-m", "plcmac.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(stdout)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: cannot write {target}: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_failed_sweep_keeps_an_existing_output_file(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in it; no linter is needed to find a dead import."""
+"""Every name a module of the package, a demo or a test imports is used in it; no linter is needed to find a dead import."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ import pytest
 
 from test_engine import _tracer
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "plcmac"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "plcmac"
 
 
 def _unused_imports(source: str) -> set[str]:
@@ -32,3 +33,9 @@ def test_the_check_finds_a_dead_import():
 def test_every_imported_name_is_used(path):
     exempt = set(_tracer().ENGINE_NAMES) if path.name == "engine.py" else set()
     assert _unused_imports(path.read_text()) - exempt == set()
+
+
+@pytest.mark.parametrize("path", sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("tests/*.py")]),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_demo_and_test_uses_its_imports(path):
+    assert _unused_imports(path.read_text()) == set()
