@@ -84,8 +84,10 @@ def _fold(h: np.ndarray, *words) -> np.ndarray:
         try:
             h = _mix((h ^ np.asarray(word, dtype=np.uint64)) + gamma)
             count = np.uint64(1)
-        except OverflowError:  # some word has two limbs or more
+        except OverflowError:  # some word has two limbs or more, or is negative
             rest = np.asarray(word, dtype=object).reshape(-1)
+            if (rest < 0).any():
+                raise ValueError(f"a key word must be non-negative, got {rest[rest < 0][0]}") from None
             h = _mix((h ^ (rest & _MASK).astype(np.uint64)) + gamma)
             count = np.ones(h.shape, dtype=np.uint64)
             rest = rest >> 64
@@ -253,18 +255,18 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
     it transmits. With csma_p set, a draw of a session coins_from or later
     transmits when its coin lies below csma_p, and every other draw
     transmits. Memory follows the draws, not the windows: the draws go in
-    runs of sessions of about DRAW_CHUNK. Each draw's slot is first moved
-    to its session's place in the run, with one repeat: a run whose
-    windows add up to at most BIN_SLOTS lays the windows end to end and
-    bins the draws with one bincount; a wider run gives session i the
-    slots from i * (widest window) on and sorts the draws (in Python ints
-    where that could pass 2**63). A session's transmitters are read off
+    runs of sessions of about DRAW_CHUNK. A run lays its sessions' windows
+    end to end (in Python ints when their total could pass 2**63 - 1) and
+    moves each draw's slot to its session's place, with one repeat; the
+    draws are then binned with one bincount while the total is at most
+    BIN_SLOTS, and sorted otherwise, and the session owning each lone cell
+    is found with one searchsorted. A session's transmitters are read off
     the running count of transmitting draws. Sessions may draw nothing
     (counts of 0).
     """
     n = len(counts)
     joins = np.zeros(n, dtype=np.int64)
-    sent = None if csma_p is None else np.zeros(n - coins_from, dtype=np.int64)
+    sent = None if csma_p is None else np.zeros(n, dtype=np.int64)
     cuts = np.searchsorted(np.cumsum(counts), np.arange(DRAW_CHUNK, int(counts.sum()), DRAW_CHUNK), side="right")
     bounds = sorted({0, n, *cuts.tolist()})
     for lo, hi in zip(bounds, bounds[1:]):
@@ -272,38 +274,29 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
         if not c.any():
             continue
         coins = sent is not None and hi > coins_from
-        top = int(w.max())
-        binned = top <= BIN_SLOTS and int(w.sum()) <= BIN_SLOTS
         slots, u = keyed_draws(keys, c, w, coins)
-        # a draw joins when its (session, slot) cell holds no other draw; owner is the session of each such cell
-        if binned:
-            off = np.cumsum(w)
-            slots += np.repeat(off - w, c)
-        elif len(c) * top <= _INT64_MAX:
-            slots += np.repeat(np.arange(0, len(c) * top, top), c)
-        else:
-            slots = slots.astype(object) + np.repeat(np.arange(len(c)).astype(object) * top, c)
+        # a draw joins when its (session, slot) cell holds no other draw; searchsorted finds each such cell's session
+        off = np.cumsum(w if int(w.max()) <= _INT64_MAX // len(w) else w.astype(object))
+        slots = np.repeat(off - w, c) + slots
         if coins:  # from here on, only the transmitting draws
             send = u < csma_p
             send[: int(c[: max(coins_from - lo, 0)].sum())] = True  # a draw before coins_from sends whatever its coin
-            first = max(coins_from, lo)
             upto = np.zeros(len(send) + 1, dtype=np.int64)  # transmitters among the draws before each
             np.cumsum(send, out=upto[1:])
-            ends = np.cumsum(c)[first - lo:hi - lo]
-            sent[first - coins_from:hi - coins_from] = upto[ends] - upto[ends - c[first - lo:hi - lo]]
+            ends = np.cumsum(c)
+            sent[lo:hi] = upto[ends] - upto[ends - c]
             slots = slots[send]
-        if binned:
-            hits = np.bincount(slots, minlength=int(off[-1]))
-            owner = np.searchsorted(off, np.flatnonzero(hits == 1), side="right")
+        if off[-1] <= BIN_SLOTS:
+            cell = np.flatnonzero(np.bincount(slots, minlength=int(off[-1])) == 1)
         else:
             cell = np.sort(slots)
             same = cell[1:] == cell[:-1]
             lone = np.ones(len(cell), dtype=bool)
             lone[1:] &= ~same
             lone[:-1] &= ~same
-            owner = (cell[lone] // top).astype(np.int64)
-        joins[lo:hi] = np.bincount(owner, minlength=len(c))
-    return joins, sent
+            cell = cell[lone]
+        joins[lo:hi] = np.bincount(np.searchsorted(off, cell, side="right"), minlength=len(c))
+    return joins, None if sent is None else sent[coins_from:]
 
 
 class _Columns(NamedTuple):
@@ -338,9 +331,7 @@ def _run_block(
     controller written over arrays, which sets a session's next window after
     each cycle and restarts one whose probes ran out with a fresh first PTE.
     An E-PMAC or P-MAC session lone from the start joins in its first cycle
-    and is priced before the first step; one lone later would draw a slot
-    alone in its window and join, but none is: a draw that fails to join
-    shares its slot with another that fails. Slots are priced once, for all
+    and is priced before the first step. Slots are priced once, for all
     formations together, from their totals: windows, cycles and first cycles
     per session, plus sums over the tree (relay frames 2*(k-1) per E-PMAC or
     P-MAC session at depth k >= 2). A formation whose cycle count would pass
@@ -436,7 +427,6 @@ def _run_block(
                 continue  # the step again, without the failed formations' sessions
         if not active.any():
             break
-        step += 1
         w = ratios.windows(rat[st["form"][e:]], pend[e:])
         if p > e:
             w_p = w[: p - e]
@@ -444,16 +434,16 @@ def _run_block(
         if e:
             w = np.concatenate((ep["w"], w))
         if w.dtype == object:  # a window above 2**63 - 1 slots
-            bad = np.flatnonzero((w > MAX_WINDOW) & ((pend >= 2) | (np.arange(len(w)) >= p)))
+            bad = np.flatnonzero(w > MAX_WINDOW)
             if len(bad):
                 fail({int(st["form"][i]): ValueError(
                     f"a window of {w[i]} slots is above 2**63, more than one draw can take"
                 ) for i in bad.tolist()})
-                step -= 1
                 continue
             exact, w = w, np.minimum(w, _INT64_MAX).astype(np.int64)  # 2**63 draws as 2**63 - 1: no draw reaches its top slot
         else:
             exact = w
+        step += 1
         paid_bound += int(exact.max())
         if paid_bound * most > _INT64_MAX and st["paid"].dtype != object:  # sums that could wrap: Python ints
             st["paid"] = st["paid"].astype(object)
@@ -519,6 +509,8 @@ def run_formation(
     if not (slot_ratio > 0 and math.isfinite(slot_ratio)):
         raise ValueError(f"slot_ratio must be positive and finite, got {slot_ratio!r}")
     check_first_window(slot_ratio, tree.n_sta)
+    if not 0 <= key <= _MASK:
+        raise ValueError(f"key must be in [0, 2**64), got {key}")
     result = _run_block(cfg, _sessions([tree]), (protocol,), (0,), (slot_ratio,), (key,)).result(0)
     if isinstance(result, Exception):
         raise result

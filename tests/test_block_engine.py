@@ -1,5 +1,6 @@
 """The block engine: equal to the scalar reference engine, keyed by identity, and failing as the scalar one did."""
 
+import collections
 import functools
 import math
 
@@ -379,6 +380,49 @@ def test_keyed_slots_are_uniform(window):
     assert len(observed) == window and chi2 < df + 6 * math.sqrt(2 * df), chi2
 
 
+@pytest.mark.parametrize("csma_p", [None, 0.4])
+@pytest.mark.parametrize("chunk, bins", [(64, 256), (2**13, 2**14)], ids=["short-runs", "default-runs"])
+def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, csma_p, monkeypatch):
+    # runs whose windows add up to at most BIN_SLOTS, to more, and past 2**63 - 1 (two windows of 2**62 and more);
+    # sessions that draw nothing, and coins from a session in the middle of a run
+    monkeypatch.setattr(engine, "DRAW_CHUNK", chunk)
+    monkeypatch.setattr(engine, "BIN_SLOTS", bins)
+    rng = np.random.default_rng(19)
+    counts = rng.integers(0, 7, 90)
+    counts[rng.random(90) < 0.2] = 0
+    windows = np.where(counts > 0, counts + rng.integers(0, 4, 90), rng.integers(0, 2, 90))
+    windows[40:60] = rng.integers(300, 3000, 20)
+    windows[70:72] = (2**62, 2**63 - 1)
+    counts[70:72] = (5, 6)
+    keys, coins_from = _cycle_keys(90, seed=20), 31
+    runs = []
+    original = engine.keyed_draws
+
+    def watching(keys, counts, windows, coins=False):
+        runs.append((len(counts), sum(windows.tolist())))
+        return original(keys, counts, windows, coins)
+
+    monkeypatch.setattr(engine, "keyed_draws", watching)
+    joins, sent = engine._draw_joins(keys, counts, windows, csma_p, coins_from)
+    # the recount: every session's draws at once, its transmitters, and their slots that no other transmitter took
+    slots, u = original(keys, counts, windows, coins=csma_p is not None)
+    want_joins, want_sent, at = [], [], 0
+    for i, c in enumerate(counts.tolist()):
+        coin_sends = u is None or i < coins_from
+        send = [s for j, s in enumerate(slots[at:at + c].tolist()) if coin_sends or u[at + j] < csma_p]
+        want_joins.append(sum(hits == 1 for hits in collections.Counter(send).values()))
+        want_sent.append(len(send))
+        at += c
+    assert joins.tolist() == want_joins
+    assert (sent is None) == (csma_p is None) and (sent is None or sent.tolist() == want_sent[coins_from:])
+    totals = [total for _, total in runs]
+    assert max(totals) > 2**63 - 1
+    if chunk == 64:  # runs of every kind, and one that starts before coins_from and ends after it
+        assert min(totals) <= bins and any(bins < total <= 2**63 - 1 for total in totals)
+        ends = np.cumsum([size for size, _ in runs]).tolist()
+        assert any(end - size < coins_from < end for (size, _), end in zip(runs, ends))
+
+
 def test_keyed_coins_transmit_at_csma_p():
     draws, p = 2**20, 0.75
     _, u = engine.keyed_draws(_cycle_keys(draws // 16), np.full(draws // 16, 16), np.full(draws // 16, 5), coins=True)
@@ -394,6 +438,22 @@ def test_formation_keys_follow_values_not_positions():
                 key(7, 100, 0, Protocol.PMAC, 1.0), key(7, 100, 0, Protocol.EPMAC, 1.1),
                 key(2**64 + 7, 100, 0, Protocol.EPMAC, 1.0), key(2**200, 100, 0, Protocol.EPMAC, 1.0)}
     assert len(variants) == 8 and all(0 <= k < 2**64 for k in variants)
+
+
+def test_a_negative_key_word_is_rejected_by_name():
+    # a negative word's limbs never run out (-1 >> 64 == -1), so the fold must refuse it, not loop
+    with pytest.raises(ValueError, match="non-negative, got -1$"):
+        engine.formation_key(-1, 5, 0, Protocol.EPMAC, 1.0)
+    h = np.zeros(3, dtype=np.uint64)
+    for column, named in (([1, -2, 3], -2), ([2**64, -(2**70), 1], -(2**70))):
+        with pytest.raises(ValueError, match=f"non-negative, got {named}$"):
+            engine._fold(h, 7, column)
+
+
+@pytest.mark.parametrize("key", [-1, 2**64, 2**70])
+def test_a_formation_key_outside_64_bits_is_rejected_by_name(key):
+    with pytest.raises(ValueError, match=rf"^key must be in \[0, 2\*\*64\), got {key}$"):
+        engine.run_formation(Protocol.EPMAC, single_layer(3), RunConfig(), 1.0, key)
 
 
 def test_ratio_windows_are_exact_in_every_tier():
