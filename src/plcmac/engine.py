@@ -57,12 +57,13 @@ _PROTOCOL_CODE = {Protocol.EPMAC: 1, Protocol.PMAC: 2, Protocol.IEEE1901: 3}  # 
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer over a uint64 array, in place; numpy's uint64 products wrap mod 2**64."""
-    z ^= z >> 30
+    """SplitMix64's finalizer over a uint64 array, in place, its shifts in one scratch array; uint64 products wrap."""
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, 30, out=shifted)
     z *= np.uint64(_M1)
-    z ^= z >> 27
+    z ^= np.right_shift(z, 27, out=shifted)
     z *= np.uint64(_M2)
-    z ^= z >> 31
+    z ^= np.right_shift(z, 31, out=shifted)
     return z
 
 
@@ -107,6 +108,9 @@ def formation_key(seed: int, n: int, trial: int, protocol: Protocol, ratio: floa
     not its place in a grid. A word's limb count follows its limbs, so
     words of any size, a seed among them, key distinctly.
     """
+    for word in (seed, n, trial):
+        if not isinstance(word, (int, np.integer)):  # numpy's uint64 cast would truncate a float
+            raise ValueError(f"a key word must be an integer, got {word!r}")
     words = (seed, n, trial, _PROTOCOL_CODE[protocol], *_as_fraction(ratio))
     return int(_fold(np.zeros(1, dtype=np.uint64), *words)[0])
 
@@ -133,24 +137,24 @@ def keyed_draws(
     with a wider window clips its slots to windows[i] - 1. A coin is the
     53-bit uniform of the second word (keys[i], 2r + 1); the STA
     transmits when it lies below csma_p. Draws come back session by
-    session, in rank order.
+    session, in rank order. The slot words, and the coin words after
+    them, are hashed in place in one buffer; the inputs are only read.
     """
-    starts = (np.cumsum(counts) - counts).astype(np.uint64)
-    # key + (2r + 1) * gamma for rank r = position - start
-    x = np.repeat(keys + np.uint64(_GAMMA) - starts * np.uint64(_STRIDE), counts)
-    ranks = _rank_strides()
-    x += ranks[: len(x)] if len(x) <= len(ranks) else np.arange(len(x), dtype=np.uint64) * np.uint64(_STRIDE)
-    coin = x + np.uint64(_GAMMA) if coins else None
-    u = (_mix(x) >> 11).astype(np.float64)
-    u *= np.repeat(windows * _UNIT, counts)
+    starts = (counts.cumsum() - counts).astype(np.uint64)
+    # key + (2r + 1) * gamma for rank r = position - start: the slot words, then the coin words one gamma on
+    first = (keys + np.uint64(_GAMMA) - starts * np.uint64(_STRIDE)).repeat(counts)
+    m, ranks = len(first), _rank_strides()
+    x = np.empty(2 * m if coins else m, dtype=np.uint64)
+    np.add(first, ranks[:m] if m <= len(ranks) else np.arange(m, dtype=np.uint64) * np.uint64(_STRIDE), out=x[:m])
+    if coins:
+        np.add(x[:m], np.uint64(_GAMMA), out=x[m:])
+    np.right_shift(_mix(x), 11, out=x)  # 53-bit words, which turn into floats exactly
+    u = (windows * _UNIT).repeat(counts)
+    u *= x[:m]
     slots = u.astype(np.int64)
     if windows.max(initial=0) >= 2**52:
-        np.minimum(slots, np.repeat(windows - 1, counts), out=slots)
-    if coin is None:
-        return slots, None
-    u = (_mix(coin) >> 11).astype(np.float64)
-    u *= _UNIT
-    return slots, u
+        np.minimum(slots, (windows - 1).repeat(counts), out=slots)
+    return slots, x[m:] * _UNIT if coins else None
 
 
 # ---- the block engine
@@ -219,6 +223,10 @@ class _Ratios:
         self.value = np.array([p / q for p, q in fracs])  # each correctly rounded
         self.value_max = float(self.value.max(initial=0))
 
+    def fit_int64(self, top: int) -> bool:
+        """Whether int64 products give ceil(factor * x) for every factor and every x up to top."""
+        return self.num_max * top <= _INT64_MAX and self.den_max <= _INT64_MAX
+
     def windows(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
         """ceil(factor[f[i]] * x[i]) per i for x >= 0, exactly: int64 when every value fits, else Python ints.
 
@@ -232,7 +240,7 @@ class _Ratios:
         holds it, and products that wrap mod 2**64 give it exactly.
         """
         top = int(x.max(initial=0))
-        if self.num_max * top <= _INT64_MAX and self.den_max <= _INT64_MAX:
+        if self.fit_int64(top):
             return -(-self.num64[f] * x // self.den64[f])
         if self.value_max * top < 2**50 and self.den_max <= 2**62:
             c = np.ceil(self.value[f] * x).astype(np.int64)
@@ -255,47 +263,55 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
     it transmits. With csma_p set, a draw of a session coins_from or later
     transmits when its coin lies below csma_p, and every other draw
     transmits. Memory follows the draws, not the windows: the draws go in
-    runs of sessions of about DRAW_CHUNK. A run lays its sessions' windows
-    end to end (in Python ints when their total could pass 2**63 - 1) and
-    moves each draw's slot to its session's place, with one repeat; the
-    draws are then binned with one bincount while the total is at most
-    BIN_SLOTS, and sorted otherwise, and the session owning each lone cell
-    is found with one searchsorted. A session's transmitters are read off
-    the running count of transmitting draws. Sessions may draw nothing
-    (counts of 0).
+    runs of sessions of about DRAW_CHUNK, and a step of no more draws is
+    one run. A run lays its sessions' windows end to end (in Python ints
+    when their total could pass 2**63 - 1) and moves each draw's slot to
+    its session's place, with one repeat; its transmitters are picked by
+    index. While the windows add up to at most BIN_SLOTS, the draws are
+    binned with one bincount and a session's joins are read off the
+    running count of lone bins at its window's ends; otherwise they are
+    sorted and one searchsorted finds each lone cell's session. A
+    session's transmitters are read off the running count of transmitting
+    draws. Sessions may draw nothing (counts of 0).
     """
     n = len(counts)
     joins = np.zeros(n, dtype=np.int64)
     sent = None if csma_p is None else np.zeros(n, dtype=np.int64)
-    cuts = np.searchsorted(np.cumsum(counts), np.arange(DRAW_CHUNK, int(counts.sum()), DRAW_CHUNK), side="right")
-    bounds = sorted({0, n, *cuts.tolist()})
+    bounds = [0, n]
+    if (total := int(counts.sum())) > DRAW_CHUNK:
+        cuts = counts.cumsum().searchsorted(np.arange(DRAW_CHUNK, total, DRAW_CHUNK), side="right")
+        bounds = sorted({0, n, *cuts.tolist()})
     for lo, hi in zip(bounds, bounds[1:]):
         c, w, keys = counts[lo:hi], windows[lo:hi], ckeys[lo:hi]
         if not c.any():
             continue
         coins = sent is not None and hi > coins_from
         slots, u = keyed_draws(keys, c, w, coins)
-        # a draw joins when its (session, slot) cell holds no other draw; searchsorted finds each such cell's session
-        off = np.cumsum(w if int(w.max()) <= _INT64_MAX // len(w) else w.astype(object))
-        slots = np.repeat(off - w, c) + slots
+        # a draw joins when its (session, slot) cell holds no other draw
+        off = (w if int(w.max()) <= _INT64_MAX // len(w) else w.astype(object)).cumsum()
+        base = off - w
+        cells = base.repeat(c)
+        cells += slots
         if coins:  # from here on, only the transmitting draws
             send = u < csma_p
-            send[: int(c[: max(coins_from - lo, 0)].sum())] = True  # a draw before coins_from sends whatever its coin
+            if coins_from > lo:  # a draw before coins_from sends whatever its coin
+                send[: int(c[: coins_from - lo].sum())] = True
             upto = np.zeros(len(send) + 1, dtype=np.int64)  # transmitters among the draws before each
-            np.cumsum(send, out=upto[1:])
-            ends = np.cumsum(c)
+            send.cumsum(out=upto[1:])
+            ends = c.cumsum()
             sent[lo:hi] = upto[ends] - upto[ends - c]
-            slots = slots[send]
+            cells = cells.compress(send)
         if off[-1] <= BIN_SLOTS:
-            cell = np.flatnonzero(np.bincount(slots, minlength=int(off[-1])) == 1)
+            upto = np.zeros(int(off[-1]) + 1, dtype=np.int64)  # lone bins before each
+            (np.bincount(cells, minlength=int(off[-1])) == 1).cumsum(out=upto[1:])
+            joins[lo:hi] = upto[off] - upto[base]
         else:
-            cell = np.sort(slots)
-            same = cell[1:] == cell[:-1]
-            lone = np.ones(len(cell), dtype=bool)
+            cells.sort()
+            same = cells[1:] == cells[:-1]
+            lone = np.ones(len(cells), dtype=bool)
             lone[1:] &= ~same
             lone[:-1] &= ~same
-            cell = cell[lone]
-        joins[lo:hi] = np.bincount(np.searchsorted(off, cell, side="right"), minlength=len(c))
+            joins[lo:hi] = np.bincount(off.searchsorted(cells.compress(lone), side="right"), minlength=len(c))
     return joins, None if sent is None else sent[coins_from:]
 
 
@@ -376,6 +392,10 @@ def _run_block(
     # a shrink settles it into its formation's totals. E-PMAC's controller covers [0, e), CSMA's counts [p, end).
     keys = np.asarray(key, dtype=np.uint64)[form]
     st = {"form": form, "pend": pending, "key": _child_keys(keys, nodes), **zeros(len(form), "cyc", "paid")}
+    # int64 windows that fit the largest pending count fit every later one, since pending counts only fall: then
+    # each session carries its ratio's numerator and denominator
+    if fixed := ratios.fit_int64(int(pending.max(initial=0))):
+        st["num"], st["den"] = ratios.num64[rat[form]], ratios.den64[rat[form]]
     n0 = ratios.windows(rat[form[:e]], pending[:e])
     # E-PMAC's next PTE per session: its window, whether it is a fresh first one, and the idle streak before it
     ep = {"n0": n0, "w": n0, "first": np.ones(e, dtype=bool), **zeros(e, "tf", "firsts", "batch")}
@@ -384,13 +404,19 @@ def _run_block(
     errors: dict[int, Exception] = {}
     step = 0
 
-    def settle(gone: np.ndarray) -> None:
-        """Add the drained sessions that gone picks to their formations' totals."""
-        form, gone_e, gone_c = st["form"], gone[:e], gone[p:]
-        f, f_e, f_c = form[gone], form[:e][gone_e], form[p:][gone_c]
-        for name, where, v in (("paid", f, st["paid"][gone]), ("cyc", f, st["cyc"][gone]),
-                               ("firsts", f_e, ep["firsts"][gone_e]), ("batch", f_e, ep["batch"][gone_e]),
-                               ("sent", f_c, cs["sent"][gone_c]), ("central", f_c, st["cyc"][p:][gone_c] * cs["cco"][gone_c])):
+    def split(at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sessions at these ascending places that are E-PMAC's, and those that are CSMA's, as places in their rows."""
+        to_e, to_p = np.searchsorted(at, (e, p)).tolist()
+        return at[:to_e], at[to_p:] - p
+
+    def settle(at: np.ndarray) -> None:
+        """Add the drained sessions at these ascending places to their formations' totals."""
+        at_e, at_c = split(at)
+        f, cyc = st["form"].take(at), st["cyc"].take(at)
+        f_e, f_c, cyc_c = f[: len(at_e)], f[len(f) - len(at_c):], cyc[len(f) - len(at_c):]
+        for name, where, v in (("paid", f, st["paid"].take(at)), ("cyc", f, cyc),
+                               ("firsts", f_e, ep["firsts"].take(at_e)), ("batch", f_e, ep["batch"].take(at_e)),
+                               ("sent", f_c, cs["sent"].take(at_c)), ("central", f_c, cyc_c * cs["cco"].take(at_c))):
             if v.dtype == object and totals[name].dtype != object:
                 totals[name] = totals[name].astype(object)
             np.add.at(totals[name], where, v)
@@ -398,11 +424,13 @@ def _run_block(
     def shrink(keep: np.ndarray) -> None:
         """Settle the sessions keep drops and drop them, one array at a time, so the state is never held twice."""
         nonlocal e, p
-        settle(~keep)
-        for rows, picked in ((ep, keep[:e]), (cs, keep[p:]), (st, keep)):
+        settle(np.flatnonzero(~keep))
+        at = np.flatnonzero(keep)
+        at_e, at_c = split(at)
+        for rows, picked in ((ep, at_e), (cs, at_c), (st, at)):
             for name, v in rows.items():
-                rows[name] = v[picked]
-        e, p = int(np.count_nonzero(keep[:e])), int(np.count_nonzero(keep[:p]))
+                rows[name] = v.take(picked)
+        e, p = len(at_e), len(at) - len(at_c)
 
     def fail(failed: dict) -> None:
         """Record each formation's error and drop all its sessions."""
@@ -427,10 +455,13 @@ def _run_block(
                 continue  # the step again, without the failed formations' sessions
         if not active.any():
             break
-        w = ratios.windows(rat[st["form"][e:]], pend[e:])
-        if p > e:
+        if fixed:
+            w = -(-st["num"][e:] * pend[e:] // st["den"][e:])
+        else:
+            w = ratios.windows(rat[st["form"][e:]], pend[e:])
+        if p > e:  # two contenders in one slot collide forever
             w_p = w[: p - e]
-            w_p[(w_p < 2) & (pend[e:p] >= 2)] = 2  # two contenders in one slot collide forever
+            np.maximum(w_p, np.minimum(pend[e:p], 2), out=w_p)
         if e:
             w = np.concatenate((ep["w"], w))
         if w.dtype == object:  # a window above 2**63 - 1 slots
@@ -466,7 +497,7 @@ def _run_block(
         keep = pend > 0
         if len(keep) > SHRINK_FLOOR and 2 * int(np.count_nonzero(keep)) <= len(keep):
             shrink(keep)
-    settle(np.ones(len(st["pend"]), dtype=bool))
+    settle(np.arange(len(st["pend"])))
 
     # every formation priced at once, from its totals and its tree's sums. Each count below is at most top, so each
     # price is at most the cost of top slots of every kind, which also bounds every slot length: when that could
@@ -509,6 +540,8 @@ def run_formation(
     if not (slot_ratio > 0 and math.isfinite(slot_ratio)):
         raise ValueError(f"slot_ratio must be positive and finite, got {slot_ratio!r}")
     check_first_window(slot_ratio, tree.n_sta)
+    if not isinstance(key, (int, np.integer)):
+        raise ValueError(f"key must be an integer, got {key!r}")
     if not 0 <= key <= _MASK:
         raise ValueError(f"key must be in [0, 2**64), got {key}")
     result = _run_block(cfg, _sessions([tree]), (protocol,), (0,), (slot_ratio,), (key,)).result(0)

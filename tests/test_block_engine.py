@@ -3,6 +3,7 @@
 import collections
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -456,6 +457,18 @@ def test_a_formation_key_outside_64_bits_is_rejected_by_name(key):
         engine.run_formation(Protocol.EPMAC, single_layer(3), RunConfig(), 1.0, key)
 
 
+@pytest.mark.parametrize("value", [1.7, 1.5, 2.0**70, np.float64(3.0)], ids=["1.7", "1.5", "2.0**70", "np.float64(3.0)"])
+def test_a_non_integer_key_or_key_word_is_rejected_by_name(value):
+    # numpy's uint64 cast would truncate 1.7 to 1, and 2.0**70 would reach the fold's Python-int limbs as a float
+    with pytest.raises(ValueError, match=rf"^key must be an integer, got {re.escape(repr(value))}$"):
+        engine.run_formation(Protocol.EPMAC, single_layer(3), RunConfig(), 1.0, value)
+    for words in ((value, 5, 0), (7, value, 0), (7, 5, value)):
+        with pytest.raises(ValueError, match=rf"^a key word must be an integer, got {re.escape(repr(value))}$"):
+            engine.formation_key(*words, Protocol.EPMAC, 1.0)
+    assert engine.formation_key(np.int64(7), 5, np.uint64(0), Protocol.EPMAC, 1.0) == engine.formation_key(
+        7, 5, 0, Protocol.EPMAC, 1.0)
+
+
 def test_ratio_windows_are_exact_in_every_tier():
     # 17-digit numerators overflow int64 products, so a block holding one takes the float tier while every
     # ratio * x is below 2**50 and every denominator at most 2**62; a wider block takes Python ints
@@ -497,6 +510,101 @@ def test_draw_runs_and_shrinks_do_not_change_a_mixed_block(chunk, bins, floor, m
     monkeypatch.setattr(engine, "SHRINK_FLOOR", floor)
     picks = [(protocol, i) for protocol in P for i in range(len(CASES))]
     assert _mixed(CONFIGS["default"], picks, CASES) == [_expected(protocol, "default")[i] for protocol, i in picks]
+
+
+def _watched(cfg, picks, cases, monkeypatch):
+    """A block of picks, each keyed by its place, and its reference; and per step, the drawing sessions per protocol.
+
+    A session is told by its cycle key: the step's _child_keys of its coordinator's session key.
+    """
+    table = engine._sessions([tree for tree, _, _ in cases])
+    keys = [7 * j + 1 for j in range(len(picks))]
+    code = {protocol: c for c, protocol in enumerate(P)}
+    session_keys, protocols = [], []
+    for (protocol, i), key in zip(picks, keys):
+        nodes = table.nodes[table.start[i]:table.start[i + 1]]
+        session_keys.append(engine._child_keys(np.full(len(nodes), key, dtype=np.uint64), nodes))
+        protocols += [code[protocol]] * len(nodes)
+    session_keys = np.concatenate(session_keys)
+    steps = []
+    original = engine._draw_joins
+
+    def watching(ckeys, counts, windows, csma_p, coins_from=0):
+        now = dict(zip(engine._child_keys(session_keys, np.full(len(session_keys), len(steps))).tolist(), protocols))
+        drawing = [now[k] for k in ckeys.tolist()]
+        assert drawing == sorted(drawing)  # E-PMAC, then P-MAC, then CSMA
+        steps.append(tuple(np.bincount(drawing, minlength=3).tolist()))
+        return original(ckeys, counts, windows, csma_p, coins_from)
+
+    protocol, tree = zip(*picks)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_draw_joins", watching)
+        block = engine._run_block(cfg, table, protocol, tree, [cases[i][1] for i in tree], keys)
+    got = [_outcome(block.result(f)) for f in range(len(picks))]
+    want = [_reference(p, cases[i][0], cfg, cases[i][1], key) for (p, i), key in zip(picks, keys)]
+    return got, want, list(zip(steps, steps[1:]))
+
+
+@pytest.mark.parametrize("emptied", range(3), ids=["epmac", "pmac", "all-but-csma"])
+def test_shrinks_that_empty_a_protocol_slice_do_not_change_a_mixed_block(emptied, monkeypatch):
+    # six formations on small stars drain in the first steps and the other six run on, so the block, which shrinks
+    # whenever half its sessions have drained, drops the small ones' slice: E-PMAC's, P-MAC's, or both
+    monkeypatch.setattr(engine, "SHRINK_FLOOR", 0)
+    cases = [(single_layer(2), 8.0, 0), (single_layer(200), 1.0, 0)]
+    small = [P[emptied]] * 6 if emptied < 2 else [P[0], P[1]] * 3
+    big = [p for p in P if p not in small] * (6 // (3 - len(set(small))))
+    got, want, moves = _watched(RunConfig(), [(p, 0) for p in small] + [(p, 1) for p in big], cases, monkeypatch)
+    assert got == want
+    gone = {P.index(p) for p in small}
+    assert any(all(before[c] > 0 and after[c] == 0 if c in gone else after[c] > 0 for c in range(3))
+               for before, after in moves)
+
+
+def test_failed_formations_dropped_between_e_and_p_do_not_change_a_mixed_block(monkeypatch):
+    # budgets, found with this seed, that fail formations of every protocol in one step (26), and only P-MAC's
+    # formations, between E-PMAC's and CSMA's, in another (35); every protocol keeps formations that run on
+    monkeypatch.setattr(engine, "SHRINK_FLOOR", 10**9)  # only failures drop sessions
+    rng = np.random.default_rng(7)
+    cases = [(generate_tree(n, 4, rng), ratio, 0) for n, ratio in [(10, 1.0), (60, 0.5), (25, 2.0), (80, 1.0), (40, 0.75)]]
+    picks = [(protocol, i) for protocol in P for i in range(len(cases))]
+    drops = []
+    for budget in (26, 35):
+        got, want, moves = _watched(RunConfig(max_nc=budget), picks, cases, monkeypatch)
+        assert got == want
+        assert all(any(isinstance(r, engine.FormationResult) for r in got[k:k + len(cases)])
+                   for k in range(0, len(picks), len(cases)))
+        drops += [tuple(b > a for b, a in zip(before, after)) for before, after in moves if before != after
+                  and 0 not in after]
+    assert (True, True, True) in drops and (False, True, False) in drops
+
+
+@pytest.mark.parametrize("ratio", [0.5123456789012346, 0.7654321098765432, 1.2345678901234567, 1.9876543210987654])
+def test_the_window_tier_chosen_for_a_block_at_setup_equals_the_reference(ratio, monkeypatch):
+    # int64 windows hold for a whole block when its largest numerator times its largest pending count fits
+    # 2**63 - 1, since pending counts only fall: stars just under that, and one STA over it
+    num, _ = engine._as_fraction(ratio)
+    fits = engine._INT64_MAX // num
+    assert num * fits <= engine._INT64_MAX < num * (fits + 1)
+    rng = np.random.default_rng(8)
+    small = generate_tree(40, 4, rng)
+    for n in (fits, fits + 1):
+        cases = [(single_layer(n), ratio, 0), (small, ratio, 0), (single_layer(5), 0.5, 0)]
+        picks = [(protocol, i) for protocol in P for i in range(len(cases))]
+        got, want, _ = _watched(RunConfig(), picks, cases, monkeypatch)
+        assert got == want and all(isinstance(r, engine.FormationResult) for r in got)
+
+
+@pytest.mark.parametrize("coins", [False, True])
+@pytest.mark.parametrize("per", [3, 2 * engine.DRAW_CHUNK + 5], ids=["one-run", "past-the-rank-table"])
+def test_keyed_draws_and_draw_joins_leave_their_inputs_unchanged(per, coins):
+    counts = np.array([per, 0, 1, per + 2, 2], dtype=np.int64)
+    windows = np.array([per + 1, 3, 1, 2 * per, 2**62], dtype=np.int64)
+    keys = _cycle_keys(len(counts), seed=22)
+    before = [a.copy() for a in (keys, counts, windows, engine._rank_strides())]
+    engine.keyed_draws(keys, counts, windows, coins)
+    engine._draw_joins(keys, counts, windows, 0.5 if coins else None, 2)
+    after = (keys, counts, windows, engine._rank_strides())
+    assert all(a.dtype == b.dtype and a.tolist() == b.tolist() for a, b in zip(before, after))
 
 
 # ---- the array fold, pricing in columns and the draws' edges; sizes fixed before the first run
