@@ -223,10 +223,6 @@ class _Ratios:
         self.value = np.array([p / q for p, q in fracs])  # each correctly rounded
         self.value_max = float(self.value.max(initial=0))
 
-    def fit_int64(self, top: int) -> bool:
-        """Whether int64 products give ceil(factor * x) for every factor and every x up to top."""
-        return self.num_max * top <= _INT64_MAX and self.den_max <= _INT64_MAX
-
     def windows(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
         """ceil(factor[f[i]] * x[i]) per i for x >= 0, exactly: int64 when every value fits, else Python ints.
 
@@ -240,7 +236,7 @@ class _Ratios:
         holds it, and products that wrap mod 2**64 give it exactly.
         """
         top = int(x.max(initial=0))
-        if self.fit_int64(top):
+        if self.num_max * top <= _INT64_MAX and self.den_max <= _INT64_MAX:
             return -(-self.num64[f] * x // self.den64[f])
         if self.value_max * top < 2**50 and self.den_max <= 2**62:
             c = np.ceil(self.value[f] * x).astype(np.int64)
@@ -263,24 +259,21 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
     it transmits. With csma_p set, a draw of a session coins_from or later
     transmits when its coin lies below csma_p, and every other draw
     transmits. Memory follows the draws, not the windows: the draws go in
-    runs of sessions of about DRAW_CHUNK, and a step of no more draws is
-    one run. A run lays its sessions' windows end to end (in Python ints
-    when their total could pass 2**63 - 1) and moves each draw's slot to
-    its session's place, with one repeat; its transmitters are picked by
-    index. While the windows add up to at most BIN_SLOTS, the draws are
-    binned with one bincount and a session's joins are read off the
-    running count of lone bins at its window's ends; otherwise they are
-    sorted and one searchsorted finds each lone cell's session. A
-    session's transmitters are read off the running count of transmitting
-    draws. Sessions may draw nothing (counts of 0).
+    runs of sessions of about DRAW_CHUNK. A run lays its sessions' windows
+    end to end (in Python ints when their total could pass 2**63 - 1) and
+    moves each draw's slot to its session's place, with one repeat; its
+    transmitters are picked by index. While the windows add up to at most
+    BIN_SLOTS, the draws are binned with one bincount and a session's
+    joins are read off the running count of lone bins at its window's
+    ends; otherwise they are sorted and one searchsorted finds each lone
+    cell's session. A session's transmitters are read off the running
+    count of transmitting draws. Sessions may draw nothing (counts of 0).
     """
     n = len(counts)
     joins = np.zeros(n, dtype=np.int64)
     sent = None if csma_p is None else np.zeros(n, dtype=np.int64)
-    bounds = [0, n]
-    if (total := int(counts.sum())) > DRAW_CHUNK:
-        cuts = counts.cumsum().searchsorted(np.arange(DRAW_CHUNK, total, DRAW_CHUNK), side="right")
-        bounds = sorted({0, n, *cuts.tolist()})
+    cuts = counts.cumsum().searchsorted(np.arange(DRAW_CHUNK, int(counts.sum()), DRAW_CHUNK), side="right")
+    bounds = sorted({0, n, *cuts.tolist()})
     for lo, hi in zip(bounds, bounds[1:]):
         c, w, keys = counts[lo:hi], windows[lo:hi], ckeys[lo:hi]
         if not c.any():
@@ -392,10 +385,6 @@ def _run_block(
     # a shrink settles it into its formation's totals. E-PMAC's controller covers [0, e), CSMA's counts [p, end).
     keys = np.asarray(key, dtype=np.uint64)[form]
     st = {"form": form, "pend": pending, "key": _child_keys(keys, nodes), **zeros(len(form), "cyc", "paid")}
-    # int64 windows that fit the largest pending count fit every later one, since pending counts only fall: then
-    # each session carries its ratio's numerator and denominator
-    if fixed := ratios.fit_int64(int(pending.max(initial=0))):
-        st["num"], st["den"] = ratios.num64[rat[form]], ratios.den64[rat[form]]
     n0 = ratios.windows(rat[form[:e]], pending[:e])
     # E-PMAC's next PTE per session: its window, whether it is a fresh first one, and the idle streak before it
     ep = {"n0": n0, "w": n0, "first": np.ones(e, dtype=bool), **zeros(e, "tf", "firsts", "batch")}
@@ -455,10 +444,7 @@ def _run_block(
                 continue  # the step again, without the failed formations' sessions
         if not active.any():
             break
-        if fixed:
-            w = -(-st["num"][e:] * pend[e:] // st["den"][e:])
-        else:
-            w = ratios.windows(rat[st["form"][e:]], pend[e:])
+        w = ratios.windows(rat[st["form"][e:]], pend[e:])
         if p > e:  # two contenders in one slot collide forever
             w_p = w[: p - e]
             np.maximum(w_p, np.minimum(pend[e:p], 2), out=w_p)

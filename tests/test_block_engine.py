@@ -579,9 +579,9 @@ def test_failed_formations_dropped_between_e_and_p_do_not_change_a_mixed_block(m
 
 
 @pytest.mark.parametrize("ratio", [0.5123456789012346, 0.7654321098765432, 1.2345678901234567, 1.9876543210987654])
-def test_the_window_tier_chosen_for_a_block_at_setup_equals_the_reference(ratio, monkeypatch):
-    # int64 windows hold for a whole block when its largest numerator times its largest pending count fits
-    # 2**63 - 1, since pending counts only fall: stars just under that, and one STA over it
+def test_blocks_at_the_int64_window_tier_edge_equal_the_reference(ratio, monkeypatch):
+    # a step's windows are int64 products while its largest numerator times its largest pending count fits
+    # 2**63 - 1: stars just under that at the first step, and one STA over it, which drain into the int64 tier
     num, _ = engine._as_fraction(ratio)
     fits = engine._INT64_MAX // num
     assert num * fits <= engine._INT64_MAX < num * (fits + 1)
