@@ -10,13 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import RunConfig
+
 
 @dataclass(frozen=True)
 class TreeShape:
     """Uniform tree: every coordinator in layers 0..k-1 has exactly m children.
 
     The batched counts assume one TDF and one SDF per session, so they
-    hold for m <= sdf_capacity (10 by default, with tdf_capacity >= it);
+    hold for m <= RunConfig's sdf_capacity (with tdf_capacity >= it);
     past that, every session sends frames they do not count.
     """
 
@@ -93,15 +95,12 @@ def delta_sta_approx(shape: TreeShape) -> int:
     return 3 * shape.k - 1
 
 
-def epmac_single_layer_frames(n: int, tdf_capacity: int = 20, sdf_capacity: int = 10) -> int:
+def epmac_single_layer_frames(n: int, cfg: RunConfig = RunConfig()) -> int:
     """Exact batched frame count for one single-layer session of n STAs.
 
-    One TDF per tdf_capacity joins, one SDF per sdf_capacity joins,
-    one MAC-address frame per STA: ceil(n/20) + ceil(n/10) + n at the
-    default capacities.
+    One TDF per cfg.tdf_capacity joins, one SDF per cfg.sdf_capacity
+    joins, one MAC-address frame per STA.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if tdf_capacity < 1 or sdf_capacity < 1:
-        raise ValueError("capacities must be at least 1")
-    return -(-n // tdf_capacity) + -(-n // sdf_capacity) + n
+    return -(-n // cfg.tdf_capacity) + -(-n // cfg.sdf_capacity) + n

@@ -43,7 +43,6 @@ class FormationResult:
     nc_count: int
     data_frames: int
     preambles: int
-    joined: int
 
 
 # ---- keyed draws: counter-based (Salmon et al., SC'11) with SplitMix64's finalizer (Steele, Lea & Flood, OOPSLA 2014)
@@ -276,8 +275,6 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
     bounds = sorted({0, n, *cuts.tolist()})
     for lo, hi in zip(bounds, bounds[1:]):
         c, w, keys = counts[lo:hi], windows[lo:hi], ckeys[lo:hi]
-        if not c.any():
-            continue
         coins = sent is not None and hi > coins_from
         slots, u = keyed_draws(keys, c, w, coins)
         # a draw joins when its (session, slot) cell holds no other draw
@@ -315,11 +312,10 @@ class _Columns(NamedTuple):
     nc_count: list[int]
     data_frames: list[int]
     preambles: list[int]
-    joined: list[int]
     errors: dict[int, Exception]
 
     def result(self, f: int) -> FormationResult | Exception:
-        return self.errors.get(f) or FormationResult(*(column[f] for column in self[:5]))
+        return self.errors.get(f) or FormationResult(*(column[f] for column in self[:4]))
 
 
 def _run_block(
@@ -501,7 +497,7 @@ def _run_block(
     frames = np.where(csma, cycles + sent + n + 2 * extra, data)
     for f in np.flatnonzero(table.joins[tree] != n).tolist():
         errors.setdefault(f, RuntimeError("formation ended with unjoined STAs despite empty sessions"))
-    return _Columns(cfg.timing.cost(kinds).tolist(), cycles.tolist(), frames.tolist(), kinds[0].tolist(), n.tolist(), errors)
+    return _Columns(cfg.timing.cost(kinds).tolist(), cycles.tolist(), frames.tolist(), kinds[0].tolist(), errors)
 
 
 def run_formation(
@@ -579,6 +575,13 @@ class ExperimentPlan(RunConfig):
         super().__post_init__()
         if not self.protocols or not self.n_values:
             raise ValueError("need at least one protocol and one network size")
+        for word in (self.seed, self.trials, *self.n_values):
+            if not isinstance(word, (int, np.integer)):  # the key fold would truncate a float seed
+                raise ValueError(f"seed, trials and network sizes must be integers, got {word!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
         if min(self.n_values) < 1:
             raise ValueError("network sizes must be at least 1")
         if (self.ratio_grid is None) == (self.ratio_random is None):
@@ -596,12 +599,15 @@ class ExperimentPlan(RunConfig):
             if not math.isfinite(r):
                 raise ValueError(f"slot ratios must be finite, got {r!r}")
             check_first_window(r, max(self.n_values))
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if self.max_layers < 1:
             raise ValueError("max_layers must be at least 1")
+        # every tree of two or more STAs has a session of two or more; once two are pending at a ratio of at most
+        # 0.5, their window is one slot, and with csma_p = 1 both transmit in it every cycle
+        reachable = self.ratio_grid or self.ratio_random[:1]  # a random ratio can be its low bound
+        if (self.csma_p == 1 and Protocol.IEEE1901 in self.protocols and max(self.n_values) >= 2
+                and any(2 * p <= q for p, q in map(_as_fraction, reachable))):
+            raise ValueError("ieee1901 at csma_p 1 cannot finish a session of two or more STAs at a ratio of 0.5 "
+                             "or less: two pending STAs get one slot and always both transmit")
 
     @property
     def ratio_cells(self) -> int:

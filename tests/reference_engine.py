@@ -158,7 +158,7 @@ def run_formation(protocol: Protocol, tree: NetworkTree, cfg: RunConfig, slot_ra
     if joined_total != tree.n_sta:
         raise RuntimeError("formation ended with unjoined STAs despite empty sessions")
     counts = list(map(sum, zip(*paid)))
-    return FormationResult(cfg.timing.cost(counts), nc_count, data_frames, counts[0], joined_total)
+    return FormationResult(cfg.timing.cost(counts), nc_count, data_frames, counts[0])
 
 
 def run_experiment(plan: ExperimentPlan) -> list[ResultRow]:

@@ -382,15 +382,22 @@ def test_keyed_slots_are_uniform(window):
 
 
 @pytest.mark.parametrize("csma_p", [None, 0.4])
-@pytest.mark.parametrize("chunk, bins", [(64, 256), (2**13, 2**14)], ids=["short-runs", "default-runs"])
-def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, csma_p, monkeypatch):
+@pytest.mark.parametrize(
+    "chunk, bins, lead",
+    [(64, 256, 0), (2**13, 2**14, 0), (2**13, 2**14, 3)],
+    ids=["short-runs", "default-runs", "first-run-empty"],
+)
+def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p, monkeypatch):
     # runs whose windows add up to at most BIN_SLOTS, to more, and past 2**63 - 1 (two windows of 2**62 and more);
-    # sessions that draw nothing, and coins from a session in the middle of a run
+    # sessions that draw nothing, and coins from a session in the middle of a run; with lead, that many sessions
+    # draw nothing and the next draws more than a run holds, so the first run draws nothing
     monkeypatch.setattr(engine, "DRAW_CHUNK", chunk)
     monkeypatch.setattr(engine, "BIN_SLOTS", bins)
     rng = np.random.default_rng(19)
     counts = rng.integers(0, 7, 90)
     counts[rng.random(90) < 0.2] = 0
+    if lead:
+        counts[:lead], counts[lead] = 0, chunk + 1
     windows = np.where(counts > 0, counts + rng.integers(0, 4, 90), rng.integers(0, 2, 90))
     windows[40:60] = rng.integers(300, 3000, 20)
     windows[70:72] = (2**62, 2**63 - 1)
@@ -400,7 +407,7 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, csma_p, monk
     original = engine.keyed_draws
 
     def watching(keys, counts, windows, coins=False):
-        runs.append((len(counts), sum(windows.tolist())))
+        runs.append((len(counts), sum(windows.tolist()), int(counts.sum())))
         return original(keys, counts, windows, coins)
 
     monkeypatch.setattr(engine, "keyed_draws", watching)
@@ -416,12 +423,13 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, csma_p, monk
         at += c
     assert joins.tolist() == want_joins
     assert (sent is None) == (csma_p is None) and (sent is None or sent.tolist() == want_sent[coins_from:])
-    totals = [total for _, total in runs]
+    totals = [total for _, total, _ in runs]
     assert max(totals) > 2**63 - 1
+    assert (runs[0][2] == 0) == bool(lead)
     if chunk == 64:  # runs of every kind, and one that starts before coins_from and ends after it
         assert min(totals) <= bins and any(bins < total <= 2**63 - 1 for total in totals)
-        ends = np.cumsum([size for size, _ in runs]).tolist()
-        assert any(end - size < coins_from < end for (size, _), end in zip(runs, ends))
+        ends = np.cumsum([size for size, _, _ in runs]).tolist()
+        assert any(end - size < coins_from < end for (size, _, _), end in zip(runs, ends))
 
 
 def test_keyed_coins_transmit_at_csma_p():

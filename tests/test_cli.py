@@ -116,6 +116,27 @@ def test_slot_ratio_too_large_for_one_draw_exits_2(ratio, named, tmp_path, capsy
     assert capsys.readouterr().err.startswith(f"error: slot ratio {named} gives 5 STA(s) a first window above 2**63")
     assert not (tmp_path / "x.csv").exists()
 
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sweep-single", "--protocols", "ieee1901", "--n", "10", "--ratios", "0.5"], 2),
+        (["sweep-single", "--n", "10", "--ratio-random", "0.5", "2.0"], 2),  # the low bound is a possible draw
+        (["sweep-multi", "--protocols", "ieee1901", "--n", "2", "--ratios", "0.25", "1.0"], 2),
+        (["sweep-single", "--protocols", "ieee1901", "--n", "10", "--ratios", "0.51"], 0),
+        (["sweep-single", "--protocols", "ieee1901", "--n", "1", "--ratios", "0.5"], 0),
+        (["sweep-single", "--protocols", "epmac", "--n", "10", "--ratios", "0.5"], 0),
+    ],
+)
+def test_an_association_plan_that_can_never_finish_exits_2_at_once(argv, code, tmp_path, capsys, monkeypatch):
+    # at csma_p 1 and a ratio of at most 0.5, two pending IEEE 1901.1 STAs share one slot and both always transmit
+    if code == 2:
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    assert main([*argv, "--csma-p", "1", "--trials", "1", "--out", str(tmp_path / "x.csv")]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ieee1901 at csma_p 1 cannot finish")
+
+
 def test_exhausted_cycle_budget_exits_3(tmp_path, capsys):
     rc = main(["sweep-single", "--max-nc", "1", "--n", "20", "--trials", "1",
                "--out", str(tmp_path / "x.csv")])

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from plcmac import (
@@ -14,6 +15,7 @@ from plcmac import (
     epmac_single_layer_frames,
     epmac_total_frames,
     epmac_total_frames_closed,
+    generate_tree,
     pmac_session_frames,
     pmac_total_frames,
     pmac_total_frames_closed,
@@ -94,13 +96,13 @@ def test_single_layer_batched_frame_count(n, expected):
 
 
 def test_single_layer_frame_count_custom_capacities():
-    # 25 joins at capacities (20, 10): 2 + 3 + 25
-    assert epmac_single_layer_frames(25, tdf_capacity=20, sdf_capacity=10) == 30
-    assert epmac_single_layer_frames(25, tdf_capacity=5, sdf_capacity=5) == 5 + 5 + 25
+    # 25 joins at capacities (20, 10): 2 + 3 + 25; the capacities come from the RunConfig, which checks them
+    assert epmac_single_layer_frames(25, RunConfig(tdf_capacity=20, sdf_capacity=10)) == 30
+    assert epmac_single_layer_frames(25, RunConfig(tdf_capacity=5, sdf_capacity=5)) == 5 + 5 + 25
     with pytest.raises(ValueError):
         epmac_single_layer_frames(0)
     with pytest.raises(ValueError):
-        epmac_single_layer_frames(10, tdf_capacity=0)
+        epmac_single_layer_frames(10, RunConfig(tdf_capacity=0))
 
 
 def _uniform_tree(shape):
@@ -117,7 +119,8 @@ def _uniform_tree(shape):
     return tree_from_parents(parents)
 
 
-UNIFORM_SHAPES = [TreeShape(m, k) for m in range(2, 11) for k in range(1, 4)]
+# m 2..10 and k 1..6, capped at 10000 STAs: 43 shapes, about 0.1 s under the collision-free stub
+UNIFORM_SHAPES = [TreeShape(m, k) for m in range(2, 11) for k in range(1, 7) if TreeShape(m, k).sta_count <= 10_000]
 
 
 def test_engine_frame_counts_match_the_complexity_analysis(collision_free_draws):
@@ -125,16 +128,35 @@ def test_engine_frame_counts_match_the_complexity_analysis(collision_free_draws)
 
     E-PMAC adds one frame per session: its first cycle's slot-count
     announcement, which the per-session count m + 2*layer leaves out.
+    Every session of every protocol joins all its STAs in one cycle.
     """
     for shape in UNIFORM_SHAPES:
         tree = _uniform_tree(shape)
         sessions = len(tree.children)
         assert sessions == (shape.m**shape.k - 1) // (shape.m - 1)
-        pmac = run_formation(Protocol.PMAC, tree, RunConfig(), 1.0, 0)
-        epmac = run_formation(Protocol.EPMAC, tree, RunConfig(), 1.0, 0)
+        epmac, pmac, csma = (run_formation(protocol, tree, RunConfig(), 1.0, 0) for protocol in Protocol)
         assert pmac.data_frames == pmac_total_frames(shape), shape
         assert epmac.data_frames == epmac_total_frames(shape) + sessions, shape
-        assert pmac.nc_count == epmac.nc_count == sessions, shape
+        assert pmac.nc_count == epmac.nc_count == csma.nc_count == sessions, shape
+
+
+def test_batched_frames_past_one_sdf_a_session_count_every_frame(collision_free_draws):
+    """For m 11..25, beyond TreeShape's m <= 10: a session at depth k sends its slot-count announcement,
+    ceil(m/20) TDFs, ceil(m/10) SDFs, m MAC-address frames and 2(k - 1) relay frames."""
+    for m in range(11, 26):
+        for k in range(1, 4):
+            frames = 1 + -(-m // 20) + -(-m // 10) + m  # a session's own, before its relay frames
+            want = sum(m ** (depth - 1) * (frames + 2 * (depth - 1)) for depth in range(1, k + 1))
+            epmac = run_formation(Protocol.EPMAC, _uniform_tree(TreeShape(m, k)), RunConfig(), 1.0, 0)
+            assert epmac.data_frames == want, (m, k)
+
+
+def test_batched_frames_are_below_unbatched_on_random_trees(collision_free_draws):
+    """The complexity section's claim, read off the engine: 200 generate_tree trees, n 60..259, seeds 0..199."""
+    for seed in range(200):
+        tree = generate_tree(60 + seed, 6, np.random.default_rng(seed))
+        epmac, pmac = (run_formation(p, tree, RunConfig(), 1.0, 0).data_frames for p in (Protocol.EPMAC, Protocol.PMAC))
+        assert epmac < pmac, (seed, epmac, pmac)
 
 
 def test_batched_count_holds_only_while_one_sdf_covers_a_session(collision_free_draws):

@@ -1,5 +1,6 @@
 """The public API: every name `plcmac` exports, so a change to it shows up as a diff here."""
 
+import dataclasses
 import types
 
 import plcmac
@@ -61,3 +62,8 @@ def test_public_names_are_pinned():
     )
     assert exported == PUBLIC_NAMES
 
+
+
+def test_formation_result_fields_are_pinned():
+    fields = [f.name for f in dataclasses.fields(plcmac.FormationResult)]
+    assert fields == ["total_us", "nc_count", "data_frames", "preambles"]
