@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from numbers import Integral
 from operator import attrgetter, mul
 from typing import Sequence
 
@@ -74,6 +75,10 @@ class RunConfig:
     max_nc: int = 100_000
 
     def __post_init__(self) -> None:
+        for name in ("t_f_max", "tdf_capacity", "sdf_capacity", "max_nc"):
+            if not isinstance(value := getattr(self, name), Integral):  # numpy's ints are Integral too
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy uint64 would turn the engine's int64 counts to floats
         if self.t_f_max < 0:
             raise ValueError("t_f_max must be non-negative")
         if not 0.0 < self.eta_min < 1.0:

@@ -250,32 +250,32 @@ class _Ratios:
         return out.astype(np.int64) if out.max(initial=0) <= _INT64_MAX else out
 
 
-def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
-    """Joins per drawing session, and with csma_p the transmitters of sessions coins_from on, from one keyed draw per STA.
+def _draw_joins(ckeys, counts, windows, csma_p, coins_from):
+    """Joins per drawing session, and the transmitters of sessions coins_from on, from one keyed draw per STA.
 
     A draw joins when no other draw of its session, among the
     transmitters, took its slot, so a session's only draw joins whenever
-    it transmits. With csma_p set, a draw of a session coins_from or later
-    transmits when its coin lies below csma_p, and every other draw
-    transmits. Memory follows the draws, not the windows: the draws go in
-    runs of sessions of about DRAW_CHUNK. A run lays its sessions' windows
-    end to end (in Python ints when their total could pass 2**63 - 1) and
-    moves each draw's slot to its session's place, with one repeat; its
-    transmitters are picked by index. While the windows add up to at most
-    BIN_SLOTS, the draws are binned with one bincount and a session's
-    joins are read off the running count of lone bins at its window's
-    ends; otherwise they are sorted and one searchsorted finds each lone
-    cell's session. A session's transmitters are read off the running
-    count of transmitting draws. Sessions may draw nothing (counts of 0).
+    it transmits. A draw of a session coins_from or later transmits when
+    its coin lies below csma_p, and every other draw transmits; with
+    coins_from = len(counts), no draw takes a coin. Memory follows the
+    draws, not the windows: the draws go in runs of sessions of about
+    DRAW_CHUNK. A run lays its sessions' windows end to end (in Python
+    ints when their total could pass 2**63 - 1) and moves each draw's slot
+    to its session's place, with one repeat; its transmitters are picked
+    by index. While the windows add up to at most BIN_SLOTS, the draws are
+    binned with one bincount and a session's joins are read off the
+    running count of lone bins at its window's ends; otherwise they are
+    sorted and one searchsorted finds each lone cell's session. A
+    session's transmitters are read off the running count of transmitting
+    draws. Sessions may draw nothing (counts of 0).
     """
     n = len(counts)
-    joins = np.zeros(n, dtype=np.int64)
-    sent = None if csma_p is None else np.zeros(n, dtype=np.int64)
+    joins, sent = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     cuts = counts.cumsum().searchsorted(np.arange(DRAW_CHUNK, int(counts.sum()), DRAW_CHUNK), side="right")
     bounds = sorted({0, n, *cuts.tolist()})
     for lo, hi in zip(bounds, bounds[1:]):
         c, w, keys = counts[lo:hi], windows[lo:hi], ckeys[lo:hi]
-        coins = sent is not None and hi > coins_from
+        coins = hi > coins_from
         slots, u = keyed_draws(keys, c, w, coins)
         # a draw joins when its (session, slot) cell holds no other draw
         off = (w if int(w.max()) <= _INT64_MAX // len(w) else w.astype(object)).cumsum()
@@ -302,7 +302,7 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from=0):
             lone[1:] &= ~same
             lone[:-1] &= ~same
             joins[lo:hi] = np.bincount(off.searchsorted(cells.compress(lone), side="right"), minlength=len(c))
-    return joins, None if sent is None else sent[coins_from:]
+    return joins, sent[coins_from:]
 
 
 class _Columns(NamedTuple):
@@ -365,57 +365,50 @@ def _run_block(
     window = ratios.windows(rat, np.ones(n_form, dtype=np.int64))  # a lone contender's
     paid_bound = int(window.max(initial=0)) if lone.any() else 0  # no session has paid more window slots than this
     firsts = lone * (code == 0)
-    # per formation, what its settled sessions ran and paid
-    totals = {
-        "paid": lone * (window.astype(object) if paid_bound * most > _INT64_MAX else window),
-        "cyc": lone,
-        "firsts": firsts,
-        "batch": firsts * (-(-1 // cfg.tdf_capacity) - (-1 // cfg.sdf_capacity)),
-        **{name: np.zeros(n_form, dtype=np.int64) for name in ("sent", "central")},
-    }
 
     def zeros(size: int, *names: str) -> dict[str, np.ndarray]:
         return {name: np.zeros(size, dtype=np.int64) for name in names}
 
-    # per-session state, one array per variable in session order; a drained session stays, with pending 0, until
-    # a shrink settles it into its formation's totals. E-PMAC's controller covers [0, e), CSMA's counts [p, end).
+    # per formation, what its settled sessions ran and paid; a lone E-PMAC contender sends one TDF and one SDF
+    totals = {
+        "paid": lone * (window.astype(object) if paid_bound * most > _INT64_MAX else window),
+        "cyc": lone,
+        "firsts": firsts,
+        "batch": 2 * firsts,
+        **zeros(n_form, "sent", "central"),
+    }
+    # per-session state, one array per variable in session order; a drained session stays until a shrink settles it.
+    # sent is 0 outside CSMA's [p, end), and cco marks CSMA's CCO sessions, whose cycles open with central beacons
     keys = np.asarray(key, dtype=np.uint64)[form]
-    st = {"form": form, "pend": pending, "key": _child_keys(keys, nodes), **zeros(len(form), "cyc", "paid")}
+    st = {"form": form, "pend": pending, "key": _child_keys(keys, nodes), "cco": (depth == 1) & (np.arange(len(form)) >= p),
+          **zeros(len(form), "cyc", "paid", "sent")}
     n0 = ratios.windows(rat[form[:e]], pending[:e])
-    # E-PMAC's next PTE per session: its window, whether it is a fresh first one, and the idle streak before it
+    # E-PMAC's own state over [0, e): each session's next PTE, its window, whether it is a fresh first one and the idle
+    # streak before it, and its first PTEs and batch frames (kept over all sessions, they slowed multi-layer sweeps)
     ep = {"n0": n0, "w": n0, "first": np.ones(e, dtype=bool), **zeros(e, "tf", "firsts", "batch")}
-    cs = {"cco": depth[p:] == 1, **zeros(len(form) - p, "sent")}  # the CCO's session opens with central beacons
     del form, pending, nodes, depth, keys  # only the state arrays stay alive through the steps
     errors: dict[int, Exception] = {}
     step = 0
 
-    def split(at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The sessions at these ascending places that are E-PMAC's, and those that are CSMA's, as places in their rows."""
-        to_e, to_p = np.searchsorted(at, (e, p)).tolist()
-        return at[:to_e], at[to_p:] - p
-
     def settle(at: np.ndarray) -> None:
         """Add the drained sessions at these ascending places to their formations' totals."""
-        at_e, at_c = split(at)
-        f, cyc = st["form"].take(at), st["cyc"].take(at)
-        f_e, f_c, cyc_c = f[: len(at_e)], f[len(f) - len(at_c):], cyc[len(f) - len(at_c):]
-        for name, where, v in (("paid", f, st["paid"].take(at)), ("cyc", f, cyc),
-                               ("firsts", f_e, ep["firsts"].take(at_e)), ("batch", f_e, ep["batch"].take(at_e)),
-                               ("sent", f_c, cs["sent"].take(at_c)), ("central", f_c, cyc_c * cs["cco"].take(at_c))):
-            if v.dtype == object and totals[name].dtype != object:
-                totals[name] = totals[name].astype(object)
-            np.add.at(totals[name], where, v)
+        f, to_e = st["form"].take(at), np.searchsorted(at, e)  # at[:to_e] are E-PMAC's
+        for name, total in totals.items():
+            rows, places = (ep, at[:to_e]) if name in ep else (st, at)
+            v = st["cyc"].take(at) * st["cco"].take(at) if name == "central" else rows[name].take(places)
+            if v.dtype == object and total.dtype != object:
+                totals[name] = total = total.astype(object)
+            np.add.at(total, f[: len(places)], v)
 
     def shrink(keep: np.ndarray) -> None:
         """Settle the sessions keep drops and drop them, one array at a time, so the state is never held twice."""
         nonlocal e, p
         settle(np.flatnonzero(~keep))
         at = np.flatnonzero(keep)
-        at_e, at_c = split(at)
-        for rows, picked in ((ep, at_e), (cs, at_c), (st, at)):
+        e, p = np.searchsorted(at, (e, p)).tolist()
+        for rows, picked in ((ep, at[:e]), (st, at)):
             for name, v in rows.items():
                 rows[name] = v.take(picked)
-        e, p = len(at_e), len(at) - len(at_c)
 
     def fail(failed: dict) -> None:
         """Record each formation's error and drop all its sessions."""
@@ -465,7 +458,7 @@ def _run_block(
         pend -= s
         st["cyc"] += active
         st["paid"] = st["paid"] + exact * active  # Python ints once a window is; a drained session pays nothing
-        cs["sent"] += sent
+        st["sent"][p:] += sent
         if e:  # E-PMAC's slot controller sets each session's next PTE from the joins s of the one just run
             s, w, idle = s[:e], exact[:e], s[:e] == 0
             ep["firsts"] += ep["first"] & active[:e]
@@ -575,9 +568,9 @@ class ExperimentPlan(RunConfig):
         super().__post_init__()
         if not self.protocols or not self.n_values:
             raise ValueError("need at least one protocol and one network size")
-        for word in (self.seed, self.trials, *self.n_values):
+        for word in (self.seed, self.trials, self.max_layers, *self.n_values):
             if not isinstance(word, (int, np.integer)):  # the key fold would truncate a float seed
-                raise ValueError(f"seed, trials and network sizes must be integers, got {word!r}")
+                raise ValueError(f"seed, trials, max_layers and network sizes must be integers, got {word!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.trials < 1:

@@ -290,7 +290,7 @@ def test_a10_contention_mean_matches_the_alone_in_slot_law():
             total += contend(m, n, rng)
         # the engine's keyed draws: one session of m contenders per trial, cycle keys 0..trials-1, one call
         keys = engine._child_keys(np.full(trials, SEED, dtype=np.uint64), np.arange(trials))
-        keyed = int(engine._draw_joins(keys, np.full(trials, m), np.full(trials, n), None)[0].sum())
+        keyed = int(engine._draw_joins(keys, np.full(trials, m), np.full(trials, n), 1.0, trials)[0].sum())
         oracle = m * (1 - 1 / n) ** (m - 1)
         for label, empirical in (("contend", total / trials), ("keyed", keyed / trials)):
             rel = abs(empirical / oracle - 1)

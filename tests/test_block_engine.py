@@ -389,8 +389,8 @@ def test_keyed_slots_are_uniform(window):
 )
 def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p, monkeypatch):
     # runs whose windows add up to at most BIN_SLOTS, to more, and past 2**63 - 1 (two windows of 2**62 and more);
-    # sessions that draw nothing, and coins from a session in the middle of a run; with lead, that many sessions
-    # draw nothing and the next draws more than a run holds, so the first run draws nothing
+    # sessions that draw nothing, and coins from a session in the middle of a run (with no csma_p, from none); with
+    # lead, that many sessions draw nothing and the next draws more than a run holds, so the first run draws nothing
     monkeypatch.setattr(engine, "DRAW_CHUNK", chunk)
     monkeypatch.setattr(engine, "BIN_SLOTS", bins)
     rng = np.random.default_rng(19)
@@ -402,7 +402,8 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p
     windows[40:60] = rng.integers(300, 3000, 20)
     windows[70:72] = (2**62, 2**63 - 1)
     counts[70:72] = (5, 6)
-    keys, coins_from = _cycle_keys(90, seed=20), 31
+    keys, middle = _cycle_keys(90, seed=20), 31
+    coins_from = len(counts) if csma_p is None else middle
     runs = []
     original = engine.keyed_draws
 
@@ -411,7 +412,7 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p
         return original(keys, counts, windows, coins)
 
     monkeypatch.setattr(engine, "keyed_draws", watching)
-    joins, sent = engine._draw_joins(keys, counts, windows, csma_p, coins_from)
+    joins, sent = engine._draw_joins(keys, counts, windows, 1.0 if csma_p is None else csma_p, coins_from)
     # the recount: every session's draws at once, its transmitters, and their slots that no other transmitter took
     slots, u = original(keys, counts, windows, coins=csma_p is not None)
     want_joins, want_sent, at = [], [], 0
@@ -422,14 +423,14 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p
         want_sent.append(len(send))
         at += c
     assert joins.tolist() == want_joins
-    assert (sent is None) == (csma_p is None) and (sent is None or sent.tolist() == want_sent[coins_from:])
+    assert sent.tolist() == want_sent[coins_from:] and (len(sent) == 0) == (csma_p is None)
     totals = [total for _, total, _ in runs]
     assert max(totals) > 2**63 - 1
     assert (runs[0][2] == 0) == bool(lead)
-    if chunk == 64:  # runs of every kind, and one that starts before coins_from and ends after it
+    if chunk == 64:  # runs of every kind, and one that starts before the middle session and ends after it
         assert min(totals) <= bins and any(bins < total <= 2**63 - 1 for total in totals)
         ends = np.cumsum([size for size, _, _ in runs]).tolist()
-        assert any(end - size < coins_from < end for (size, _, _), end in zip(runs, ends))
+        assert any(end - size < middle < end for (size, _, _), end in zip(runs, ends))
 
 
 def test_keyed_coins_transmit_at_csma_p():
@@ -518,6 +519,19 @@ def test_draw_runs_and_shrinks_do_not_change_a_mixed_block(chunk, bins, floor, m
     monkeypatch.setattr(engine, "SHRINK_FLOOR", floor)
     picks = [(protocol, i) for protocol in P for i in range(len(CASES))]
     assert _mixed(CONFIGS["default"], picks, CASES) == [_expected(protocol, "default")[i] for protocol, i in picks]
+
+
+def test_central_beacons_of_sessions_settled_at_shrinks_keep_their_price(per_kind_timing, monkeypatch):
+    # a central and a proxy beacon cost the same by default, so a CSMA CCO session settled at a shrink could pay
+    # its cycles as the wrong beacon unseen; here every slot kind's count is a digit group of its own
+    monkeypatch.setattr(engine, "SHRINK_FLOOR", 0)
+    cfg = RunConfig(timing=per_kind_timing)
+    cases = CASES[:16]
+    picks = [(protocol, i) for protocol in P for i in range(len(cases))]
+    got = _mixed(cfg, picks, cases)
+    assert got == [_reference(protocol, cases[i][0], cfg, cases[i][1], cases[i][2]) for protocol, i in picks]
+    central = [r.total_us // 10**6 % 1000 for (protocol, i), r in zip(picks, got) if protocol is Protocol.IEEE1901]
+    assert all(central[i] > 0 for i in range(len(cases)) if cases[i][0].n_sta)
 
 
 def _watched(cfg, picks, cases, monkeypatch):
@@ -610,7 +624,7 @@ def test_keyed_draws_and_draw_joins_leave_their_inputs_unchanged(per, coins):
     keys = _cycle_keys(len(counts), seed=22)
     before = [a.copy() for a in (keys, counts, windows, engine._rank_strides())]
     engine.keyed_draws(keys, counts, windows, coins)
-    engine._draw_joins(keys, counts, windows, 0.5 if coins else None, 2)
+    engine._draw_joins(keys, counts, windows, 0.5, 2 if coins else len(counts))
     after = (keys, counts, windows, engine._rank_strides())
     assert all(a.dtype == b.dtype and a.tolist() == b.tolist() for a, b in zip(before, after))
 

@@ -140,6 +140,40 @@ def test_engine_frame_counts_match_the_complexity_analysis(collision_free_draws)
         assert pmac.nc_count == epmac.nc_count == csma.nc_count == sessions, shape
 
 
+def test_every_slot_kind_on_uniform_trees_hits_the_protocol_descriptions(per_kind_timing, collision_free_draws):
+    """Collision-free runs at ratio 1.0 under one power of 1000 a slot kind, so total_us holds every kind's count.
+
+    A session at depth k with m STAs opens a window of m slots, and all m
+    join in its one cycle. Per session, in slot-kind order (preambles, data
+    frames, central beacons, proxy beacons, association requests and
+    indications):
+    - E-PMAC: m PTE slots and m ACK preambles; a first-PTE announcement,
+      ceil(m/20) TDFs, m MAC-address frames, ceil(m/10) SDFs and 2(k - 1)
+      relay frames;
+    - P-MAC: a PTE announcement, m PTE slots and m ACK preambles; 3 frames
+      per hop for each of its m STAs, 3km, and 2(k - 1) relay frames;
+    - IEEE 1901.1: one beacon, central at k = 1 and proxy below; a request
+      and an indication per hop for each of its m STAs, km of each.
+    Layer k holds m**(k - 1) sessions.
+    """
+    cfg = RunConfig(timing=per_kind_timing)
+    for shape in UNIFORM_SHAPES:
+        m, tree = shape.m, _uniform_tree(shape)
+        want = {protocol: [0] * 6 for protocol in Protocol}
+        for k in range(1, shape.k + 1):
+            per_session = {
+                Protocol.EPMAC: (2 * m, 1 + -(-m // 20) + m + -(-m // 10) + 2 * (k - 1), 0, 0, 0, 0),
+                Protocol.PMAC: (2 * m + 1, 3 * k * m + 2 * (k - 1), 0, 0, 0, 0),
+                Protocol.IEEE1901: (0, 0, int(k == 1), int(k > 1), k * m, k * m),
+            }
+            for protocol, counts in per_session.items():
+                want[protocol] = [total + m ** (k - 1) * c for total, c in zip(want[protocol], counts)]
+        for protocol, counts in want.items():
+            result = run_formation(protocol, tree, cfg, 1.0, 0)
+            assert result.total_us == sum(c * 1000**i for i, c in enumerate(counts)), (shape, protocol)
+            assert result.preambles == counts[0], (shape, protocol)
+
+
 def test_batched_frames_past_one_sdf_a_session_count_every_frame(collision_free_draws):
     """For m 11..25, beyond TreeShape's m <= 10: a session at depth k sends its slot-count announcement,
     ceil(m/20) TDFs, ceil(m/10) SDFs, m MAC-address frames and 2(k - 1) relay frames."""

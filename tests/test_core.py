@@ -1,8 +1,9 @@
 """Shared vocabulary: slot schedule, model constants."""
 
+import numpy as np
 import pytest
 
-from plcmac import Protocol, RunConfig, TimingTable
+from plcmac import Protocol, RunConfig, TimingTable, run_formation, single_layer
 
 
 def test_default_slot_schedule_values():
@@ -53,6 +54,22 @@ def test_run_config_defaults_are_usable():
 def test_run_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["t_f_max", "tdf_capacity", "sdf_capacity", "max_nc"])
+def test_run_config_integer_constants_must_be_integers(name):
+    # a float capacity made the engine die inside numpy and the closed-form frame count return a float; a float
+    # t_f_max or max_nc ran silently
+    for value in (2.5, 7.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            RunConfig(**{name: value})
+    # numpy's ints pass, as the Python ints of their values
+    default = RunConfig()
+    for kind in (np.int64, np.uint64, np.int32):
+        cfg = RunConfig(**{name: kind(getattr(default, name))})
+        assert cfg == default and type(getattr(cfg, name)) is int
+        assert run_formation(Protocol.EPMAC, single_layer(30), cfg, 1.0, 5) == run_formation(
+            Protocol.EPMAC, single_layer(30), default, 1.0, 5)
 
 
 def test_protocol_values():

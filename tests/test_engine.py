@@ -1,6 +1,7 @@
 """Formation engine: frozen whole-run traces, sweeps and their identities, summaries."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,16 @@ def test_plan_words_must_be_integers(word, value):
     plan = dict(protocols=(Protocol.PMAC,), n_values=(4,), ratio_grid=(1.0,), trials=2, seed=1)
     with pytest.raises(ValueError, match="must be integers"):
         ExperimentPlan(**{**plan, word: (value,) if word == "n_values" else value})
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0)], ids=["2.5", "2.0", "np.float64(3.0)"])
+def test_max_layers_must_be_an_integer(value):
+    # generate_tree truncated a float depth cap, so max_layers=2.5 ran exactly the rows of max_layers=2
+    plan = dict(protocols=(Protocol.PMAC,), n_values=(20,), ratio_grid=(1.0,), trials=2, seed=1, multi_layer=True)
+    with pytest.raises(ValueError, match=rf"max_layers and network sizes must be integers, got {re.escape(repr(value))}$"):
+        ExperimentPlan(**plan, max_layers=value)
+    assert run_experiment(ExperimentPlan(**plan, max_layers=np.int64(3))) == run_experiment(
+        ExperimentPlan(**plan, max_layers=3))
 
 
 def test_numpy_integer_plan_words_run_as_their_values():
