@@ -106,8 +106,8 @@ def _add_sweep_args(p: argparse.ArgumentParser, multi: bool) -> argparse.Argumen
     p.add_argument("--seed", type=int, default=None, help=f"master seed (default: {ExperimentPlan.seed})")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: 1); workers split the sweep by groups of (n, trial) pairs, "
-                        f"so a sweep whose pairs hold at most {GROUP_STAS} STAs over its ratio cells is one "
-                        "group and runs in one process")
+                        f"at most one worker per group, so a sweep whose pairs hold at most {GROUP_STAS} STAs "
+                        "over its ratio cells is one group and runs in one process")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     if multi:
         p.add_argument("--max-layers", type=int, default=None,

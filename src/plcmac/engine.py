@@ -175,7 +175,6 @@ class _Table(NamedTuple):
     start: np.ndarray      # tree t's sessions are [start[t], start[t + 1])
     crowded: np.ndarray    # sessions of two or more STAs, which come first
     n_sta: np.ndarray
-    max_depth: list[int]
     joins: np.ndarray      # STAs over all sessions; equals n_sta for a well-formed tree
     hops: np.ndarray       # sum of k over all STAs
     relays: np.ndarray     # sum of 2*(k-1) over all sessions: the relay frames of E-PMAC and P-MAC
@@ -205,8 +204,8 @@ def _sessions(trees: Sequence[NetworkTree]) -> _Table:
         return upto[start[1:]] - upto[start[:-1]]
 
     return _Table(coords - first[tree], pending, depth, start, np.bincount(tree[pending > 1], minlength=len(trees)),
-                  np.array([t.n_sta for t in trees], dtype=np.int64), [t.max_depth for t in trees],
-                  per_tree(pending), per_tree(pending * depth), 2 * per_tree(depth - 1))
+                  np.array([t.n_sta for t in trees], dtype=np.int64), per_tree(pending), per_tree(pending * depth),
+                  2 * per_tree(depth - 1))
 
 
 class _Ratios:
@@ -396,8 +395,6 @@ def _run_block(
         for name, total in totals.items():
             rows, places = (ep, at[:to_e]) if name in ep else (st, at)
             v = st["cyc"].take(at) * st["cco"].take(at) if name == "central" else rows[name].take(places)
-            if v.dtype == object and total.dtype != object:
-                totals[name] = total = total.astype(object)
             np.add.at(total, f[: len(places)], v)
 
     def shrink(keep: np.ndarray) -> None:
@@ -451,10 +448,9 @@ def _run_block(
             exact = w
         step += 1
         paid_bound += int(exact.max())
-        if paid_bound * most > _INT64_MAX and st["paid"].dtype != object:  # sums that could wrap: Python ints
-            st["paid"] = st["paid"].astype(object)
-        # the cycle keys, _child_keys at cycle index step - 1
-        s, sent = _draw_joins(_mix(st["key"] + np.uint64(step * _GAMMA & _MASK)), pend, w, cfg.csma_p, p)
+        if paid_bound * most > _INT64_MAX:  # sums that could wrap: Python ints, each array converted once
+            st["paid"], totals["paid"] = (v.astype(object, copy=False) for v in (st["paid"], totals["paid"]))
+        s, sent = _draw_joins(_child_keys(st["key"], np.array([step - 1])), pend, w, cfg.csma_p, p)
         pend -= s
         st["cyc"] += active
         st["paid"] = st["paid"] + exact * active  # Python ints once a window is; a drained session pays nothing
@@ -689,7 +685,7 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
                            np.tile(np.array(tree)[pair], protocols), ratio * protocols, keys)
     except Exception as exc:
         return [], [*failures, (min(index), exc)]
-    layers = [table.max_depth[tree[i]] for i in pair.tolist()]
+    layers = [nets[tree[i]].max_depth for i in pair.tolist()]
     made = map(ResultRow, [protocol.value for protocol in plan.protocols for _ in pair], sizes.tolist() * protocols,
                ratio * protocols, trial.tolist() * protocols, block.total_us, block.nc_count, block.data_frames,
                block.preambles, layers * protocols)
@@ -704,20 +700,21 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     """Run every cell of the plan; rows come back ordered by cell coordinates.
 
     Cells run in groups of (n, trial) pairs, one block per group over
-    every protocol. jobs > 1 fans the groups out to worker processes, so
-    a plan that fits one group runs in one process; every row is a
-    pure function of its cell, so the rows are identical either way. If
-    cells fail, the first failing cell in row order raises, with the
-    cell named in the exception's cell attribute.
+    every protocol. jobs > 1 fans the groups out to min(jobs, groups)
+    worker processes, so a plan that fits one group runs in one process;
+    every row is a pure function of its cell, so the rows are identical
+    either way. If cells fail, the first failing cell in row order
+    raises, with the cell named in the exception's cell attribute.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     groups = _groups(plan)
-    if jobs == 1 or len(groups) < 2:
+    workers = min(jobs, len(groups))
+    if workers < 2:
         outs = [_run_group(plan, group) for group in groups]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # deferred: a jobs=1 process never pays for it
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: a serial run never pays for it
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outs = list(pool.map(_run_group, repeat(plan), groups))
     rows: list = [None] * (len(plan.protocols) * len(plan.n_values) * plan.ratio_cells * plan.trials)
     failures = []

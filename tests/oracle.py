@@ -1,4 +1,4 @@
-"""Exact single-layer formation means for all three protocols.
+"""Exact formation means for all three protocols: single-layer runs, and multi-layer runs session by session.
 
 In a single-layer star every STA contends in the CCO's one session, so
 a run is a Markov chain on the pending count p. A cycle opens a window
@@ -11,6 +11,12 @@ cycles and microseconds of a whole run.
 E-PMAC's window is chosen by the slot controller, so its chain also
 carries the window, the idle-round count and whether the cycle is a
 session's first; see epmac_single_layer_exact.
+
+In a multi-layer tree every coordinator runs one session for its
+children, m STAs at depth k. The same chain runs it, priced per hop
+(expected_session), and each session's draws are keyed by its
+coordinator, so sessions are independent and the expected cycles and
+time of a whole formation are sums over its sessions (expected_tree).
 
 Nothing here calls the simulator: windows, prices and probabilities are
 written out from the protocol descriptions, so the engine can be checked
@@ -25,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from plcmac import Protocol, RunConfig
+from plcmac import NetworkTree, Protocol, RunConfig
 
 
 def singleton_pmfs(m: int, n_slot: int) -> np.ndarray:
@@ -74,30 +80,61 @@ def _joins_pmf(protocol: Protocol, pending: int, n_slot: int, cfg: RunConfig) ->
     return _binomial_pmf(pending, cfg.csma_p) @ pmfs
 
 
-def _cycle_price(protocol: Protocol, n_slot: int, joins: np.ndarray, cfg: RunConfig) -> np.ndarray:
+def _cycle_price(protocol: Protocol, n_slot: int, joins: np.ndarray, depth: int, cfg: RunConfig) -> np.ndarray:
     t = cfg.timing
     if protocol is Protocol.PMAC:
-        # NET preamble, the window, one ACK preamble and three one-hop data frames per join
-        return t.preamble_slot_us * (1 + n_slot + joins) + t.data_frame_slot_us * 3 * joins
-    # central beacon, every request slot, one indication per join
-    return t.central_beacon_slot_us + t.assoc_req_slot_us * n_slot + t.assoc_ind_slot_us * joins
+        # NET preamble, the window, one ACK preamble and three data frames per hop per join
+        return t.preamble_slot_us * (1 + n_slot + joins) + t.data_frame_slot_us * 3 * depth * joins
+    # the CCO's central beacon or a proxy's beacon, every request slot, one indication per join, and a request and
+    # an indication per join for each hop past the first
+    beacon = t.central_beacon_slot_us if depth == 1 else t.proxy_beacon_slot_us
+    relayed = (depth - 1) * joins
+    return beacon + t.assoc_req_slot_us * (n_slot + relayed) + t.assoc_ind_slot_us * (joins + relayed)
 
 
 def expected_single_layer(protocol: Protocol, n: int, ratio: float, cfg: RunConfig = RunConfig()) -> tuple[float, float]:
     """(E[nc_count], E[elapsed_us]) of one formation over single_layer(n)."""
+    return expected_session(protocol, n, 1, ratio, cfg)
+
+
+def expected_session(
+    protocol: Protocol, m: int, depth: int, ratio: float, cfg: RunConfig = RunConfig()
+) -> tuple[float, float]:
+    """(E[cycles], E[us]) of one coordinator session of m STAs at depth k = depth.
+
+    E-PMAC's and P-MAC's sessions below the first layer also pay 2(k - 1)
+    relay data frames, once: the beacon chain down and the report chain up.
+    """
     if protocol is Protocol.EPMAC:
-        return _epmac_single_layer(n, ratio, cfg, float)
-    cycles = np.zeros(n + 1)  # by pending count; a drained session costs nothing more
-    micros = np.zeros(n + 1)
-    for pending in range(1, n + 1):
+        cycles, micros = _epmac_single_layer(m, ratio, cfg, float)
+    else:
+        cycles, micros = _first_step(protocol, m, depth, ratio, cfg)
+    if protocol is not Protocol.IEEE1901:
+        micros += cfg.timing.data_frame_slot_us * 2 * (depth - 1)
+    return cycles, micros
+
+
+def _first_step(protocol: Protocol, m: int, depth: int, ratio: float, cfg: RunConfig) -> tuple[float, float]:
+    cycles = np.zeros(m + 1)  # by pending count; a drained session costs nothing more
+    micros = np.zeros(m + 1)
+    for pending in range(1, m + 1):
         n_slot = _window(protocol, ratio, pending)
         pmf = _joins_pmf(protocol, pending, n_slot, cfg)
         joins = np.arange(pending + 1)
         later = pending - joins[1:]  # a cycle with no join repeats from the same count
         leave = 1.0 - pmf[0]
         cycles[pending] = (1.0 + pmf[1:] @ cycles[later]) / leave
-        micros[pending] = (pmf @ _cycle_price(protocol, n_slot, joins, cfg) + pmf[1:] @ micros[later]) / leave
-    return float(cycles[n]), float(micros[n])
+        micros[pending] = (pmf @ _cycle_price(protocol, n_slot, joins, depth, cfg) + pmf[1:] @ micros[later]) / leave
+    return float(cycles[m]), float(micros[m])
+
+
+def expected_tree(
+    protocol: Protocol, tree: NetworkTree, ratio: float, cfg: RunConfig = RunConfig()
+) -> tuple[float, float]:
+    """(E[nc_count], E[elapsed_us]) of one formation over tree: the sum over its coordinators' sessions."""
+    sessions = [expected_session(protocol, len(kids), tree.depth[coord] + 1, ratio, cfg)
+                for coord, kids in tree.children.items()]
+    return sum(c for c, _ in sessions), sum(u for _, u in sessions)
 
 
 @lru_cache(maxsize=None)

@@ -199,6 +199,18 @@ def test_a_window_grown_past_int64_as_its_session_drains_equals_the_reference():
     assert _block(Protocol.EPMAC, cfg, cases) == expected
 
 
+def test_paid_sums_past_int64_after_a_drained_window_grew_past_it_equal_the_reference():
+    # E-PMAC's two STAs join in 2e17 slots, whose thin PTE grows the drained session's window to 2e19: its windows and
+    # the sessions' paid slots hold Python ints from the second step on, while every value still fits int64. The CSMA
+    # formations beside it, transmitting at 0.01, pay 1e17-2e17 slots a cycle for 69-175 cycles: their paid sums pass
+    # 2**63 - 1 later, and the formations' totals must turn into Python ints then too
+    plan = ExperimentPlan(protocols=(Protocol.EPMAC, Protocol.IEEE1901), n_values=(2,), ratio_grid=(1e17,), trials=3,
+                          seed=1, k1=100.0, k2=200.0, csma_p=0.01)
+    rows = run_experiment(plan)
+    assert rows == ref.run_experiment(plan)
+    assert max(r.elapsed_us for r in rows) > RunConfig().timing.assoc_req_slot_us * 2**63  # request slots alone
+
+
 def _always_collide(keys, counts, windows, coins=False):
     slots = np.zeros(int(counts.sum()), dtype=np.int64)
     return slots, (np.zeros(len(slots)) if coins else None)

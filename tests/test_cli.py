@@ -382,6 +382,19 @@ def test_bad_config_line_exits_2(line, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["sweep-single", "--config", str(missing), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {missing}: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    assert main(["sweep-single", "--n", "3", "--trials", "1", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_readme_config_example_runs(tmp_path, capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     cfg = tmp_path / "sweep.cfg"

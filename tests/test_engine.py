@@ -1,5 +1,6 @@
 """Formation engine: frozen whole-run traces, sweeps and their identities, summaries."""
 
+import concurrent.futures
 import importlib.util
 import re
 from pathlib import Path
@@ -241,6 +242,42 @@ def test_experiment_is_deterministic_and_job_count_invariant():
     rows_b = run_experiment(plan)
     rows_c = run_experiment(plan, jobs=2)
     assert rows_a == rows_b == rows_c
+
+
+def test_the_pool_gets_at_most_one_worker_per_group(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its max_workers and maps in this process, so no process starts."""
+
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    plan = ExperimentPlan(protocols=(Protocol.PMAC, Protocol.IEEE1901), n_values=(10,), ratio_grid=(1.0,), trials=2,
+                          seed=3)
+    serial = run_experiment(plan)
+    assert run_experiment(plan, jobs=2) == serial  # one group: no pool
+    assert pools == []
+    monkeypatch.setattr(engine, "GROUP_STAS", 10)  # one (n, trial) pair per group: two groups
+    assert len(engine._groups(plan)) == 2
+    assert run_experiment(plan, jobs=64) == serial
+    assert pools == [2]
+
+
+def test_jobs_below_one_are_rejected():
+    plan = ExperimentPlan(protocols=(Protocol.PMAC,), n_values=(4,), ratio_grid=(1.0,), trials=1)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_experiment(plan, jobs=0)
 
 
 def test_random_ratio_mode_draws_within_bounds():

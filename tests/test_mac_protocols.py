@@ -147,6 +147,11 @@ def test_association_cycle_singleton_trace():
     assert out.slot_counts == (0, 0, 1, 0, 1, 1)  # no preamble slots at all
 
 
+def test_association_cycle_needs_a_slot():
+    with pytest.raises(ValueError, match="need at least one slot"):
+        simulate_nc_csma(PendingSet(1), 0, RunConfig(), np.random.default_rng(0))
+
+
 def test_association_cycle_collision_still_pays_every_request_slot():
     cfg = RunConfig(csma_p=1.0)
     out = simulate_nc_csma(PendingSet(2), 1, cfg, np.random.default_rng(0))

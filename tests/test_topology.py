@@ -28,6 +28,12 @@ def test_min_first_layer_is_the_integer_root_ceiling(n, k, expected):
     assert m == 1 or (m - 1) ** k < n
 
 
+def test_min_first_layer_steps_down_from_a_float_root_that_rounds_up():
+    # float(2**60 + 200) is 2**60 + 256, so the estimate starts above the root and steps down to it
+    assert round(float(2**60 + 200)) == 2**60 + 256
+    assert min_first_layer(2**60 + 200, 1) == 2**60 + 200
+
+
 def test_min_first_layer_validation():
     with pytest.raises(ValueError):
         min_first_layer(0, 6)
@@ -42,6 +48,11 @@ def test_single_layer_is_a_star():
     assert tree.children[CCO_ID] == (1, 2, 3, 4, 5)
     assert all(tree.parent[i] == CCO_ID for i in range(1, 6))
     assert list(tree.children) == [CCO_ID]  # the CCO is the only coordinator
+
+
+def test_single_layer_needs_a_sta():
+    with pytest.raises(ValueError, match="n_sta must be at least 1"):
+        single_layer(0)
 
 
 def test_tree_from_parents_builds_layers_and_roles():
