@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -49,8 +49,8 @@ class FormationResult:
 
 _MASK = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 over the golden ratio
-_STRIDE = 2 * _GAMMA & _MASK  # from one rank's words to the next: a rank takes a slot word and a coin word
-_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# the words as numpy scalars, made once: _STRIDE steps from one rank's words to the next (a slot word and a coin word)
+_ONE, _GAMMA64, _STRIDE, _M1, _M2 = map(np.uint64, (1, _GAMMA, 2 * _GAMMA & _MASK, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 _UNIT = 2.0**-53
 _PROTOCOL_CODE = {Protocol.EPMAC: 1, Protocol.PMAC: 2, Protocol.IEEE1901: 3}  # stable, whatever the enum order
 
@@ -59,16 +59,16 @@ def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer over a uint64 array, in place, its shifts in one scratch array; uint64 products wrap."""
     shifted = np.empty_like(z)
     z ^= np.right_shift(z, 30, out=shifted)
-    z *= np.uint64(_M1)
+    z *= _M1
     z ^= np.right_shift(z, 27, out=shifted)
-    z *= np.uint64(_M2)
+    z *= _M2
     z ^= np.right_shift(z, 31, out=shifted)
     return z
 
 
-def _child_keys(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Keys one level down: the finalizer over key + (counter + 1) * gamma."""
-    return _mix(keys + (counters.astype(np.uint64) + np.uint64(1)) * np.uint64(_GAMMA))
+def _child_keys(keys: np.ndarray, counters: int | np.ndarray) -> np.ndarray:
+    """Keys one level down: the finalizer over key + (counter + 1) * gamma, for one counter or one per key."""
+    return _mix(keys + np.multiply(np.uint64(counters) + _ONE, _GAMMA64))  # a ufunc: a scalar product wraps silently
 
 
 def _fold(h: np.ndarray, *words) -> np.ndarray:
@@ -79,23 +79,22 @@ def _fold(h: np.ndarray, *words) -> np.ndarray:
     finalizer((h ^ l) + gamma), so a word's limb count follows its limbs
     and words of any size key distinctly.
     """
-    gamma = np.uint64(_GAMMA)
     for word in words:
         try:
-            h = _mix((h ^ np.asarray(word, dtype=np.uint64)) + gamma)
-            count = np.uint64(1)
+            h = _mix((h ^ np.asarray(word, dtype=np.uint64)) + _GAMMA64)
+            count = _ONE
         except OverflowError:  # some word has two limbs or more, or is negative
             rest = np.asarray(word, dtype=object).reshape(-1)
             if (rest < 0).any():
                 raise ValueError(f"a key word must be non-negative, got {rest[rest < 0][0]}") from None
-            h = _mix((h ^ (rest & _MASK).astype(np.uint64)) + gamma)
+            h = _mix((h ^ (rest & _MASK).astype(np.uint64)) + _GAMMA64)
             count = np.ones(h.shape, dtype=np.uint64)
             rest = rest >> 64
             while (more := rest != 0).any():
-                h = np.where(more, _mix((h ^ (rest & _MASK).astype(np.uint64)) + gamma), h)
+                h = np.where(more, _mix((h ^ (rest & _MASK).astype(np.uint64)) + _GAMMA64), h)
                 count += more
                 rest = rest >> 64
-        h = _mix((h ^ count) + gamma)
+        h = _mix((h ^ count) + _GAMMA64)
     return h
 
 
@@ -117,7 +116,7 @@ def formation_key(seed: int, n: int, trial: int, protocol: Protocol, ratio: floa
 @cache
 def _rank_strides() -> np.ndarray:
     """rank * _STRIDE for the ranks of a usual draw run, made on first use; read-only."""
-    table = np.arange(2 * DRAW_CHUNK, dtype=np.uint64) * np.uint64(_STRIDE)
+    table = np.arange(2 * DRAW_CHUNK, dtype=np.uint64) * _STRIDE
     table.flags.writeable = False
     return table
 
@@ -141,12 +140,12 @@ def keyed_draws(
     """
     starts = (counts.cumsum() - counts).astype(np.uint64)
     # key + (2r + 1) * gamma for rank r = position - start: the slot words, then the coin words one gamma on
-    first = (keys + np.uint64(_GAMMA) - starts * np.uint64(_STRIDE)).repeat(counts)
+    first = (keys + _GAMMA64 - starts * _STRIDE).repeat(counts)
     m, ranks = len(first), _rank_strides()
     x = np.empty(2 * m if coins else m, dtype=np.uint64)
-    np.add(first, ranks[:m] if m <= len(ranks) else np.arange(m, dtype=np.uint64) * np.uint64(_STRIDE), out=x[:m])
+    np.add(first, ranks[:m] if m <= len(ranks) else np.arange(m, dtype=np.uint64) * _STRIDE, out=x[:m])
     if coins:
-        np.add(x[:m], np.uint64(_GAMMA), out=x[m:])
+        np.add(x[:m], _GAMMA64, out=x[m:])
     np.right_shift(_mix(x), 11, out=x)  # 53-bit words, which turn into floats exactly
     u = (windows * _UNIT).repeat(counts)
     u *= x[:m]
@@ -161,7 +160,7 @@ def keyed_draws(
 _INT64_MAX = 2**63 - 1
 GROUP_STAS = 2**16  # a group's (n, trial) pairs hold at most this many STAs over their ratio cells (one pair may hold more)
 DRAW_CHUNK = 2**13  # the draws of one step are handled in runs of sessions of about this many draws
-BIN_SLOTS = 2**14  # a run's draws are binned while its windows add up to at most this many slots (128 KB of bins)
+BIN_SLOTS = 2**16  # a run's draws are binned while its windows add up to at most this many slots (512 KB of counts)
 SHRINK_FLOOR = 64  # a block of this many sessions or fewer no longer shrinks
 
 
@@ -249,6 +248,10 @@ class _Ratios:
         return out.astype(np.int64) if out.max(initial=0) <= _INT64_MAX else out
 
 
+# a group's ratios, which fold into its keys and then size its block's windows, and k1 and k2: each converted once
+_ratios = lru_cache(maxsize=2)(_Ratios)
+
+
 def _draw_joins(ckeys, counts, windows, csma_p, coins_from):
     """Joins per drawing session, and the transmitters of sessions coins_from on, from one keyed draw per STA.
 
@@ -260,13 +263,17 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from):
     draws, not the windows: the draws go in runs of sessions of about
     DRAW_CHUNK. A run lays its sessions' windows end to end (in Python
     ints when their total could pass 2**63 - 1) and moves each draw's slot
-    to its session's place, with one repeat; its transmitters are picked
-    by index. While the windows add up to at most BIN_SLOTS, the draws are
-    binned with one bincount and a session's joins are read off the
-    running count of lone bins at its window's ends; otherwise they are
-    sorted and one searchsorted finds each lone cell's session. A
-    session's transmitters are read off the running count of transmitting
-    draws. Sessions may draw nothing (counts of 0).
+    to its session's place, with one repeat. A session's transmitters are
+    one segment sum (add.reduceat) of the transmit flags from its first
+    draw, and the transmitters are picked by index. While the windows add
+    up to at most BIN_SLOTS, they are binned with one bincount and a
+    session's joins are one segment sum of the lone bins from its
+    window's start; otherwise they are sorted and one searchsorted finds
+    each lone cell's session. Each array summed by segments ends in one
+    zero past the last segment, so the start of a session that draws
+    nothing is a valid index even at the end; reduceat reads an empty
+    segment as the element at its start, so such sessions (counts of 0,
+    which any window of 0 slots has) are set to 0 afterwards.
     """
     n = len(counts)
     joins, sent = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -274,26 +281,22 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from):
     bounds = sorted({0, n, *cuts.tolist()})
     for lo, hi in zip(bounds, bounds[1:]):
         c, w, keys = counts[lo:hi], windows[lo:hi], ckeys[lo:hi]
-        coins = hi > coins_from
+        coins, drew = hi > coins_from, c > 0
         slots, u = keyed_draws(keys, c, w, coins)
         # a draw joins when its (session, slot) cell holds no other draw
         off = (w if int(w.max()) <= _INT64_MAX // len(w) else w.astype(object)).cumsum()
-        base = off - w
+        base, total = off - w, off[-1]
         cells = base.repeat(c)
         cells += slots
         if coins:  # from here on, only the transmitting draws
-            send = u < csma_p
+            send = np.zeros(len(u) + 1, dtype=bool)
+            np.less(u, csma_p, out=send[:-1])
             if coins_from > lo:  # a draw before coins_from sends whatever its coin
                 send[: int(c[: coins_from - lo].sum())] = True
-            upto = np.zeros(len(send) + 1, dtype=np.int64)  # transmitters among the draws before each
-            send.cumsum(out=upto[1:])
-            ends = c.cumsum()
-            sent[lo:hi] = upto[ends] - upto[ends - c]
-            cells = cells.compress(send)
-        if off[-1] <= BIN_SLOTS:
-            upto = np.zeros(int(off[-1]) + 1, dtype=np.int64)  # lone bins before each
-            (np.bincount(cells, minlength=int(off[-1])) == 1).cumsum(out=upto[1:])
-            joins[lo:hi] = upto[off] - upto[base]
+            sent[lo:hi] = np.add.reduceat(send, c.cumsum() - c) * drew
+            cells = cells.compress(send[:-1])
+        if total <= BIN_SLOTS:
+            joins[lo:hi] = np.add.reduceat(np.bincount(cells, minlength=total + 1) == 1, base) * drew
         else:
             cells.sort()
             same = cells[1:] == cells[:-1]
@@ -359,8 +362,8 @@ def _run_block(
     at = np.repeat(table.start[tree[order]] - (np.cumsum(size) - size), size) + np.arange(len(form))
     pending, nodes, depth = table.pending[at], table.nodes[at], table.depth[at]
     values, rat = np.unique(np.asarray(ratio, dtype=np.float64), return_inverse=True)
-    ratios = _Ratios(values.tolist())
-    growth = _Ratios([cfg.k1, cfg.k2])  # E-PMAC's window grows by k1 after a thin PTE, by k2 after an idle one
+    ratios = _ratios(tuple(values.tolist()))
+    growth = _ratios((cfg.k1, cfg.k2))  # E-PMAC's window grows by k1 after a thin PTE, by k2 after an idle one
     window = ratios.windows(rat, np.ones(n_form, dtype=np.int64))  # a lone contender's
     paid_bound = int(window.max(initial=0)) if lone.any() else 0  # no session has paid more window slots than this
     firsts = lone * (code == 0)
@@ -450,7 +453,7 @@ def _run_block(
         paid_bound += int(exact.max())
         if paid_bound * most > _INT64_MAX:  # sums that could wrap: Python ints, each array converted once
             st["paid"], totals["paid"] = (v.astype(object, copy=False) for v in (st["paid"], totals["paid"]))
-        s, sent = _draw_joins(_child_keys(st["key"], np.array([step - 1])), pend, w, cfg.csma_p, p)
+        s, sent = _draw_joins(_child_keys(st["key"], step - 1), pend, w, cfg.csma_p, p)
         pend -= s
         st["cyc"] += active
         st["paid"] = st["paid"] + exact * active  # Python ints once a window is; a drained session pays nothing
@@ -674,7 +677,9 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     sizes = np.array(plan.n_values)[n_idx]
     # keys: formation_key's six words, folded for every formation at once
     codes = np.repeat([_PROTOCOL_CODE[protocol] for protocol in plan.protocols], len(pair))
-    num, den = (np.tile(np.array(part, dtype=object)[value], protocols) for part in zip(*map(_as_fraction, values)))
+    distinct, rat = np.unique(np.asarray(values, dtype=np.float64)[value], return_inverse=True)  # as _run_block has them
+    fracs = _ratios(tuple(distinct.tolist()))
+    num, den = (np.tile(np.array(part, dtype=object)[rat], protocols) for part in (fracs.num, fracs.den))
     keys = _fold(np.zeros(len(codes), dtype=np.uint64), plan.seed, np.tile(sizes, protocols), np.tile(trial, protocols),
                  codes, num, den)
     index = plan.cell_index(np.arange(protocols)[:, None], n_idx, ratio_idx, trial).ravel().tolist()

@@ -393,10 +393,24 @@ def test_keyed_slots_are_uniform(window):
     assert len(observed) == window and chi2 < df + 6 * math.sqrt(2 * df), chi2
 
 
+def _recount(keys, counts, windows, csma_p, coins_from):
+    """Joins and transmitters (of sessions coins_from on) per session, counted draw by draw from one keyed draw of
+    every session at once: its transmitters, and their slots that no other transmitter took."""
+    slots, u = engine.keyed_draws(keys, counts, windows, coins=coins_from < len(counts))
+    want_joins, want_sent, at = [], [], 0
+    for i, c in enumerate(counts.tolist()):
+        coin_sends = u is None or i < coins_from
+        send = [s for j, s in enumerate(slots[at:at + c].tolist()) if coin_sends or u[at + j] < csma_p]
+        want_joins.append(sum(hits == 1 for hits in collections.Counter(send).values()))
+        want_sent.append(len(send))
+        at += c
+    return want_joins, want_sent[coins_from:]
+
+
 @pytest.mark.parametrize("csma_p", [None, 0.4])
 @pytest.mark.parametrize(
     "chunk, bins, lead",
-    [(64, 256, 0), (2**13, 2**14, 0), (2**13, 2**14, 3)],
+    [(64, 256, 0), (engine.DRAW_CHUNK, engine.BIN_SLOTS, 0), (engine.DRAW_CHUNK, engine.BIN_SLOTS, 3)],
     ids=["short-runs", "default-runs", "first-run-empty"],
 )
 def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p, monkeypatch):
@@ -416,6 +430,7 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p
     counts[70:72] = (5, 6)
     keys, middle = _cycle_keys(90, seed=20), 31
     coins_from = len(counts) if csma_p is None else middle
+    want_joins, want_sent = _recount(keys, counts, windows, csma_p, coins_from)
     runs = []
     original = engine.keyed_draws
 
@@ -425,17 +440,8 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p
 
     monkeypatch.setattr(engine, "keyed_draws", watching)
     joins, sent = engine._draw_joins(keys, counts, windows, 1.0 if csma_p is None else csma_p, coins_from)
-    # the recount: every session's draws at once, its transmitters, and their slots that no other transmitter took
-    slots, u = original(keys, counts, windows, coins=csma_p is not None)
-    want_joins, want_sent, at = [], [], 0
-    for i, c in enumerate(counts.tolist()):
-        coin_sends = u is None or i < coins_from
-        send = [s for j, s in enumerate(slots[at:at + c].tolist()) if coin_sends or u[at + j] < csma_p]
-        want_joins.append(sum(hits == 1 for hits in collections.Counter(send).values()))
-        want_sent.append(len(send))
-        at += c
     assert joins.tolist() == want_joins
-    assert sent.tolist() == want_sent[coins_from:] and (len(sent) == 0) == (csma_p is None)
+    assert sent.tolist() == want_sent and (len(sent) == 0) == (csma_p is None)
     totals = [total for _, total, _ in runs]
     assert max(totals) > 2**63 - 1
     assert (runs[0][2] == 0) == bool(lead)
@@ -443,6 +449,52 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p
         assert min(totals) <= bins and any(bins < total <= 2**63 - 1 for total in totals)
         ends = np.cumsum([size for size, _, _ in runs]).tolist()
         assert any(end - size < middle < end for (size, _, _), end in zip(runs, ends))
+
+
+@pytest.mark.parametrize("coins_from", [0, 1, None], ids=["coins", "coins-from-the-second", "no-coins"])
+@pytest.mark.parametrize(
+    "counts, windows",
+    [
+        ([0, 1, 0, 3, 2, 0], [0, 1, 0, 5, 4, 0]),
+        ([0, 1, 0, 3, 2, 0], [2, 1, 1, 5, 4, 3]),
+        ([0, 1, 0, 3, 2, 0], [0, 1, 0, 2**40, 4, 0]),
+        ([0, 1, 0, 3, 2, 0], [7, 1, 1, 2**40, 4, 1]),
+        ([0, 0, 0], [0, 4, 0]),
+        ([0, 0, 0], [0, 2**40, 1]),
+    ],
+    ids=["binned-empty-windows", "binned-no-draws", "sorted-empty-windows", "sorted-no-draws", "binned-none-draws",
+         "sorted-none-draws"],
+)
+def test_draw_joins_of_sessions_that_draw_nothing_at_a_runs_ends_equal_the_recount(counts, windows, coins_from,
+                                                                                   monkeypatch):
+    # a session's counts are segment sums from its start, and an empty segment's sum must read 0, also where the
+    # first or the last session of a run draws nothing (with a window of 0 slots or of some) and where none draws;
+    # the second session's one draw is alone in the slot where an empty first window would start
+    counts, windows = np.array(counts, dtype=np.int64), np.array(windows, dtype=np.int64)
+    keys = _cycle_keys(len(counts), seed=23)
+    coins_from = len(counts) if coins_from is None else coins_from
+    want = _recount(keys, counts, windows, 0.6, coins_from)
+    runs = []
+    original = engine.keyed_draws
+
+    def watching(keys, counts, windows, coins=False):
+        runs.append(sum(windows.tolist()))
+        return original(keys, counts, windows, coins)
+
+    monkeypatch.setattr(engine, "keyed_draws", watching)
+    joins, sent = engine._draw_joins(keys, counts, windows, 0.6, coins_from)
+    assert (joins.tolist(), sent.tolist()) == want
+    assert len(runs) == 1 and (runs[0] <= engine.BIN_SLOTS) == (max(windows) < 2**40)
+
+
+def test_a_binned_run_with_one_non_transmitter_equals_the_recount():
+    counts, windows = np.array([4, 1, 6], dtype=np.int64), np.array([5, 1, 9], dtype=np.int64)
+    keys = _cycle_keys(3, seed=24)
+    _, u = engine.keyed_draws(keys, counts, windows, coins=True)
+    csma_p = float(u.max())  # every coin but the largest lies below it
+    joins, sent = engine._draw_joins(keys, counts, windows, csma_p, 0)
+    assert (joins.tolist(), sent.tolist()) == _recount(keys, counts, windows, csma_p, 0)
+    assert int((u >= csma_p).sum()) == 1 and sum(sent.tolist()) == int(counts.sum()) - 1
 
 
 def test_keyed_coins_transmit_at_csma_p():
