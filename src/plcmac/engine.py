@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -248,10 +248,6 @@ class _Ratios:
         return out.astype(np.int64) if out.max(initial=0) <= _INT64_MAX else out
 
 
-# a group's ratios, which fold into its keys and then size its block's windows, and k1 and k2: each converted once
-_ratios = lru_cache(maxsize=2)(_Ratios)
-
-
 def _draw_joins(ckeys, counts, windows, csma_p, coins_from):
     """Joins per drawing session, and the transmitters of sessions coins_from on, from one keyed draw per STA.
 
@@ -325,10 +321,11 @@ def _run_block(
     table: _Table,
     protocol: Sequence[Protocol],
     tree: Sequence[int],
-    ratio: Sequence[float],
+    ratios: _Ratios,
+    ratio: Sequence[int],
     key: Sequence[int],
 ) -> _Columns:
-    """Run formations in lockstep: formation f runs protocol[f] on table's tree[f], at slot ratio ratio[f], keyed key[f].
+    """Run formations in lockstep: formation f runs protocol[f] on table's tree[f] at ratios' entry ratio[f], keyed key[f].
 
     Each step runs one networking cycle of every pending session, whatever
     its protocol. Sessions are held E-PMAC first, then P-MAC, then CSMA, and
@@ -361,9 +358,8 @@ def _run_block(
     form = np.repeat(order, size)
     at = np.repeat(table.start[tree[order]] - (np.cumsum(size) - size), size) + np.arange(len(form))
     pending, nodes, depth = table.pending[at], table.nodes[at], table.depth[at]
-    values, rat = np.unique(np.asarray(ratio, dtype=np.float64), return_inverse=True)
-    ratios = _ratios(tuple(values.tolist()))
-    growth = _ratios((cfg.k1, cfg.k2))  # E-PMAC's window grows by k1 after a thin PTE, by k2 after an idle one
+    rat = np.asarray(ratio, dtype=np.int64)
+    growth = _Ratios([cfg.k1, cfg.k2])  # E-PMAC's window grows by k1 after a thin PTE, by k2 after an idle one
     window = ratios.windows(rat, np.ones(n_form, dtype=np.int64))  # a lone contender's
     paid_bound = int(window.max(initial=0)) if lone.any() else 0  # no session has paid more window slots than this
     firsts = lone * (code == 0)
@@ -518,7 +514,7 @@ def run_formation(
         raise ValueError(f"key must be an integer, got {key!r}")
     if not 0 <= key <= _MASK:
         raise ValueError(f"key must be in [0, 2**64), got {key}")
-    result = _run_block(cfg, _sessions([tree]), (protocol,), (0,), (slot_ratio,), (key,)).result(0)
+    result = _run_block(cfg, _sessions([tree]), (protocol,), (0,), _Ratios([float(slot_ratio)]), (0,), (key,)).result(0)
     if isinstance(result, Exception):
         raise result
     return result
@@ -677,17 +673,17 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     sizes = np.array(plan.n_values)[n_idx]
     # keys: formation_key's six words, folded for every formation at once
     codes = np.repeat([_PROTOCOL_CODE[protocol] for protocol in plan.protocols], len(pair))
-    distinct, rat = np.unique(np.asarray(values, dtype=np.float64)[value], return_inverse=True)  # as _run_block has them
-    fracs = _ratios(tuple(distinct.tolist()))
-    num, den = (np.tile(np.array(part, dtype=object)[rat], protocols) for part in (fracs.num, fracs.den))
+    fracs = _Ratios(values)  # each ratio as given, for the keys; windows take its float64 value, the same for a float
+    num, den = (np.tile(np.array(part, dtype=object)[value], protocols) for part in (fracs.num, fracs.den))
     keys = _fold(np.zeros(len(codes), dtype=np.uint64), plan.seed, np.tile(sizes, protocols), np.tile(trial, protocols),
                  codes, num, den)
     index = plan.cell_index(np.arange(protocols)[:, None], n_idx, ratio_idx, trial).ravel().tolist()
     ratio = [values[v] for v in value.tolist()]
     try:
         table = _sessions(nets)
+        windows = fracs if all(isinstance(v, float) for v in values) else _Ratios([float(v) for v in values])
         block = _run_block(plan, table, np.repeat(np.array(plan.protocols, dtype=object), len(pair)),
-                           np.tile(np.array(tree)[pair], protocols), ratio * protocols, keys)
+                           np.tile(np.array(tree)[pair], protocols), windows, np.tile(value, protocols), keys)
     except Exception as exc:
         return [], [*failures, (min(index), exc)]
     layers = [nets[tree[i]].max_depth for i in pair.tolist()]

@@ -40,7 +40,8 @@ def _mixed(cfg, picks, cases):
     """Every (protocol, case index) pick in one block, results in pick order, an error as its type."""
     table = engine._sessions([tree for tree, _, _ in cases])
     protocol, tree = zip(*picks)
-    block = engine._run_block(cfg, table, protocol, tree, [cases[i][1] for i in tree], [cases[i][2] for i in tree])
+    block = engine._run_block(cfg, table, protocol, tree, engine._Ratios([cases[i][1] for i in tree]), range(len(tree)),
+                              [cases[i][2] for i in tree])
     return [_outcome(block.result(f)) for f in range(len(picks))]
 
 
@@ -226,7 +227,7 @@ def test_a_window_grown_past_2_63_raises_value_error_in_both_engines(monkeypatch
         ref.run_formation(Protocol.EPMAC, tree, RunConfig(), 2e18, 0)
     # the other formations of the block run on
     table = engine._sessions([tree, single_layer(1)])
-    block = engine._run_block(RunConfig(), table, (Protocol.EPMAC,) * 2, (0, 1), (2e18, 2e18), (0, 0))
+    block = engine._run_block(RunConfig(), table, (Protocol.EPMAC,) * 2, (0, 1), engine._Ratios([2e18]), (0, 0), (0, 0))
     got = [block.result(f) for f in range(2)]
     assert isinstance(got[0], ValueError)
     assert got[1] == ref.run_formation(Protocol.EPMAC, single_layer(1), RunConfig(), 2e18, 0)
@@ -625,7 +626,8 @@ def _watched(cfg, picks, cases, monkeypatch):
     protocol, tree = zip(*picks)
     with monkeypatch.context() as m:
         m.setattr(engine, "_draw_joins", watching)
-        block = engine._run_block(cfg, table, protocol, tree, [cases[i][1] for i in tree], keys)
+        block = engine._run_block(cfg, table, protocol, tree, engine._Ratios([cases[i][1] for i in tree]),
+                                  range(len(tree)), keys)
     got = [_outcome(block.result(f)) for f in range(len(picks))]
     want = [_reference(p, cases[i][0], cfg, cases[i][1], key) for (p, i), key in zip(picks, keys)]
     return got, want, list(zip(steps, steps[1:]))

@@ -3,6 +3,8 @@
 import concurrent.futures
 import importlib.util
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +349,23 @@ def test_numpy_integer_plan_words_run_as_their_values():
     plan = dict(protocols=(Protocol.PMAC,), ratio_grid=(1.0,))
     numpy_words = ExperimentPlan(**plan, n_values=(np.int64(4),), trials=np.int64(2), seed=np.int64(3))
     assert run_experiment(numpy_words) == run_experiment(ExperimentPlan(**plan, n_values=(4,), trials=2, seed=3))
+
+
+@pytest.mark.parametrize(
+    "ratio", [2**53 + 1, np.float32(1.05), Fraction(1, 3), Decimal("1.10000000000000000001")],
+    ids=["int-above-2**53", "float32", "fraction", "long-decimal"],
+)
+def test_a_sweep_row_is_the_formation_keyed_by_its_ratio_as_given(ratio):
+    # float64 cannot hold these ratios' fractions: the key folds the ratio as given, the windows take its float64 value
+    plan = ExperimentPlan(protocols=tuple(Protocol), n_values=(3, 9), ratio_grid=(ratio, 0.75), trials=2, seed=5)
+    rows = run_experiment(plan)
+    assert [row.ratio for row in rows] == [ratio, ratio, 0.75, 0.75] * 6
+    for row in rows:
+        protocol = Protocol(row.protocol)
+        key = engine.formation_key(plan.seed, row.n_node, row.trial, protocol, row.ratio)
+        alone = run_formation(protocol, single_layer(row.n_node), plan, row.ratio, key)
+        assert (row.elapsed_us, row.nc_count, row.data_frames, row.preambles) == (
+            alone.total_us, alone.nc_count, alone.data_frames, alone.preambles)
 
 
 def test_nontermination_names_the_offending_cell():

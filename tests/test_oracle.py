@@ -58,7 +58,7 @@ def test_single_layer_means_match_the_exact_oracle(protocol, n, ratio):
     # one block of TRIALS formations: the cells of a single-layer sweep at (SEED, protocol, n, ratio)
     keys = [formation_key(SEED, n, trial, protocol, ratio) for trial in range(TRIALS)]
     block = engine._run_block(cfg, engine._sessions([single_layer(n)]), (protocol,) * TRIALS, (0,) * TRIALS,
-                              (ratio,) * TRIALS, keys)
+                              engine._Ratios([ratio]), (0,) * TRIALS, keys)
     runs = [block.result(f) for f in range(TRIALS)]
     exact = expected_single_layer(protocol, n, ratio, cfg)
     observed = (np.array([r.nc_count for r in runs], float), np.array([r.total_us for r in runs], float))
@@ -114,7 +114,8 @@ def multi_layer_runs():
     keys = engine._child_keys(np.repeat(np.array(base, dtype=np.uint64), TRIALS), np.tile(np.arange(TRIALS), len(pairs)))
     block = engine._run_block(MULTI_CFG, engine._sessions(trees), np.repeat([p for p, _ in pairs], TRIALS),
                               np.repeat([tree_of[name] for _, name in pairs], TRIALS),
-                              np.repeat([MULTI_LAYER[name][1] for _, name in pairs], TRIALS), keys)
+                              engine._Ratios([MULTI_LAYER[name][1] for _, name in pairs]),
+                              np.repeat(np.arange(len(pairs)), TRIALS), keys)
     assert not block.errors
     columns = (np.array(column, float).reshape(len(pairs), TRIALS) for column in (block.nc_count, block.total_us))
     return dict(zip(pairs, zip(*columns)))
