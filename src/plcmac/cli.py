@@ -50,13 +50,10 @@ _PROTOCOL_CHOICES = [p.value for p in Protocol]
 _DEFAULT_RATIOS = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 
 
-_row_values = operator.attrgetter(*CSV_HEADER)
-
-
 def write_csv(rows: Sequence[ResultRow], fh: IO[str]) -> None:
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    w.writerows(map(_row_values, rows))
+    w.writerows(rows)
 
 
 def _load_config(path: str) -> dict:
@@ -242,45 +239,55 @@ def _cmd_timing(_args: argparse.Namespace) -> int:
 
 
 # every integer column must parse, though only n_node and elapsed_us are kept
-_INT_FIELDS = operator.itemgetter(*map(CSV_HEADER.index, (
+_INT_FIELDS = tuple(map(CSV_HEADER.index, (
     "n_node", "elapsed_us", "trial", "nc_count", "data_frames", "preambles", "layers")))
 _PROTOCOL, _RATIO = CSV_HEADER.index("protocol"), CSV_HEADER.index("ratio")
 
 
-def _read_rows(path: str) -> list[tuple[str, int, float, int]]:
-    """(protocol, n_node, ratio, elapsed_us) of every data row of a sweep CSV; blank lines are skipped."""
+def _read_rows(path: str) -> tuple[Sequence[str], list[int], list[float], list[int]]:
+    """The protocol, n_node, ratio and elapsed_us columns of every data row of a sweep CSV; blank lines are skipped."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if tuple(next(reader, ())) != CSV_HEADER:
-                raise UsageError(f"{path}: header does not match {','.join(CSV_HEADER)}")
-            rows = []
-            for raw in reader:
-                if not raw:
-                    continue
-                if len(raw) != len(CSV_HEADER):
-                    raise UsageError(f"{path}: line {reader.line_num} does not have {len(CSV_HEADER)} fields")
-                try:
-                    n_node, elapsed_us, *_ = map(int, _INT_FIELDS(raw))
-                    ratio = float(raw[_RATIO])
-                except ValueError as exc:
-                    raise UsageError(f"{path}: line {reader.line_num}: {exc}") from exc
-                if not math.isfinite(ratio):
-                    raise UsageError(f"{path}: line {reader.line_num}: ratio {raw[_RATIO]!r} is not finite")
-                rows.append((raw[_PROTOCOL], n_node, ratio, elapsed_us))
+            lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    reader = csv.reader(lines)
+    if tuple(next(reader, ())) != CSV_HEADER:
+        raise UsageError(f"{path}: header does not match {','.join(CSV_HEADER)}")
+    rows = list(filter(None, reader))
     if not rows:
         raise UsageError(f"{path}: no data rows")
-    return rows
+    try:  # each column parses with one map
+        if {*map(len, rows)} != {len(CSV_HEADER)}:
+            raise ValueError
+        columns = list(zip(*rows))
+        n_node, elapsed_us, *_ = (list(map(int, columns[i])) for i in _INT_FIELDS)
+        ratio = list(map(float, columns[_RATIO]))
+        if not all(map(math.isfinite, ratio)):
+            raise ValueError
+    except ValueError:  # some row does not parse: a pass line by line names the first
+        reader = csv.reader(lines)
+        for raw in itertools.islice(filter(None, reader), 1, None):
+            if len(raw) != len(CSV_HEADER):
+                raise UsageError(f"{path}: line {reader.line_num} does not have {len(CSV_HEADER)} fields") from None
+            try:
+                for i in _INT_FIELDS:
+                    int(raw[i])
+                ratio = float(raw[_RATIO])
+            except ValueError as exc:
+                raise UsageError(f"{path}: line {reader.line_num}: {exc}") from exc
+            if not math.isfinite(ratio):
+                raise UsageError(f"{path}: line {reader.line_num}: ratio {raw[_RATIO]!r} is not finite") from None
+    return columns[_PROTOCOL], n_node, ratio, elapsed_us
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
     if args.best_ratio and args.pool_ratios:
         raise UsageError("--best-ratio and --pool-ratios are mutually exclusive")
+    protocol, n_node, ratio, elapsed_us = _read_rows(args.results)
     groups: dict[tuple, list[int]] = {}
-    for protocol, n_node, ratio, elapsed_us in _read_rows(args.results):
-        groups.setdefault((protocol, n_node, None if args.pool_ratios else ratio), []).append(elapsed_us)
+    for key, us in zip(zip(protocol, n_node, itertools.repeat(None) if args.pool_ratios else ratio), elapsed_us):
+        groups.setdefault(key, []).append(us)
 
     # keys are unique, and no two pooled keys share (protocol, n), so their None ratios are never compared
     chosen = sorted(zip(groups, summarize_groups(list(groups.values()))), key=operator.itemgetter(0))
@@ -288,24 +295,15 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         chosen = [min(cell, key=lambda item: (item[1].mean, item[0][2]))
                   for _, cell in itertools.groupby(chosen, key=lambda item: item[0][:2])]
 
+    keys, stats = zip(*chosen)
+    protocol, n_node, ratio = zip(*keys)
+    samples, *values = zip(*stats)
+    formats = ("{:.2f}", "{:.0f}", "{:.2f}", "{:.2f}", "{:.2f}", "{:.0f}")  # mean, min, q1, median, q3, max
     with _open_out(args.out) as out_fh:
         w = csv.writer(out_fh, lineterminator="\n")
         w.writerow(["protocol", "n_node", "ratio", "samples", "mean_us", "min_us", "q1_us", "median_us", "q3_us", "max_us"])
-        for (protocol, n_node, ratio), s in chosen:
-            w.writerow(
-                [
-                    protocol,
-                    n_node,
-                    "all" if ratio is None else ratio,
-                    s.n,
-                    f"{s.mean:.2f}",
-                    f"{s.min:.0f}",
-                    f"{s.q1:.2f}",
-                    f"{s.median:.2f}",
-                    f"{s.q3:.2f}",
-                    f"{s.max:.0f}",
-                ]
-            )
+        w.writerows(zip(protocol, n_node, ["all" if r is None else r for r in ratio], samples,
+                        *(map(f.format, v) for f, v in zip(formats, values))))
     return 0
 
 

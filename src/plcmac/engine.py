@@ -177,6 +177,7 @@ class _Table(NamedTuple):
     joins: np.ndarray      # STAs over all sessions; equals n_sta for a well-formed tree
     hops: np.ndarray       # sum of k over all STAs
     relays: np.ndarray     # sum of 2*(k-1) over all sessions: the relay frames of E-PMAC and P-MAC
+    layers: np.ndarray     # the depth of the deepest STA
 
 
 def _sessions(trees: Sequence[NetworkTree]) -> _Table:
@@ -196,6 +197,7 @@ def _sessions(trees: Sequence[NetworkTree]) -> _Table:
     pending, depth = children[coords], depth[coords] + 1
     start = np.zeros(len(trees) + 1, dtype=np.int64)
     np.cumsum(np.bincount(tree, minlength=len(trees)), out=start[1:])
+    layers = np.maximum.reduceat(np.append(depth, 0), start[:-1]) * (start[1:] > start[:-1])  # 0 without sessions
 
     def per_tree(x: np.ndarray) -> np.ndarray:
         upto = np.zeros(len(x) + 1, dtype=np.int64)
@@ -204,7 +206,7 @@ def _sessions(trees: Sequence[NetworkTree]) -> _Table:
 
     return _Table(coords - first[tree], pending, depth, start, np.bincount(tree[pending > 1], minlength=len(trees)),
                   np.array([t.n_sta for t in trees], dtype=np.int64), per_tree(pending), per_tree(pending * depth),
-                  2 * per_tree(depth - 1))
+                  2 * per_tree(depth - 1), layers)
 
 
 class _Ratios:
@@ -257,7 +259,8 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from):
     its coin lies below csma_p, and every other draw transmits; with
     coins_from = len(counts), no draw takes a coin. Memory follows the
     draws, not the windows: the draws go in runs of sessions of about
-    DRAW_CHUNK. A run lays its sessions' windows end to end (in Python
+    DRAW_CHUNK, and a step of at most DRAW_CHUNK draws is one run, found
+    without a search. A run lays its sessions' windows end to end (in Python
     ints when their total could pass 2**63 - 1) and moves each draw's slot
     to its session's place, with one repeat. A session's transmitters are
     one segment sum (add.reduceat) of the transmit flags from its first
@@ -271,36 +274,42 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from):
     segment as the element at its start, so such sessions (counts of 0,
     which any window of 0 slots has) are set to 0 afterwards.
     """
-    n = len(counts)
-    joins, sent = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    cuts = counts.cumsum().searchsorted(np.arange(DRAW_CHUNK, int(counts.sum()), DRAW_CHUNK), side="right")
+    n, total = len(counts), int(counts.sum())
+    if n and total <= DRAW_CHUNK:  # one run, found without a search
+        return _draw_run(ckeys, counts, windows, csma_p, coins_from)
+    cuts = counts.cumsum().searchsorted(np.arange(DRAW_CHUNK, total, DRAW_CHUNK), side="right")
     bounds = sorted({0, n, *cuts.tolist()})
-    for lo, hi in zip(bounds, bounds[1:]):
-        c, w, keys = counts[lo:hi], windows[lo:hi], ckeys[lo:hi]
-        coins, drew = hi > coins_from, c > 0
-        slots, u = keyed_draws(keys, c, w, coins)
-        # a draw joins when its (session, slot) cell holds no other draw
-        off = (w if int(w.max()) <= _INT64_MAX // len(w) else w.astype(object)).cumsum()
-        base, total = off - w, off[-1]
-        cells = base.repeat(c)
-        cells += slots
-        if coins:  # from here on, only the transmitting draws
-            send = np.zeros(len(u) + 1, dtype=bool)
-            np.less(u, csma_p, out=send[:-1])
-            if coins_from > lo:  # a draw before coins_from sends whatever its coin
-                send[: int(c[: coins_from - lo].sum())] = True
-            sent[lo:hi] = np.add.reduceat(send, c.cumsum() - c) * drew
-            cells = cells.compress(send[:-1])
-        if total <= BIN_SLOTS:
-            joins[lo:hi] = np.add.reduceat(np.bincount(cells, minlength=total + 1) == 1, base) * drew
-        else:
-            cells.sort()
-            same = cells[1:] == cells[:-1]
-            lone = np.ones(len(cells), dtype=bool)
-            lone[1:] &= ~same
-            lone[:-1] &= ~same
-            joins[lo:hi] = np.bincount(off.searchsorted(cells.compress(lone), side="right"), minlength=len(c))
-    return joins, sent[coins_from:]
+    runs = [_draw_run(ckeys[lo:hi], counts[lo:hi], windows[lo:hi], csma_p, coins_from - lo)
+            for lo, hi in zip(bounds, bounds[1:])] or [(np.zeros(0, dtype=np.int64),) * 2]  # no sessions, no draws
+    return tuple(map(np.concatenate, zip(*runs)))
+
+
+def _draw_run(keys, c, w, csma_p, coins_from):
+    """_draw_joins over one run of sessions: their joins, and the transmitters of sessions coins_from on."""
+    coins, drew = len(c) > coins_from, c > 0
+    slots, u = keyed_draws(keys, c, w, coins)
+    # a draw joins when its (session, slot) cell holds no other draw
+    off = (w if int(w.max()) <= _INT64_MAX // len(w) else w.astype(object)).cumsum()
+    base, total = off - w, off[-1]
+    cells = base.repeat(c)
+    cells += slots
+    sent = np.zeros(0, dtype=np.int64)
+    if coins:  # from here on, only the transmitting draws
+        send = np.empty(len(u) + 1, dtype=bool)
+        send[-1] = False
+        np.less(u, csma_p, out=send[:-1])
+        if coins_from > 0:  # a draw before coins_from sends whatever its coin
+            send[: int(c[:coins_from].sum())] = True
+        sent = (np.add.reduceat(send, c.cumsum() - c) * drew)[max(coins_from, 0):]
+        cells = cells.compress(send[:-1])
+    if total <= BIN_SLOTS:
+        return np.add.reduceat(np.bincount(cells, minlength=total + 1) == 1, base) * drew, sent
+    cells.sort()
+    same = cells[1:] == cells[:-1]
+    lone = np.ones(len(cells), dtype=bool)
+    lone[1:] &= ~same
+    lone[:-1] &= ~same
+    return np.bincount(off.searchsorted(cells.compress(lone), side="right"), minlength=len(c)), sent
 
 
 class _Columns(NamedTuple):
@@ -398,13 +407,14 @@ def _run_block(
 
     def shrink(keep: np.ndarray) -> None:
         """Settle the sessions keep drops and drop them, one array at a time, so the state is never held twice."""
-        nonlocal e, p
+        nonlocal e, p, active
         settle(np.flatnonzero(~keep))
         at = np.flatnonzero(keep)
         e, p = np.searchsorted(at, (e, p)).tolist()
         for rows, picked in ((ep, at[:e]), (st, at)):
             for name, v in rows.items():
                 rows[name] = v.take(picked)
+        active = st["pend"] > 0
 
     def fail(failed: dict) -> None:
         """Record each formation's error and drop all its sessions."""
@@ -415,9 +425,9 @@ def _run_block(
         for total in totals.values():
             total[gone] = 0
 
+    active = st["pend"] > 0  # the sessions still pending; each step's closing count carries over to the next
     while True:
         pend = st["pend"]
-        active = pend > 0
         if step >= free_steps:  # the next step may pass a budget; checked before the exit, so lone totals are too
             form = st["form"]
             cycles = np.bincount(form, weights=st["cyc"] + active, minlength=n_form) + totals["cyc"]
@@ -451,6 +461,7 @@ def _run_block(
             st["paid"], totals["paid"] = (v.astype(object, copy=False) for v in (st["paid"], totals["paid"]))
         s, sent = _draw_joins(_child_keys(st["key"], step - 1), pend, w, cfg.csma_p, p)
         pend -= s
+        keep = pend > 0
         st["cyc"] += active
         st["paid"] = st["paid"] + exact * active  # Python ints once a window is; a drained session pays nothing
         st["sent"][p:] += sent
@@ -462,9 +473,9 @@ def _run_block(
             ep["first"] = idle & (ep["tf"] > cfg.t_f_max)  # probes ran out: a fresh first PTE
             # a thin PTE stretches the window by k1, an idle one (always thin) by k2; a drained session keeps 1 slot
             grown = np.where(s / w <= cfg.eta_min, growth.windows(idle.astype(np.intp), w), w)
-            ep["w"] = np.where(pend[:e] > 0, np.where(ep["first"], ep["n0"], grown), 1)
+            ep["w"] = np.where(keep[:e], np.where(ep["first"], ep["n0"], grown), 1)
         # once half the sessions of a block above SHRINK_FLOOR have drained, drop the drained ones
-        keep = pend > 0
+        active = keep
         if len(keep) > SHRINK_FLOOR and 2 * int(np.count_nonzero(keep)) <= len(keep):
             shrink(keep)
     settle(np.arange(len(st["pend"])))
@@ -520,8 +531,7 @@ def run_formation(
     return result
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     protocol: str
     n_node: int
     ratio: float
@@ -533,7 +543,7 @@ class ResultRow:
     layers: int
 
 
-CSV_HEADER: tuple[str, ...] = tuple(f.name for f in fields(ResultRow))
+CSV_HEADER: tuple[str, ...] = ResultRow._fields
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -682,14 +692,14 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     try:
         table = _sessions(nets)
         windows = fracs if all(isinstance(v, float) for v in values) else _Ratios([float(v) for v in values])
+        trees = np.array(tree)[pair]
         block = _run_block(plan, table, np.repeat(np.array(plan.protocols, dtype=object), len(pair)),
-                           np.tile(np.array(tree)[pair], protocols), windows, np.tile(value, protocols), keys)
+                           np.tile(trees, protocols), windows, np.tile(value, protocols), keys)
     except Exception as exc:
         return [], [*failures, (min(index), exc)]
-    layers = [nets[tree[i]].max_depth for i in pair.tolist()]
-    made = map(ResultRow, [protocol.value for protocol in plan.protocols for _ in pair], sizes.tolist() * protocols,
+    made = map(ResultRow, [v for v in [p.value for p in plan.protocols] for _ in pair], sizes.tolist() * protocols,
                ratio * protocols, trial.tolist() * protocols, block.total_us, block.nc_count, block.data_frames,
-               block.preambles, layers * protocols)
+               block.preambles, table.layers[trees].tolist() * protocols)
     rows = list(zip(index, made))
     if block.errors:
         failures += [(index[f], exc) for f, exc in block.errors.items()]
@@ -730,8 +740,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     """Five-number summary plus mean; quartiles use inclusive linear interpolation."""
 
     n: int

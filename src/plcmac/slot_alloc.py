@@ -15,7 +15,7 @@ class ZeroSlots(ValueError):
 
 # A block of formations reads its grid's ratios and the controller's k1 and k2;
 # a bound keeps random-ratio sweeps from holding one entry per cell.
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed: np.float32(1.1) and the float it equals print differently
 def _as_fraction(factor: float) -> tuple[int, int]:
     # str() round-trips the decimal literal the user typed, so 1.1 stays 11/10
     return Fraction(str(factor)).as_integer_ratio()

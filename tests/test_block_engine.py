@@ -411,14 +411,15 @@ def _recount(keys, counts, windows, csma_p, coins_from):
 @pytest.mark.parametrize("csma_p", [None, 0.4])
 @pytest.mark.parametrize(
     "chunk, bins, lead",
-    [(64, 256, 0), (engine.DRAW_CHUNK, engine.BIN_SLOTS, 0), (engine.DRAW_CHUNK, engine.BIN_SLOTS, 3)],
-    ids=["short-runs", "default-runs", "first-run-empty"],
+    [(64, 256, 0), (engine.DRAW_CHUNK, engine.BIN_SLOTS, 0), (engine.DRAW_CHUNK, engine.BIN_SLOTS, 3),
+     (0, engine.BIN_SLOTS, 0), (-1, engine.BIN_SLOTS, 0)],
+    ids=["short-runs", "default-runs", "first-run-empty", "one-run-of-chunk-draws", "two-runs-of-chunk-plus-one"],
 )
 def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p, monkeypatch):
     # runs whose windows add up to at most BIN_SLOTS, to more, and past 2**63 - 1 (two windows of 2**62 and more);
     # sessions that draw nothing, and coins from a session in the middle of a run (with no csma_p, from none); with
-    # lead, that many sessions draw nothing and the next draws more than a run holds, so the first run draws nothing
-    monkeypatch.setattr(engine, "DRAW_CHUNK", chunk)
+    # lead, that many sessions draw nothing and the next draws more than a run holds, so the first run draws nothing.
+    # A chunk of 0 or -1 is the step's own draw count plus that: a step of DRAW_CHUNK draws, one run, and of one more
     monkeypatch.setattr(engine, "BIN_SLOTS", bins)
     rng = np.random.default_rng(19)
     counts = rng.integers(0, 7, 90)
@@ -430,6 +431,10 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p
     windows[70:72] = (2**62, 2**63 - 1)
     counts[70:72] = (5, 6)
     keys, middle = _cycle_keys(90, seed=20), 31
+    boundary = chunk <= 0
+    if boundary:
+        chunk += int(counts.sum())
+    monkeypatch.setattr(engine, "DRAW_CHUNK", chunk)
     coins_from = len(counts) if csma_p is None else middle
     want_joins, want_sent = _recount(keys, counts, windows, csma_p, coins_from)
     runs = []
@@ -446,6 +451,8 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p
     totals = [total for _, total, _ in runs]
     assert max(totals) > 2**63 - 1
     assert (runs[0][2] == 0) == bool(lead)
+    if boundary:
+        assert len(runs) == 1 + (int(counts.sum()) > chunk)
     if chunk == 64:  # runs of every kind, and one that starts before the middle session and ends after it
         assert min(totals) <= bins and any(bins < total <= 2**63 - 1 for total in totals)
         ends = np.cumsum([size for size, _, _ in runs]).tolist()

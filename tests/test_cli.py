@@ -5,9 +5,12 @@ import gc
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from plcmac import ExperimentPlan, Protocol, cli, engine
@@ -31,6 +34,23 @@ def test_sweep_single_writes_a_csv(tmp_path):
     assert len(rows) == 1 + 3 * 1 * 1 * 2  # all three protocols by default
     protocols = {r[0] for r in rows[1:]}
     assert protocols == {"epmac", "pmac", "ieee1901"}
+
+
+def test_write_csv_prints_each_ratio_as_given(tmp_path):
+    # csv.writer prints a float by repr and any other value by str, whatever record holds the values
+    ratios = [0.75, Decimal("1.10000000000000000001"), Fraction(1, 3), np.float32(1.1), 2**53 + 1]
+    rows = [engine.ResultRow("epmac", 10, ratio, trial, 80800 + trial, 2, 5, 4, 1) for trial, ratio in enumerate(ratios)]
+    out = tmp_path / "rows.csv"
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        cli.write_csv(rows, fh)
+    assert out.read_bytes() == (
+        b"protocol,n_node,ratio,trial,elapsed_us,nc_count,data_frames,preambles,layers\n"
+        b"epmac,10,0.75,0,80800,2,5,4,1\n"
+        b"epmac,10,1.10000000000000000001,1,80801,2,5,4,1\n"
+        b"epmac,10,1/3,2,80802,2,5,4,1\n"
+        b"epmac,10,1.1,3,80803,2,5,4,1\n"
+        b"epmac,10,9007199254740993,4,80804,2,5,4,1\n"
+    )
 
 
 def test_sweep_output_is_byte_identical_across_runs_and_jobs(tmp_path):

@@ -368,6 +368,18 @@ def test_a_sweep_row_is_the_formation_keyed_by_its_ratio_as_given(ratio):
             alone.total_us, alone.nc_count, alone.data_frames, alone.preambles)
 
 
+def test_a_float32_ratio_keys_its_rows_whatever_was_converted_before():
+    # np.float32(1.1) equals the float 1.100000023841858 and hashes alike, but its decimal literal is 1.1
+    x = np.float32(1.1)
+    plan = ExperimentPlan(protocols=tuple(Protocol), n_values=(10, 20, 30), ratio_grid=(x,), trials=3, seed=5,
+                          multi_layer=True)
+    slot_alloc._as_fraction.cache_clear()
+    cold = run_experiment(plan)
+    slot_alloc._as_fraction.cache_clear()
+    slot_alloc._as_fraction(float(x))
+    assert run_experiment(plan) == cold
+
+
 def test_nontermination_names_the_offending_cell():
     plan = ExperimentPlan(
         protocols=(Protocol.EPMAC,),
