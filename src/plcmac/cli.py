@@ -50,10 +50,13 @@ _PROTOCOL_CHOICES = [p.value for p in Protocol]
 _DEFAULT_RATIOS = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 
 
+_row_values = operator.attrgetter(*CSV_HEADER)
+
+
 def write_csv(rows: Sequence[ResultRow], fh: IO[str]) -> None:
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    w.writerows(rows)
+    w.writerows(map(_row_values, rows))
 
 
 def _load_config(path: str) -> dict:
@@ -244,6 +247,22 @@ _INT_FIELDS = tuple(map(CSV_HEADER.index, (
 _PROTOCOL, _RATIO = CSV_HEADER.index("protocol"), CSV_HEADER.index("ratio")
 
 
+def _columns(rows: list[list[str]], where: str) -> tuple[Sequence[str], list[int], list[float], list[int]]:
+    """The protocol, n_node, ratio and elapsed_us columns of rows; a row that does not parse raises UsageError."""
+    if any(len(raw) != len(CSV_HEADER) for raw in rows):
+        raise UsageError(f"{where} does not have {len(CSV_HEADER)} fields")
+    columns = list(zip(*rows))
+    try:
+        n_node, elapsed_us, *_ = [list(map(int, columns[i])) for i in _INT_FIELDS]
+        ratio = list(map(float, columns[_RATIO]))
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
+    if not all(map(math.isfinite, ratio)):
+        bad = next(raw for raw, value in zip(columns[_RATIO], ratio) if not math.isfinite(value))
+        raise UsageError(f"{where}: ratio {bad!r} is not finite")
+    return columns[_PROTOCOL], n_node, ratio, elapsed_us
+
+
 def _read_rows(path: str) -> tuple[Sequence[str], list[int], list[float], list[int]]:
     """The protocol, n_node, ratio and elapsed_us columns of every data row of a sweep CSV; blank lines are skipped."""
     try:
@@ -257,28 +276,13 @@ def _read_rows(path: str) -> tuple[Sequence[str], list[int], list[float], list[i
     rows = list(filter(None, reader))
     if not rows:
         raise UsageError(f"{path}: no data rows")
-    try:  # each column parses with one map
-        if {*map(len, rows)} != {len(CSV_HEADER)}:
-            raise ValueError
-        columns = list(zip(*rows))
-        n_node, elapsed_us, *_ = (list(map(int, columns[i])) for i in _INT_FIELDS)
-        ratio = list(map(float, columns[_RATIO]))
-        if not all(map(math.isfinite, ratio)):
-            raise ValueError
-    except ValueError:  # some row does not parse: a pass line by line names the first
+    try:  # all rows at once, one map a column
+        return _columns(rows, path)
+    except UsageError:  # the same check row by row names the first line that fails it
         reader = csv.reader(lines)
         for raw in itertools.islice(filter(None, reader), 1, None):
-            if len(raw) != len(CSV_HEADER):
-                raise UsageError(f"{path}: line {reader.line_num} does not have {len(CSV_HEADER)} fields") from None
-            try:
-                for i in _INT_FIELDS:
-                    int(raw[i])
-                ratio = float(raw[_RATIO])
-            except ValueError as exc:
-                raise UsageError(f"{path}: line {reader.line_num}: {exc}") from exc
-            if not math.isfinite(ratio):
-                raise UsageError(f"{path}: line {reader.line_num}: ratio {raw[_RATIO]!r} is not finite") from None
-    return columns[_PROTOCOL], n_node, ratio, elapsed_us
+            _columns([raw], f"{path}: line {reader.line_num}")
+        raise
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
@@ -297,7 +301,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
     keys, stats = zip(*chosen)
     protocol, n_node, ratio = zip(*keys)
-    samples, *values = zip(*stats)
+    samples, *values = zip(*map(operator.attrgetter("n", "mean", "min", "q1", "median", "q3", "max"), stats))
     formats = ("{:.2f}", "{:.0f}", "{:.2f}", "{:.2f}", "{:.2f}", "{:.0f}")  # mean, min, q1, median, q3, max
     with _open_out(args.out) as out_fh:
         w = csv.writer(out_fh, lineterminator="\n")

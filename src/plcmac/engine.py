@@ -275,12 +275,14 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from):
     which any window of 0 slots has) are set to 0 afterwards.
     """
     n, total = len(counts), int(counts.sum())
-    if n and total <= DRAW_CHUNK:  # one run, found without a search
+    if not n:  # no sessions, no draws
+        return (np.zeros(0, dtype=np.int64),) * 2
+    if total <= DRAW_CHUNK:  # one run, found without a search
         return _draw_run(ckeys, counts, windows, csma_p, coins_from)
     cuts = counts.cumsum().searchsorted(np.arange(DRAW_CHUNK, total, DRAW_CHUNK), side="right")
     bounds = sorted({0, n, *cuts.tolist()})
     runs = [_draw_run(ckeys[lo:hi], counts[lo:hi], windows[lo:hi], csma_p, coins_from - lo)
-            for lo, hi in zip(bounds, bounds[1:])] or [(np.zeros(0, dtype=np.int64),) * 2]  # no sessions, no draws
+            for lo, hi in zip(bounds, bounds[1:])]
     return tuple(map(np.concatenate, zip(*runs)))
 
 
@@ -531,7 +533,8 @@ def run_formation(
     return result
 
 
-class ResultRow(NamedTuple):
+@dataclass(frozen=True)
+class ResultRow:
     protocol: str
     n_node: int
     ratio: float
@@ -543,7 +546,7 @@ class ResultRow(NamedTuple):
     layers: int
 
 
-CSV_HEADER: tuple[str, ...] = ResultRow._fields
+CSV_HEADER: tuple[str, ...] = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -740,7 +743,8 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     return rows
 
 
-class SummaryStats(NamedTuple):
+@dataclass(frozen=True)
+class SummaryStats:
     """Five-number summary plus mean; quartiles use inclusive linear interpolation."""
 
     n: int

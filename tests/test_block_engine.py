@@ -469,15 +469,17 @@ def test_draw_joins_equal_a_recount_of_the_keyed_draws(chunk, bins, lead, csma_p
         ([0, 1, 0, 3, 2, 0], [7, 1, 1, 2**40, 4, 1]),
         ([0, 0, 0], [0, 4, 0]),
         ([0, 0, 0], [0, 2**40, 1]),
+        ([], []),
     ],
     ids=["binned-empty-windows", "binned-no-draws", "sorted-empty-windows", "sorted-no-draws", "binned-none-draws",
-         "sorted-none-draws"],
+         "sorted-none-draws", "no-sessions"],
 )
 def test_draw_joins_of_sessions_that_draw_nothing_at_a_runs_ends_equal_the_recount(counts, windows, coins_from,
                                                                                    monkeypatch):
     # a session's counts are segment sums from its start, and an empty segment's sum must read 0, also where the
     # first or the last session of a run draws nothing (with a window of 0 slots or of some) and where none draws;
-    # the second session's one draw is alone in the slot where an empty first window would start
+    # the second session's one draw is alone in the slot where an empty first window would start; a step of no
+    # sessions draws nothing
     counts, windows = np.array(counts, dtype=np.int64), np.array(windows, dtype=np.int64)
     keys = _cycle_keys(len(counts), seed=23)
     coins_from = len(counts) if coins_from is None else coins_from
@@ -492,7 +494,8 @@ def test_draw_joins_of_sessions_that_draw_nothing_at_a_runs_ends_equal_the_recou
     monkeypatch.setattr(engine, "keyed_draws", watching)
     joins, sent = engine._draw_joins(keys, counts, windows, 0.6, coins_from)
     assert (joins.tolist(), sent.tolist()) == want
-    assert len(runs) == 1 and (runs[0] <= engine.BIN_SLOTS) == (max(windows) < 2**40)
+    assert len(runs) == (len(counts) > 0)
+    assert all((total <= engine.BIN_SLOTS) == (max(windows) < 2**40) for total in runs)
 
 
 def test_a_binned_run_with_one_non_transmitter_equals_the_recount():

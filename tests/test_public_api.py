@@ -69,7 +69,7 @@ def test_formation_result_fields_are_pinned():
     assert fields == ["total_us", "nc_count", "data_frames", "preambles"]
 
 
-def test_result_records_are_named_tuples_with_pinned_fields():
-    assert plcmac.ResultRow._fields == plcmac.CSV_HEADER == (
+def test_result_record_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(plcmac.ResultRow)) == plcmac.CSV_HEADER == (
         "protocol", "n_node", "ratio", "trial", "elapsed_us", "nc_count", "data_frames", "preambles", "layers")
-    assert plcmac.SummaryStats._fields == ("n", "mean", "min", "q1", "median", "q3", "max")
+    assert [f.name for f in dataclasses.fields(plcmac.SummaryStats)] == ["n", "mean", "min", "q1", "median", "q3", "max"]
