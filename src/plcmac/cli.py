@@ -50,13 +50,10 @@ _PROTOCOL_CHOICES = [p.value for p in Protocol]
 _DEFAULT_RATIOS = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 
 
-_row_values = operator.attrgetter(*CSV_HEADER)
-
-
 def write_csv(rows: Sequence[ResultRow], fh: IO[str]) -> None:
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    w.writerows(map(_row_values, rows))
+    w.writerows(map(operator.attrgetter(*CSV_HEADER), rows))
 
 
 def _load_config(path: str) -> dict:

@@ -281,21 +281,19 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from):
         return _draw_run(ckeys, counts, windows, csma_p, coins_from)
     cuts = counts.cumsum().searchsorted(np.arange(DRAW_CHUNK, total, DRAW_CHUNK), side="right")
     bounds = sorted({0, n, *cuts.tolist()})
-    runs = [_draw_run(ckeys[lo:hi], counts[lo:hi], windows[lo:hi], csma_p, coins_from - lo)
-            for lo, hi in zip(bounds, bounds[1:])]
-    return tuple(map(np.concatenate, zip(*runs)))
+    return tuple(map(np.concatenate, zip(*(_draw_run(ckeys[lo:hi], counts[lo:hi], windows[lo:hi], csma_p, coins_from - lo)
+                                           for lo, hi in zip(bounds, bounds[1:])))))
 
 
 def _draw_run(keys, c, w, csma_p, coins_from):
     """_draw_joins over one run of sessions: their joins, and the transmitters of sessions coins_from on."""
-    coins, drew = len(c) > coins_from, c > 0
+    coins, drew, sent = len(c) > coins_from, c > 0, np.zeros(0, dtype=np.int64)
     slots, u = keyed_draws(keys, c, w, coins)
     # a draw joins when its (session, slot) cell holds no other draw
     off = (w if int(w.max()) <= _INT64_MAX // len(w) else w.astype(object)).cumsum()
     base, total = off - w, off[-1]
     cells = base.repeat(c)
     cells += slots
-    sent = np.zeros(0, dtype=np.int64)
     if coins:  # from here on, only the transmitting draws
         send = np.empty(len(u) + 1, dtype=bool)
         send[-1] = False
