@@ -291,14 +291,14 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         groups.setdefault(key, []).append(us)
 
     # keys are unique, and no two pooled keys share (protocol, n), so their None ratios are never compared
-    chosen = sorted(zip(groups, summarize_groups(list(groups.values()))), key=operator.itemgetter(0))
+    # each item is a key, then its summary's n, mean, min, q1, median, q3 and max
+    chosen = sorted(zip(groups, *summarize_groups(list(groups.values()))), key=operator.itemgetter(0))
     if args.best_ratio:
-        chosen = [min(cell, key=lambda item: (item[1].mean, item[0][2]))
+        chosen = [min(cell, key=lambda item: (item[2], item[0][2]))
                   for _, cell in itertools.groupby(chosen, key=lambda item: item[0][:2])]
 
-    keys, stats = zip(*chosen)
+    keys, samples, *values = zip(*chosen)
     protocol, n_node, ratio = zip(*keys)
-    samples, *values = zip(*map(operator.attrgetter("n", "mean", "min", "q1", "median", "q3", "max"), stats))
     formats = ("{:.2f}", "{:.0f}", "{:.2f}", "{:.2f}", "{:.2f}", "{:.0f}")  # mean, min, q1, median, q3, max
     with _open_out(args.out) as out_fh:
         w = csv.writer(out_fh, lineterminator="\n")

@@ -275,14 +275,13 @@ def _draw_joins(ckeys, counts, windows, csma_p, coins_from):
     which any window of 0 slots has) are set to 0 afterwards.
     """
     n, total = len(counts), int(counts.sum())
-    if not n:  # no sessions, no draws
-        return (np.zeros(0, dtype=np.int64),) * 2
-    if total <= DRAW_CHUNK:  # one run, found without a search
-        return _draw_run(ckeys, counts, windows, csma_p, coins_from)
+    if total <= DRAW_CHUNK:  # one run, found without a search; a step of no sessions draws nothing
+        return _draw_run(ckeys, counts, windows, csma_p, coins_from) if n else (np.zeros(0, dtype=np.int64),) * 2
     cuts = counts.cumsum().searchsorted(np.arange(DRAW_CHUNK, total, DRAW_CHUNK), side="right")
     bounds = sorted({0, n, *cuts.tolist()})
-    return tuple(map(np.concatenate, zip(*(_draw_run(ckeys[lo:hi], counts[lo:hi], windows[lo:hi], csma_p, coins_from - lo)
-                                           for lo, hi in zip(bounds, bounds[1:])))))
+    runs = [_draw_run(ckeys[lo:hi], counts[lo:hi], windows[lo:hi], csma_p, coins_from - lo)
+            for lo, hi in zip(bounds, bounds[1:])]
+    return tuple(map(np.concatenate, zip(*runs)))
 
 
 def _draw_run(keys, c, w, csma_p, coins_from):
@@ -693,15 +692,18 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     try:
         table = _sessions(nets)
         windows = fracs if all(isinstance(v, float) for v in values) else _Ratios([float(v) for v in values])
-        trees = np.array(tree)[pair]
         block = _run_block(plan, table, np.repeat(np.array(plan.protocols, dtype=object), len(pair)),
-                           np.tile(trees, protocols), windows, np.tile(value, protocols), keys)
+                           np.tile(np.array(tree)[pair], protocols), windows, np.tile(value, protocols), keys)
     except Exception as exc:
         return [], [*failures, (min(index), exc)]
-    made = map(ResultRow, [v for v in [p.value for p in plan.protocols] for _ in pair], sizes.tolist() * protocols,
-               ratio * protocols, trial.tolist() * protocols, block.total_us, block.nc_count, block.data_frames,
-               block.preambles, table.layers[trees].tolist() * protocols)
-    rows = list(zip(index, made))
+    columns = ([v for v in [p.value for p in plan.protocols] for _ in pair], sizes.tolist() * protocols, ratio * protocols,
+               trial.tolist() * protocols, block.total_us, block.nc_count, block.data_frames, block.preambles,
+               table.layers[tree][pair].tolist() * protocols)
+    rows = []
+    for i, values in zip(index, zip(*columns)):
+        row = object.__new__(ResultRow)  # filled as the frozen __init__ fills it, without its object.__setattr__ a field
+        row.__dict__.update(zip(CSV_HEADER, values))
+        rows.append((i, row))
     if block.errors:
         failures += [(index[f], exc) for f, exc in block.errors.items()]
         rows = [row for f, row in enumerate(rows) if f not in block.errors]
@@ -758,8 +760,8 @@ class SummaryStats:
         return self.q3 - self.q1
 
 
-def summarize_groups(groups: Sequence[Sequence[float]]) -> list[SummaryStats]:
-    """SummaryStats for each group, in input order.
+def summarize_groups(groups: Sequence[Sequence[float]]) -> list[list]:
+    """Each group's SummaryStats fields (n, mean, min, q1, median, q3, max) as seven columns, in input order.
 
     Groups of one size are stacked into one array, so the percentiles,
     mean, min and max cost one numpy call each per distinct size.
@@ -769,17 +771,13 @@ def summarize_groups(groups: Sequence[Sequence[float]]) -> list[SummaryStats]:
         rows_by_size.setdefault(len(group), []).append(i)
     if 0 in rows_by_size:
         raise EmptySample("cannot summarize an empty sample")
-    stats = [None] * len(groups)
+    columns = np.empty((6, len(groups)))
     for size, rows in rows_by_size.items():
         block = np.array([groups[i] for i in rows], dtype=float)
-        q1, median, q3 = np.percentile(block, [25.0, 50.0, 75.0], axis=1).tolist()
-        columns = zip(
-            block.mean(axis=1).tolist(), block.min(axis=1).tolist(), q1, median, q3, block.max(axis=1).tolist()
-        )
-        for i, values in zip(rows, columns):
-            stats[i] = SummaryStats(size, *values)
-    return stats
+        q1, median, q3 = np.percentile(block, [25.0, 50.0, 75.0], axis=1)
+        columns[:, rows] = block.mean(axis=1), block.min(axis=1), q1, median, q3, block.max(axis=1)
+    return [list(map(len, groups)), *columns.tolist()]
 
 
 def summarize(samples: Iterable[float] | Sequence[float]) -> SummaryStats:
-    return summarize_groups([list(samples)])[0]
+    return SummaryStats(*(column[0] for column in summarize_groups([list(samples)])))

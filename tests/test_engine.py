@@ -427,12 +427,14 @@ def test_batched_summaries_equal_per_group_numpy():
         [7, 7],
         rng.integers(0, 10**9, 100).tolist(),
     ]
-    for group, stats in zip(groups, engine.summarize_groups(groups)):
+    for group, *fields in zip(groups, *engine.summarize_groups(groups)):
+        stats = engine.SummaryStats(*fields)
         arr = np.asarray(group, dtype=float)
         q1, median, q3 = np.percentile(arr, [25, 50, 75])
         assert stats.n == len(group)
         assert stats.mean == arr.mean()
         assert (stats.min, stats.max) == (arr.min(), arr.max())
         assert (stats.q1, stats.median, stats.q3) == (q1, median, q3)
+        assert stats == summarize(group)
     with pytest.raises(EmptySample):
         engine.summarize_groups([[1, 2], []])

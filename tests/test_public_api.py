@@ -3,6 +3,8 @@
 import dataclasses
 import types
 
+import pytest
+
 import plcmac
 
 PUBLIC_NAMES = [
@@ -73,3 +75,14 @@ def test_result_record_fields_are_pinned():
     assert tuple(f.name for f in dataclasses.fields(plcmac.ResultRow)) == plcmac.CSV_HEADER == (
         "protocol", "n_node", "ratio", "trial", "elapsed_us", "nc_count", "data_frames", "preambles", "layers")
     assert [f.name for f in dataclasses.fields(plcmac.SummaryStats)] == ["n", "mean", "min", "q1", "median", "q3", "max"]
+
+
+def test_sweep_rows_are_the_frozen_records_their_constructor_builds():
+    plan = plcmac.ExperimentPlan(protocols=tuple(plcmac.Protocol), n_values=(3,), ratio_grid=(0.75,), trials=1, seed=5)
+    for row in plcmac.run_experiment(plan):
+        built = plcmac.ResultRow(*(getattr(row, name) for name in plcmac.CSV_HEADER))
+        assert list(vars(row).items()) == list(vars(built).items())
+        assert (row, hash(row), repr(row)) == (built, hash(built), repr(built))
+        assert dataclasses.replace(row, trial=1) == dataclasses.replace(built, trial=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.trial = 1
