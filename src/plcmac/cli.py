@@ -268,9 +268,12 @@ def _read_rows(path: str) -> tuple[Sequence[str], list[int], list[float], list[i
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(lines)
-    if tuple(next(reader, ())) != CSV_HEADER:
+    try:
+        header, rows = tuple(next(reader, ())), list(filter(None, reader))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise UsageError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if header != CSV_HEADER:
         raise UsageError(f"{path}: header does not match {','.join(CSV_HEADER)}")
-    rows = list(filter(None, reader))
     if not rows:
         raise UsageError(f"{path}: no data rows")
     try:  # all rows at once, one map a column

@@ -524,7 +524,7 @@ def run_formation(
         raise ValueError(f"key must be an integer, got {key!r}")
     if not 0 <= key <= _MASK:
         raise ValueError(f"key must be in [0, 2**64), got {key}")
-    result = _run_block(cfg, _sessions([tree]), (protocol,), (0,), _Ratios([float(slot_ratio)]), (0,), (key,)).result(0)
+    result = _run_block(cfg, _sessions([tree]), (protocol,), (0,), _Ratios([slot_ratio]), (0,), (key,)).result(0)
     if isinstance(result, Exception):
         raise result
     return result
@@ -593,6 +593,7 @@ class ExperimentPlan(RunConfig):
             lo, hi = self.ratio_random
             if not 0 < lo <= hi:
                 raise ValueError("ratio_random bounds must satisfy 0 < lo <= hi")
+            object.__setattr__(self, "ratio_random", (float(lo), float(hi)))  # every random ratio is drawn in float64
         for r in self.ratio_grid or self.ratio_random:
             if not math.isfinite(r):
                 raise ValueError(f"slot ratios must be finite, got {r!r}")
@@ -661,7 +662,7 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
                 rng = np.random.default_rng(np.random.SeedSequence((plan.seed, n, trial)))
             if plan.ratio_random is not None:
                 lo, hi = plan.ratio_random
-                ratio = float(lo + (hi - lo) * rng.random())
+                ratio = lo + (hi - lo) * rng.random()
             if plan.multi_layer:
                 nets.append(generate_tree(n, plan.max_layers, rng))
             elif not nets or nets[-1].n_sta != n:
@@ -683,7 +684,7 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     sizes = np.array(plan.n_values)[n_idx]
     # keys: formation_key's six words, folded for every formation at once
     codes = np.repeat([_PROTOCOL_CODE[protocol] for protocol in plan.protocols], len(pair))
-    fracs = _Ratios(values)  # each ratio as given, for the keys; windows take its float64 value, the same for a float
+    fracs = _Ratios(values)  # each ratio as given, for the keys and the windows alike
     num, den = (np.tile(np.array(part, dtype=object)[value], protocols) for part in (fracs.num, fracs.den))
     keys = _fold(np.zeros(len(codes), dtype=np.uint64), plan.seed, np.tile(sizes, protocols), np.tile(trial, protocols),
                  codes, num, den)
@@ -691,9 +692,8 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     ratio = [values[v] for v in value.tolist()]
     try:
         table = _sessions(nets)
-        windows = fracs if all(isinstance(v, float) for v in values) else _Ratios([float(v) for v in values])
         block = _run_block(plan, table, np.repeat(np.array(plan.protocols, dtype=object), len(pair)),
-                           np.tile(np.array(tree)[pair], protocols), windows, np.tile(value, protocols), keys)
+                           np.tile(np.array(tree)[pair], protocols), fracs, np.tile(value, protocols), keys)
     except Exception as exc:
         return [], [*failures, (min(index), exc)]
     columns = ([v for v in [p.value for p in plan.protocols] for _ in pair], sizes.tolist() * protocols, ratio * protocols,

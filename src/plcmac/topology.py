@@ -21,6 +21,7 @@ def min_first_layer(n_sta: int, max_layers: int) -> int:
         raise ValueError("n_sta must be at least 1")
     if max_layers < 1:
         raise ValueError("max_layers must be at least 1")
+    max_layers = min(max_layers, int(n_sta).bit_length())  # any deeper cap gives this m, 1 or 2: 2**bit_length > n_sta
     m = max(1, round(n_sta ** (1.0 / max_layers)))
     while m**max_layers < n_sta:
         m += 1

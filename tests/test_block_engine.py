@@ -4,6 +4,8 @@ import collections
 import functools
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -739,6 +741,30 @@ def test_formation_keys_equal_the_scalar_fold(seed, ratio):
 def test_a_sweep_seeded_past_2_64_equals_the_reference_row_for_row(mode):
     plan = ExperimentPlan(protocols=P, n_values=(3, 30), trials=3, seed=2**70, multi_layer=True, max_layers=3, **mode)
     assert run_experiment(plan) == ref.run_experiment(plan)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [(2**53 + 1,), (Decimal("0.50000000000000000001"), Decimal("1.99999999999999999999")), (np.float32(1.1),),
+     (Fraction(4, 3),)],
+    ids=["int-above-2**53", "long-decimals", "float32", "fraction"],
+)
+def test_a_sweep_of_ratios_that_are_not_floats_equals_the_reference_row_for_row(grid):
+    # the reference takes each window's ceiling of the ratio as given; so do the block's keys and windows
+    plan = ExperimentPlan(protocols=P, n_values=(2, 3, 7, 20), ratio_grid=grid, trials=3, seed=5, multi_layer=True)
+    assert run_experiment(plan) == ref.run_experiment(plan)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(Decimal("0.5"), Decimal("2.0")), (Fraction(1, 2), Fraction(2)), (np.float32(0.5), np.float32(2.0))],
+    ids=["decimal", "fraction", "float32"],
+)
+def test_random_bounds_that_are_not_floats_draw_the_rows_of_their_float_values(bounds):
+    plan = dict(protocols=P, n_values=(2, 3, 7, 20), trials=3, seed=5, multi_layer=True)
+    rows = run_experiment(ExperimentPlan(**plan, ratio_random=bounds))
+    assert rows == ref.run_experiment(ExperimentPlan(**plan, ratio_random=bounds))
+    assert rows == run_experiment(ExperimentPlan(**plan, ratio_random=(0.5, 2.0)))
 
 
 def test_columns_priced_at_once_equal_cost_formation_by_formation(per_kind_timing):

@@ -542,6 +542,14 @@ def test_summarize_names_file_and_line_of_a_non_numeric_field(row, tmp_path, cap
     assert f"error: {bad}: line 3: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--best-ratio"], ["--pool-ratios"]], ids=["default", "best-ratio", "pool-ratios"])
+def test_summarize_of_a_field_past_the_csv_field_limit_exits_2(mode, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(",".join(CSV_HEADER) + "\nepmac,10,1.0,0,5,1,1,1,1\n" + "x" * 200_000 + ",10,1.0,0,5,1,1,1,1\n")
+    assert main(["summarize", str(bad), *mode]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: line 3: field larger than field limit ({csv.field_size_limit()})\n")
+
+
 def test_complexity_table(capsys):
     assert main(["complexity"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

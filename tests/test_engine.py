@@ -356,7 +356,7 @@ def test_numpy_integer_plan_words_run_as_their_values():
     ids=["int-above-2**53", "float32", "fraction", "long-decimal"],
 )
 def test_a_sweep_row_is_the_formation_keyed_by_its_ratio_as_given(ratio):
-    # float64 cannot hold these ratios' fractions: the key folds the ratio as given, the windows take its float64 value
+    # float64 cannot hold these ratios' fractions: the key and the windows both read the ratio as given
     plan = ExperimentPlan(protocols=tuple(Protocol), n_values=(3, 9), ratio_grid=(ratio, 0.75), trials=2, seed=5)
     rows = run_experiment(plan)
     assert [row.ratio for row in rows] == [ratio, ratio, 0.75, 0.75] * 6

@@ -34,6 +34,15 @@ def test_min_first_layer_steps_down_from_a_float_root_that_rounds_up():
     assert min_first_layer(2**60 + 200, 1) == 2**60 + 200
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 65, 299, 2**20, 10**6, 2**60 + 200])
+def test_min_first_layer_is_the_root_ceiling_at_any_depth_cap(n):
+    # past n.bit_length() layers the ceiling is 2, or 1 for a lone STA, so the search stops there whatever the cap
+    for k in [*range(1, 80), 10**3, 10**6]:
+        m = min_first_layer(n, k)
+        assert m**k >= n
+        assert m == 1 or (m - 1) ** k < n
+
+
 def test_min_first_layer_validation():
     with pytest.raises(ValueError):
         min_first_layer(0, 6)
