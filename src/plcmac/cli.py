@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import itertools
 import math
 import operator
@@ -56,34 +57,42 @@ def write_csv(rows: Sequence[ResultRow], fh: IO[str]) -> None:
     w.writerows(map(operator.attrgetter(*CSV_HEADER), rows))
 
 
+def _read_lines(path: str, what: str = "") -> list[str]:
+    """An input file's lines as open(path, encoding="utf-8", newline="") reads them; a bad file is a usage error."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return io.StringIO(data.decode("utf-8"), newline="").readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read {what}{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # named by the line of its first bad byte; bytes split lines as above
+        line = len((data[: exc.start] + b"?").splitlines())
+        raise UsageError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from exc
+
+
 def _load_config(path: str) -> dict:
     """Flat key=value file; keys are sweep flag names with - or _ separators, values parse as the flag's do."""
     # the multi-layer flag set, so a single-layer config may carry max_layers too (validated, unused)
-    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-    _add_sweep_args(parser, multi=True)
+    parser = _add_sweep_args(argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False), True)
     values: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, raw = (part.strip() for part in line.partition("="))
-                tokens = ["--" + key.replace("_", "-"), *raw.replace(",", " ").split()]
-                try:
-                    parsed, extra = parser.parse_known_args(tokens)
-                except argparse.ArgumentError as exc:
-                    raise UsageError(f"{path}:{lineno}: {exc}") from exc
-                given = {dest: value for dest, value in vars(parsed).items() if value is not None}
-                if not given:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                if extra or len(given) > 1:
-                    raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}")
-                values.update(given)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    for lineno, line in enumerate(_read_lines(path, "config "), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, raw = (part.strip() for part in line.partition("="))
+        tokens = ["--" + key.replace("_", "-"), *raw.replace(",", " ").split()]
+        try:
+            parsed, extra = parser.parse_known_args(tokens)
+        except argparse.ArgumentError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
+        given = {dest: value for dest, value in vars(parsed).items() if value is not None}
+        if not given:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if extra or len(given) > 1:
+            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}")
+        values.update(given)
     return values
 
 
@@ -262,11 +271,7 @@ def _columns(rows: list[list[str]], where: str) -> tuple[Sequence[str], list[int
 
 def _read_rows(path: str) -> tuple[Sequence[str], list[int], list[float], list[int]]:
     """The protocol, n_node, ratio and elapsed_us columns of every data row of a sweep CSV; blank lines are skipped."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+    lines = _read_lines(path)
     reader = csv.reader(lines)
     try:
         header, rows = tuple(next(reader, ())), list(filter(None, reader))

@@ -53,6 +53,13 @@ class TimingTable:
 _slot_lengths = attrgetter(*(f.name for f in fields(TimingTable)))
 
 
+def _as_int(name: str, value) -> int:
+    """value, any Integral (numpy's too), as a Python int; anything else, which a numpy cast would truncate, raises."""
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)  # a numpy uint64 would turn the engine's int64 counts and indices to floats
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Model constants every formation run of a sweep shares.
@@ -75,10 +82,9 @@ class RunConfig:
     max_nc: int = 100_000
 
     def __post_init__(self) -> None:
-        for name in ("t_f_max", "tdf_capacity", "sdf_capacity", "max_nc"):
-            if not isinstance(value := getattr(self, name), Integral):  # numpy's ints are Integral too
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy uint64 would turn the engine's int64 counts to floats
+        for f in fields(self):  # every int field, a subclass's too (annotations are strings, from __future__)
+            if f.type == "int":
+                object.__setattr__(self, f.name, _as_int(f.name, getattr(self, f.name)))
         if self.t_f_max < 0:
             raise ValueError("t_f_max must be non-negative")
         if not 0.0 < self.eta_min < 1.0:

@@ -12,7 +12,6 @@ formation's totals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import chain, repeat
@@ -20,9 +19,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Protocol, RunConfig, TimingTable
+from .core import Protocol, RunConfig, TimingTable, _as_int
 from .slot_alloc import MAX_WINDOW, _as_fraction, check_first_window
-from .topology import NetworkTree, generate_tree, single_layer
+from .topology import CCO_ID, NetworkTree, generate_tree, single_layer
 
 # bench/tracer.py looks these per-cycle names up on this module; the block engine does not call them
 from .mac_protocols import simulate_nc_csma, simulate_nc_epmac, simulate_nc_pmac  # noqa: F401
@@ -106,11 +105,8 @@ def formation_key(seed: int, n: int, trial: int, protocol: Protocol, ratio: floa
     not its place in a grid. A word's limb count follows its limbs, so
     words of any size, a seed among them, key distinctly.
     """
-    for word in (seed, n, trial):
-        if not isinstance(word, (int, np.integer)):  # numpy's uint64 cast would truncate a float
-            raise ValueError(f"a key word must be an integer, got {word!r}")
-    words = (seed, n, trial, _PROTOCOL_CODE[protocol], *_as_fraction(ratio))
-    return int(_fold(np.zeros(1, dtype=np.uint64), *words)[0])
+    words = [_as_int("a key word", word) for word in (seed, n, trial)]
+    return int(_fold(np.zeros(1, dtype=np.uint64), *words, _PROTOCOL_CODE[protocol], *_as_fraction(ratio))[0])
 
 
 @cache
@@ -170,7 +166,6 @@ class _Table(NamedTuple):
 
     nodes: np.ndarray      # coordinator node ids
     pending: np.ndarray    # each coordinator's children: its session's STAs
-    depth: np.ndarray      # the children's depth, k
     start: np.ndarray      # tree t's sessions are [start[t], start[t + 1])
     crowded: np.ndarray    # sessions of two or more STAs, which come first
     n_sta: np.ndarray
@@ -204,7 +199,7 @@ def _sessions(trees: Sequence[NetworkTree]) -> _Table:
         np.cumsum(x, out=upto[1:])
         return upto[start[1:]] - upto[start[:-1]]
 
-    return _Table(coords - first[tree], pending, depth, start, np.bincount(tree[pending > 1], minlength=len(trees)),
+    return _Table(coords - first[tree], pending, start, np.bincount(tree[pending > 1], minlength=len(trees)),
                   np.array([t.n_sta for t in trees], dtype=np.int64), per_tree(pending), per_tree(pending * depth),
                   2 * per_tree(depth - 1), layers)
 
@@ -365,7 +360,7 @@ def _run_block(
     size = size[order]
     form = np.repeat(order, size)
     at = np.repeat(table.start[tree[order]] - (np.cumsum(size) - size), size) + np.arange(len(form))
-    pending, nodes, depth = table.pending[at], table.nodes[at], table.depth[at]
+    pending, nodes = table.pending[at], table.nodes[at]
     rat = np.asarray(ratio, dtype=np.int64)
     growth = _Ratios([cfg.k1, cfg.k2])  # E-PMAC's window grows by k1 after a thin PTE, by k2 after an idle one
     window = ratios.windows(rat, np.ones(n_form, dtype=np.int64))  # a lone contender's
@@ -386,13 +381,13 @@ def _run_block(
     # per-session state, one array per variable in session order; a drained session stays until a shrink settles it.
     # sent is 0 outside CSMA's [p, end), and cco marks CSMA's CCO sessions, whose cycles open with central beacons
     keys = np.asarray(key, dtype=np.uint64)[form]
-    st = {"form": form, "pend": pending, "key": _child_keys(keys, nodes), "cco": (depth == 1) & (np.arange(len(form)) >= p),
-          **zeros(len(form), "cyc", "paid", "sent")}
+    st = {"form": form, "pend": pending, "key": _child_keys(keys, nodes),
+          "cco": (nodes == CCO_ID) & (np.arange(len(form)) >= p), **zeros(len(form), "cyc", "paid", "sent")}
     n0 = ratios.windows(rat[form[:e]], pending[:e])
     # E-PMAC's own state over [0, e): each session's next PTE, its window, whether it is a fresh first one and the idle
     # streak before it, and its first PTEs and batch frames (kept over all sessions, they slowed multi-layer sweeps)
     ep = {"n0": n0, "w": n0, "first": np.ones(e, dtype=bool), **zeros(e, "tf", "firsts", "batch")}
-    del form, pending, nodes, depth, keys  # only the state arrays stay alive through the steps
+    del form, pending, nodes, keys  # only the state arrays stay alive through the steps
     errors: dict[int, Exception] = {}
     step = 0
 
@@ -517,12 +512,8 @@ def run_formation(
     slot_ratio is the experiment's free parameter (PTE slots per pending
     STA); the sweeps explore 0.5 to 2.0 but any positive finite value is legal.
     """
-    if not (slot_ratio > 0 and math.isfinite(slot_ratio)):
-        raise ValueError(f"slot_ratio must be positive and finite, got {slot_ratio!r}")
     check_first_window(slot_ratio, tree.n_sta)
-    if not isinstance(key, (int, np.integer)):
-        raise ValueError(f"key must be an integer, got {key!r}")
-    if not 0 <= key <= _MASK:
+    if not 0 <= (key := _as_int("key", key)) <= _MASK:
         raise ValueError(f"key must be in [0, 2**64), got {key}")
     result = _run_block(cfg, _sessions([tree]), (protocol,), (0,), _Ratios([slot_ratio]), (0,), (key,)).result(0)
     if isinstance(result, Exception):
@@ -573,9 +564,9 @@ class ExperimentPlan(RunConfig):
         super().__post_init__()
         if not self.protocols or not self.n_values:
             raise ValueError("need at least one protocol and one network size")
-        for word in (self.seed, self.trials, self.max_layers, *self.n_values):
-            if not isinstance(word, (int, np.integer)):  # the key fold would truncate a float seed
-                raise ValueError(f"seed, trials, max_layers and network sizes must be integers, got {word!r}")
+        if bad := [p for p in self.protocols if not isinstance(p, Protocol)]:
+            raise ValueError(f"protocols must be Protocol members, got {bad[0]!r}")
+        object.__setattr__(self, "n_values", tuple(_as_int("a network size", n) for n in self.n_values))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.trials < 1:
@@ -584,22 +575,17 @@ class ExperimentPlan(RunConfig):
             raise ValueError("network sizes must be at least 1")
         if (self.ratio_grid is None) == (self.ratio_random is None):
             raise ValueError("set exactly one of ratio_grid / ratio_random")
-        if self.ratio_grid is not None:
-            if not self.ratio_grid:
-                raise ValueError("ratio_grid must not be empty")
-            if not all(r > 0 for r in self.ratio_grid):
-                raise ValueError("grid ratios must be positive")
+        if self.ratio_grid is not None and not self.ratio_grid:
+            raise ValueError("ratio_grid must not be empty")
+        for r in self.ratio_grid or self.ratio_random:
+            check_first_window(r, max(self.n_values))
         if self.ratio_random is not None:
             lo, hi = self.ratio_random
-            if not 0 < lo <= hi:
+            if not lo <= hi:
                 raise ValueError("ratio_random bounds must satisfy 0 < lo <= hi")
             object.__setattr__(self, "ratio_random", (float(lo), float(hi)))  # every random ratio is drawn in float64
-        for r in self.ratio_grid or self.ratio_random:
-            if not math.isfinite(r):
-                raise ValueError(f"slot ratios must be finite, got {r!r}")
-            check_first_window(r, max(self.n_values))
-        if self.max_layers < 1:
-            raise ValueError("max_layers must be at least 1")
+        if not 1 <= self.max_layers <= _INT64_MAX:  # generate_tree draws the target depth below max_layers + 1
+            raise ValueError(f"max_layers must lie in [1, 2**63 - 1], got {self.max_layers}")
         # every tree of two or more STAs has a session of two or more; once two are pending at a ratio of at most
         # 0.5, their window is one slot, and with csma_p = 1 both transmit in it every cycle
         reachable = self.ratio_grid or self.ratio_random[:1]  # a random ratio can be its low bound

@@ -35,8 +35,13 @@ MAX_WINDOW = 2**63  # the widest window one draw takes: numpy's int64 rng.intege
 
 
 def check_first_window(factor: float, n: int) -> None:
-    """Raise ValueError unless a window of ceil_scale(factor, n) slots fits one int64 draw."""
-    numerator, denominator = _as_fraction(factor)
+    """Raise ValueError unless factor is a positive fraction and ceil_scale(factor, n) slots fit one int64 draw."""
+    try:
+        numerator, denominator = _as_fraction(factor)
+    except ValueError:  # nan and the infinities have no fraction
+        numerator = 0
+    if numerator <= 0:
+        raise ValueError(f"slot ratio must be positive and finite, got {factor!r}")
     if numerator * n > MAX_WINDOW * denominator:
         raise ValueError(
             f"slot ratio {factor!r} gives {n} STA(s) a first window above 2**63 slots, more than one draw can take"

@@ -120,12 +120,9 @@ def generate_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> Netw
     every remaining STA attaches to a uniformly random already-placed
     node whose depth still allows a child within the target.
     """
-    if n_sta < 1:
-        raise ValueError("n_sta must be at least 1")
-    if max_layers < 1:
-        raise ValueError("max_layers must be at least 1")
+    least = min_first_layer(n_sta, max_layers)  # checks n_sta and max_layers before any draw
     target_depth = int(rng.integers(1, max_layers + 1))
-    first = int(rng.integers(min_first_layer(n_sta, max_layers), n_sta + 1))
+    first = int(rng.integers(least, n_sta + 1))
     parent = [CCO_ID] * (first + 1)
     depth = [1] * (first + 1)
     depth[CCO_ID] = 0

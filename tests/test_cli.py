@@ -126,7 +126,7 @@ def test_bad_sweep_values_exit_2(argv, tmp_path, capsys):
 def test_infinite_sweep_ratios_exit_2(argv, tmp_path, capsys):
     rc = main(argv + ["--n-range", "5", "5", "1", "--trials", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert capsys.readouterr().err == "error: slot ratios must be finite, got inf\n"
+    assert capsys.readouterr().err == "error: slot ratio must be positive and finite, got inf\n"
 
 
 @pytest.mark.parametrize("ratio,named", [("1e19", "1e+19"), ("1e30", "1e+30")])
@@ -409,6 +409,27 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_a_config_file_that_is_not_utf8_exits_2_naming_it_and_its_line(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes("n = 5\ntrials = 1\n# caf\xe9\n".encode("latin-1"))
+    assert main(["sweep-single", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("depth, code", [(str(2**63), 2), (str(2**63 - 1), 0)], ids=["2**63", "2**63-1"])
+def test_max_layers_is_bounded_by_the_int64_depth_draw(depth, code, tmp_path, capsys):
+    # generate_tree draws the target depth with rng.integers(1, max_layers + 1), which takes an int64 bound
+    out = tmp_path / "x.csv"
+    assert main(["sweep-multi", "--n", "5", "--trials", "1", "--max-layers", depth, "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr() == ("", f"error: max_layers must lie in [1, 2**63 - 1], got {depth}\n")
+        assert not out.exists()
+    else:
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 1 + 3 * 7
+
+
 def test_negative_seed_exits_2(tmp_path, capsys):
     assert main(["sweep-single", "--n", "3", "--trials", "1", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == "error: seed must be non-negative\n"
@@ -548,6 +569,15 @@ def test_summarize_of_a_field_past_the_csv_field_limit_exits_2(mode, tmp_path, c
     bad.write_text(",".join(CSV_HEADER) + "\nepmac,10,1.0,0,5,1,1,1,1\n" + "x" * 200_000 + ",10,1.0,0,5,1,1,1,1\n")
     assert main(["summarize", str(bad), *mode]) == 2
     assert capsys.readouterr() == ("", f"error: {bad}: line 3: field larger than field limit ({csv.field_size_limit()})\n")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_summarize_of_a_csv_that_is_not_utf8_exits_2_naming_it_and_its_line(end, tmp_path, capsys):
+    bad = tmp_path / "latin.csv"
+    lines = [",".join(CSV_HEADER), "epmac,10,1.0,0,5,1,1,1,1", "\xe9pmac,10,1.0,0,5,1,1,1,1", ""]
+    bad.write_bytes(end.join(lines).encode("latin-1"))
+    assert main(["summarize", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n")
 
 
 def test_complexity_table(capsys):

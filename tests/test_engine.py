@@ -183,12 +183,12 @@ def test_cycle_budget_violation_raises():
 
 @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan")])
 def test_nonpositive_slot_ratio_is_rejected(ratio):
-    with pytest.raises(ValueError, match="slot_ratio"):
+    with pytest.raises(ValueError, match=rf"^slot ratio must be positive and finite, got {re.escape(repr(ratio))}$"):
         run_formation(Protocol.PMAC, _chain(), RunConfig(), ratio, 0)
 
 
 def test_infinite_slot_ratio_is_rejected():
-    with pytest.raises(ValueError, match="slot_ratio must be positive and finite, got inf"):
+    with pytest.raises(ValueError, match="slot ratio must be positive and finite, got inf"):
         run_formation(Protocol.PMAC, _chain(), RunConfig(), float("inf"), 0)
 
 
@@ -322,7 +322,7 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(**base, ratio_grid=(1.0,), csma_p=1.5)
     for ratios in ({"ratio_grid": (1.0, float("inf"))}, {"ratio_random": (0.5, float("inf"))}):
-        with pytest.raises(ValueError, match="slot ratios must be finite, got inf"):
+        with pytest.raises(ValueError, match="slot ratio must be positive and finite, got inf"):
             ExperimentPlan(**base, **ratios)
 
 
@@ -331,7 +331,7 @@ def test_plan_validation():
 def test_plan_words_must_be_integers(word, value):
     # the key fold truncates a float, so seed=1.5 would run seed=1's rows
     plan = dict(protocols=(Protocol.PMAC,), n_values=(4,), ratio_grid=(1.0,), trials=2, seed=1)
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match=rf"must be an integer, got {re.escape(repr(value))}$"):
         ExperimentPlan(**{**plan, word: (value,) if word == "n_values" else value})
 
 
@@ -339,16 +339,45 @@ def test_plan_words_must_be_integers(word, value):
 def test_max_layers_must_be_an_integer(value):
     # generate_tree truncated a float depth cap, so max_layers=2.5 ran exactly the rows of max_layers=2
     plan = dict(protocols=(Protocol.PMAC,), n_values=(20,), ratio_grid=(1.0,), trials=2, seed=1, multi_layer=True)
-    with pytest.raises(ValueError, match=rf"max_layers and network sizes must be integers, got {re.escape(repr(value))}$"):
+    with pytest.raises(ValueError, match=rf"max_layers must be an integer, got {re.escape(repr(value))}$"):
         ExperimentPlan(**plan, max_layers=value)
     assert run_experiment(ExperimentPlan(**plan, max_layers=np.int64(3))) == run_experiment(
         ExperimentPlan(**plan, max_layers=3))
 
 
 def test_numpy_integer_plan_words_run_as_their_values():
-    plan = dict(protocols=(Protocol.PMAC,), ratio_grid=(1.0,))
-    numpy_words = ExperimentPlan(**plan, n_values=(np.int64(4),), trials=np.int64(2), seed=np.int64(3))
-    assert run_experiment(numpy_words) == run_experiment(ExperimentPlan(**plan, n_values=(4,), trials=2, seed=3))
+    # uint64 trials times int64 indices are float64 cell indices: the plan stores each word as a Python int
+    plan = dict(protocols=(Protocol.PMAC, Protocol.IEEE1901), ratio_grid=(1.0,), multi_layer=True)
+    expected = run_experiment(ExperimentPlan(**plan, n_values=(4, 9), trials=2, seed=3, max_layers=3))
+    for word in (np.int64, np.uint32, np.uint64):
+        numpy_words = ExperimentPlan(**plan, n_values=(word(4), word(9)), trials=word(2), seed=word(3),
+                                     max_layers=word(3))
+        words = (*numpy_words.n_values, numpy_words.trials, numpy_words.seed, numpy_words.max_layers)
+        assert all(type(v) is int for v in words), word
+        assert run_experiment(numpy_words) == expected, word
+
+
+@pytest.mark.parametrize(
+    "ratio", [2**1100, Decimal("NaN"), Decimal("Infinity"), float("nan"), float("inf"), 0, -1],
+    ids=["2**1100", "Decimal-NaN", "Decimal-Infinity", "nan", "inf", "0", "-1"],
+)
+def test_a_slot_ratio_is_checked_by_one_rule_at_every_entry(ratio):
+    # 2**1100 overflowed math.isfinite and float(), and Decimal("NaN") raised decimal.InvalidOperation
+    named = rf"^slot ratio .*{re.escape(repr(ratio))}"
+    base = dict(protocols=(Protocol.EPMAC,), n_values=(3,))
+    for ratios in ((ratio,), (1.0, ratio)):
+        with pytest.raises(ValueError, match=named):
+            ExperimentPlan(**base, ratio_grid=ratios)
+    for bounds in ((0.5, ratio), (ratio, 2.0)):
+        with pytest.raises(ValueError, match=named):
+            ExperimentPlan(**base, ratio_random=bounds)
+    with pytest.raises(ValueError, match=named):
+        run_formation(Protocol.EPMAC, _chain(), RunConfig(), ratio, 0)
+
+
+def test_a_protocol_that_is_not_a_protocol_member_is_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^protocols must be Protocol members, got 'epmac'$"):
+        ExperimentPlan(protocols=(Protocol.PMAC, "epmac"), n_values=(3,), ratio_grid=(1.0,), trials=1)
 
 
 @pytest.mark.parametrize(

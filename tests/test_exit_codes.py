@@ -7,7 +7,8 @@ no traceback:
 - argparse's own rejections exit 2 with its usage text, whose last line
   is `plcmac <cmd>: error: ...`;
 - any other exit 2 prints exactly one stderr line, starting `error:`,
-  and nothing on stdout;
+  and nothing on stdout; when summarize cannot use its input file, or
+  cannot write its output, that line names the file;
 - exit 3 prints exactly one stderr line, the `simulation error:` line
   that the README documents.
 
@@ -82,8 +83,8 @@ def _argvs(rng, tmp_path, count):
             yield _sweep_argv(rng, tmp_path, case)
 
 
-def _check(argv, capsys):
-    """The contract's breach by main(argv), or None."""
+def _check(argv, capsys, named=""):
+    """The contract's breach by main(argv), or None; an exit 2's `error:` line must contain named."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's rejection: its usage text, then one `error:` line
@@ -97,7 +98,8 @@ def _check(argv, capsys):
         return f"raised {type(exc).__name__}: {exc}"
     out, err = capsys.readouterr()
     lines = err.splitlines()
-    if code == 0 or (code == 2 and len(lines) == 1 and lines[0].startswith("error: ") and not out) or (
+    usage = len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0] and not out
+    if code == 0 or (code == 2 and usage) or (
             code == 3 and len(lines) == 1 and lines[0].startswith("simulation error: ")):
         return None
     return f"exit {code}, stdout {out[:100]!r}, stderr {err[:300]!r}"
@@ -141,10 +143,13 @@ def test_corrupted_sweep_csvs_exit_by_the_contract_under_every_summarize_mode(tm
         path = tmp_path / f"{name}.csv"
         path.write_bytes(data)
         for mode in ([], ["--best-ratio"], ["--pool-ratios"]):
-            if why := _check(["summarize", str(path), *mode], capsys):
+            if why := _check(["summarize", str(path), *mode], capsys, str(path)):
                 breaches.append((name, mode, why))
-    for argv in (["summarize", str(tmp_path)], ["summarize", str(rows), "--out", str(tmp_path)],
-                 ["summarize", str(tmp_path / "missing.csv")], ["summarize", str(rows), "--best-ratio", "--pool-ratios"]):
-        if why := _check(argv, capsys):
+    missing = str(tmp_path / "missing.csv")
+    for argv, named in ((["summarize", str(tmp_path)], str(tmp_path)),
+                        (["summarize", str(rows), "--out", str(tmp_path)], str(tmp_path)),
+                        (["summarize", missing], missing),
+                        (["summarize", str(rows), "--best-ratio", "--pool-ratios"], "")):  # not a file error
+        if why := _check(argv, capsys, named):
             breaches.append((argv, [], why))
     assert not breaches, "\n".join(map(str, breaches))
