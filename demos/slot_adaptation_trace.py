@@ -3,7 +3,9 @@
 The controller only ever sees (slots used, stations joined) per round.
 This script replays a session that starts oversized, collapses into
 collisions, and recovers, printing the window the controller picks each
-time.
+time. Once the idle rounds pass t_f_max the controller returns 0 and the
+trace ends: the probes have run out, and a formation run would restart
+the session with a fresh first PTE of n0 slots.
 """
 
 from plcmac import RunConfig

@@ -16,6 +16,13 @@ class Protocol(Enum):
     IEEE1901 = "ieee1901"
 
 
+def _as_int(name: str, value) -> int:
+    """value, any Integral but a bool (numpy's too), as a Python int; anything else, which a cast would truncate, raises."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)  # a numpy uint64 would turn the engine's int64 counts and indices to floats
+
+
 @dataclass(frozen=True)
 class TimingTable:
     """Slot schedule in integer microseconds, one field per slot kind.
@@ -34,9 +41,9 @@ class TimingTable:
     assoc_ind_slot_us: int = 20000
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        for f in fields(self):  # Python ints, so cost stays exact past 2**63
+            object.__setattr__(self, f.name, value := _as_int(f.name, getattr(self, f.name)))
+            if value <= 0:
                 raise ValueError(f"{f.name} must be a positive integer of microseconds")
 
     def to_dict(self) -> dict[str, int]:
@@ -51,13 +58,6 @@ class TimingTable:
 
 
 _slot_lengths = attrgetter(*(f.name for f in fields(TimingTable)))
-
-
-def _as_int(name: str, value) -> int:
-    """value, any Integral (numpy's too), as a Python int; anything else, which a numpy cast would truncate, raises."""
-    if not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)  # a numpy uint64 would turn the engine's int64 counts and indices to floats
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -51,7 +51,14 @@ _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 over the golden rat
 # the words as numpy scalars, made once: _STRIDE steps from one rank's words to the next (a slot word and a coin word)
 _ONE, _GAMMA64, _STRIDE, _M1, _M2 = map(np.uint64, (1, _GAMMA, 2 * _GAMMA & _MASK, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 _UNIT = 2.0**-53
-_PROTOCOL_CODE = {Protocol.EPMAC: 1, Protocol.PMAC: 2, Protocol.IEEE1901: 3}  # stable, whatever the enum order
+_PROTOCOL_CODE = {Protocol.EPMAC: 1, Protocol.PMAC: 2, Protocol.IEEE1901: 3}  # in code order, whatever the enum order
+
+
+def _protocol_code(protocol: Protocol) -> int:
+    """protocol's code in the keys and the block: 1 for E-PMAC, 2 for P-MAC, 3 for IEEE 1901.1; anything else raises."""
+    if isinstance(protocol, Protocol):
+        return _PROTOCOL_CODE[protocol]
+    raise ValueError(f"protocols must be Protocol members, got {protocol!r}")
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -106,7 +113,7 @@ def formation_key(seed: int, n: int, trial: int, protocol: Protocol, ratio: floa
     words of any size, a seed among them, key distinctly.
     """
     words = [_as_int("a key word", word) for word in (seed, n, trial)]
-    return int(_fold(np.zeros(1, dtype=np.uint64), *words, _PROTOCOL_CODE[protocol], *_as_fraction(ratio))[0])
+    return int(_fold(np.zeros(1, dtype=np.uint64), *words, _protocol_code(protocol), *_as_fraction(ratio))[0])
 
 
 @cache
@@ -214,7 +221,7 @@ class _Ratios:
         # each numerator and denominator mod 2**64, as int64: the values themselves wherever they are below 2**63
         self.num64 = np.array([p & _MASK for p in self.num], dtype=np.uint64).astype(np.int64)
         self.den64 = np.array([q & _MASK for q in self.den], dtype=np.uint64).astype(np.int64)
-        self.value = np.array([p / q for p, q in fracs])  # each correctly rounded
+        self.value = np.array([p / q if p < q << 1022 else np.inf for p, q in fracs])  # correctly rounded; inf from 2**1022
         self.value_max = float(self.value.max(initial=0))
 
     def windows(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -322,13 +329,13 @@ class _Columns(NamedTuple):
 def _run_block(
     cfg: RunConfig,
     table: _Table,
-    protocol: Sequence[Protocol],
+    code: Sequence[int],
     tree: Sequence[int],
     ratios: _Ratios,
     ratio: Sequence[int],
     key: Sequence[int],
 ) -> _Columns:
-    """Run formations in lockstep: formation f runs protocol[f] on table's tree[f] at ratios' entry ratio[f], keyed key[f].
+    """Run formations in lockstep: formation f runs protocol code[f] on table's tree[f] at ratios' ratio[f], keyed key[f].
 
     Each step runs one networking cycle of every pending session, whatever
     its protocol. Sessions are held E-PMAC first, then P-MAC, then CSMA, and
@@ -345,8 +352,8 @@ def _run_block(
     cfg.max_nc gets a NonTermination, and one whose window would pass 2**63
     slots with a draw to make a ValueError; the others run on.
     """
-    n_form = len(protocol)
-    code = np.fromiter(map(_PROTOCOL_CODE.__getitem__, protocol), np.int64, n_form) - 1  # a block's session order
+    n_form = len(code)
+    code = np.asarray(code, dtype=np.int64) - 1  # a block's session order
     tree = np.asarray(tree, dtype=np.int64)
     order = np.argsort(code, kind="stable")
     sessions = np.diff(table.start)[tree]
@@ -427,9 +434,8 @@ def _run_block(
             cycles = np.bincount(form, weights=st["cyc"] + active, minlength=n_form) + totals["cyc"]
             if over := np.flatnonzero(cycles > cfg.max_nc).tolist():
                 waiting = np.bincount(form, weights=pend, minlength=n_form)
-                fail({f: NonTermination(
-                    f"{protocol[f].value} run exceeded max_nc={cfg.max_nc} with {int(waiting[f])} STA(s) still pending"
-                ) for f in over})
+                fail({f: NonTermination(f"{[*_PROTOCOL_CODE][code[f]].value} run exceeded max_nc={cfg.max_nc} with "
+                                        f"{int(waiting[f])} STA(s) still pending") for f in over})
                 continue  # the step again, without the failed formations' sessions
         if not active.any():
             break
@@ -515,8 +521,8 @@ def run_formation(
     check_first_window(slot_ratio, tree.n_sta)
     if not 0 <= (key := _as_int("key", key)) <= _MASK:
         raise ValueError(f"key must be in [0, 2**64), got {key}")
-    result = _run_block(cfg, _sessions([tree]), (protocol,), (0,), _Ratios([slot_ratio]), (0,), (key,)).result(0)
-    if isinstance(result, Exception):
+    block = _run_block(cfg, _sessions([tree]), [_protocol_code(protocol)], (0,), _Ratios([slot_ratio]), (0,), (key,))
+    if isinstance(result := block.result(0), Exception):
         raise result
     return result
 
@@ -564,8 +570,8 @@ class ExperimentPlan(RunConfig):
         super().__post_init__()
         if not self.protocols or not self.n_values:
             raise ValueError("need at least one protocol and one network size")
-        if bad := [p for p in self.protocols if not isinstance(p, Protocol)]:
-            raise ValueError(f"protocols must be Protocol members, got {bad[0]!r}")
+        for protocol in self.protocols:
+            _protocol_code(protocol)
         object.__setattr__(self, "n_values", tuple(_as_int("a network size", n) for n in self.n_values))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
@@ -669,7 +675,7 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     values, value = (plan.ratio_grid, ratio_idx) if plan.ratio_random is None else (drawn, pair)
     sizes = np.array(plan.n_values)[n_idx]
     # keys: formation_key's six words, folded for every formation at once
-    codes = np.repeat([_PROTOCOL_CODE[protocol] for protocol in plan.protocols], len(pair))
+    codes = np.repeat([_protocol_code(protocol) for protocol in plan.protocols], len(pair))
     fracs = _Ratios(values)  # each ratio as given, for the keys and the windows alike
     num, den = (np.tile(np.array(part, dtype=object)[value], protocols) for part in (fracs.num, fracs.den))
     keys = _fold(np.zeros(len(codes), dtype=np.uint64), plan.seed, np.tile(sizes, protocols), np.tile(trial, protocols),
@@ -678,8 +684,8 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     ratio = [values[v] for v in value.tolist()]
     try:
         table = _sessions(nets)
-        block = _run_block(plan, table, np.repeat(np.array(plan.protocols, dtype=object), len(pair)),
-                           np.tile(np.array(tree)[pair], protocols), fracs, np.tile(value, protocols), keys)
+        block = _run_block(plan, table, codes, np.tile(np.array(tree)[pair], protocols), fracs, np.tile(value, protocols),
+                           keys)
     except Exception as exc:
         return [], [*failures, (min(index), exc)]
     columns = ([v for v in [p.value for p in plan.protocols] for _ in pair], sizes.tolist() * protocols, ratio * protocols,
@@ -706,7 +712,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     either way. If cells fail, the first failing cell in row order
     raises, with the cell named in the exception's cell attribute.
     """
-    if jobs < 1:
+    if (jobs := _as_int("jobs", jobs)) < 1:
         raise ValueError("jobs must be at least 1")
     groups = _groups(plan)
     workers = min(jobs, len(groups))

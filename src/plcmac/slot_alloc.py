@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
+from decimal import Decimal
+from numbers import Rational, Real
 from typing import NamedTuple
 
 from .core import RunConfig
@@ -13,12 +13,13 @@ class ZeroSlots(ValueError):
     """Raised when asked for a follow-up slot count after a zero-slot PTE."""
 
 
-# A block of formations reads its grid's ratios and the controller's k1 and k2;
-# a bound keeps random-ratio sweeps from holding one entry per cell.
-@lru_cache(maxsize=16, typed=True)  # typed: np.float32(1.1) and the float it equals print differently
-def _as_fraction(factor: float) -> tuple[int, int]:
-    # str() round-trips the decimal literal the user typed, so 1.1 stays 11/10
-    return Fraction(str(factor)).as_integer_ratio()
+def _as_fraction(factor) -> tuple[int, int]:
+    """factor's exact value as (numerator, denominator), a float's that of the decimal it prints; a non-number raises."""
+    if isinstance(factor, bool) or not isinstance(factor, (Real, Decimal)):
+        raise TypeError(f"a slot ratio must be a number, got a {type(factor).__name__}")
+    if isinstance(factor, Rational):
+        return int(factor.numerator), int(factor.denominator)
+    return (factor if isinstance(factor, Decimal) else Decimal(str(factor))).as_integer_ratio()  # np.float32(1.1) prints 1.1
 
 
 def ceil_scale(factor: float, n: int) -> int:
@@ -35,17 +36,18 @@ MAX_WINDOW = 2**63  # the widest window one draw takes: numpy's int64 rng.intege
 
 
 def check_first_window(factor: float, n: int) -> None:
-    """Raise ValueError unless factor is a positive fraction and ceil_scale(factor, n) slots fit one int64 draw."""
+    """Raise ValueError unless factor is a positive number and ceil_scale(factor, n) slots fit one int64 draw."""
     try:
         numerator, denominator = _as_fraction(factor)
-    except ValueError:  # nan and the infinities have no fraction
+    except (TypeError, ValueError, ArithmeticError):  # not a number, or nan or an infinity, which have no fraction
         numerator = 0
-    if numerator <= 0:
-        raise ValueError(f"slot ratio must be positive and finite, got {factor!r}")
-    if numerator * n > MAX_WINDOW * denominator:
-        raise ValueError(
-            f"slot ratio {factor!r} gives {n} STA(s) a first window above 2**63 slots, more than one draw can take"
-        )
+    if numerator <= 0 or numerator * n > MAX_WINDOW * denominator:
+        try:
+            name = repr(factor)
+        except ValueError:  # an int past the digits str() may print
+            name = f"<{type(factor).__name__} of {numerator.bit_length()} bits>"
+        raise ValueError(f"slot ratio {name} gives {n} STA(s) a first window above 2**63 slots, more than one draw can take"
+                         if numerator > 0 else f"slot ratio must be positive and finite, got {name}")
 
 
 class SlotAllocState(NamedTuple):
@@ -75,8 +77,8 @@ def next_slot_count(state: SlotAllocState, cfg: RunConfig) -> int:
     ratio eta = n_sta / n_slot picks the branch: a thin ratio
     (0 < eta <= eta_min) stretches the window by k1, a healthy one keeps
     it, and a fully collided or idle round doubles it by k2 until
-    t_f_max idle rounds have passed, at which point 0 signals that the
-    session should stop probing.
+    t_f_max idle rounds have passed; then it returns 0, and the engine
+    restarts the session with a fresh first PTE of n0 slots.
     """
     if state.t_pte == 0:
         return state.n_slot

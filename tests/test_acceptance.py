@@ -43,7 +43,6 @@ from plcmac.phy_timing import NOMINAL_IEEE1901_BEACON_US, NOMINAL_IEEE1901_MME_U
 
 SEED = 7
 PROTOCOLS = (Protocol.EPMAC, Protocol.PMAC, Protocol.IEEE1901)
-JOBS = 4
 
 
 def _verdict(label: str, ok: bool, detail: str = "") -> None:
@@ -81,7 +80,7 @@ def single_sweep():
         seed=SEED,
     )
     start = time.perf_counter()
-    rows = run_experiment(plan, jobs=JOBS)
+    rows = run_experiment(plan)
     return rows, time.perf_counter() - start
 
 
@@ -97,7 +96,7 @@ def multi_sweep():
         max_layers=6,
     )
     start = time.perf_counter()
-    rows = run_experiment(plan, jobs=JOBS)
+    rows = run_experiment(plan)
     return rows, time.perf_counter() - start
 
 
@@ -112,7 +111,7 @@ def spread_sweep():
         multi_layer=True,
         max_layers=6,
     )
-    return run_experiment(plan, jobs=JOBS)
+    return run_experiment(plan)
 
 
 def test_a01_closed_forms_match_recurrences():
@@ -259,7 +258,7 @@ def test_a08_broadband_air_time_arithmetic():
     )
 
 
-def test_a09_sweeps_are_reproducible(tmp_path):
+def test_a09_sweeps_are_reproducible(tmp_path, monkeypatch):
     args = [
         "sweep-single",
         "--n", "50", "150",
@@ -270,6 +269,9 @@ def test_a09_sweeps_are_reproducible(tmp_path):
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     rc1 = cli_main(args + ["--out", str(paths[0])])
     rc2 = cli_main(args + ["--out", str(paths[1])])
+    monkeypatch.setattr(engine, "GROUP_STAS", 1)  # one (n, trial) pair per group, so --jobs 2 starts two workers
+    plan = ExperimentPlan(protocols=PROTOCOLS, n_values=(50, 150), ratio_grid=(0.5, 1.0), trials=5, seed=SEED)
+    assert len(engine._groups(plan)) >= 2
     rc3 = cli_main(args + ["--jobs", "2", "--out", str(paths[2])])
     blobs = [p.read_bytes() for p in paths]
     _verdict(

@@ -42,8 +42,8 @@ def _mixed(cfg, picks, cases):
     """Every (protocol, case index) pick in one block, results in pick order, an error as its type."""
     table = engine._sessions([tree for tree, _, _ in cases])
     protocol, tree = zip(*picks)
-    block = engine._run_block(cfg, table, protocol, tree, engine._Ratios([cases[i][1] for i in tree]), range(len(tree)),
-                              [cases[i][2] for i in tree])
+    block = engine._run_block(cfg, table, list(map(engine._protocol_code, protocol)), tree,
+                              engine._Ratios([cases[i][1] for i in tree]), range(len(tree)), [cases[i][2] for i in tree])
     return [_outcome(block.result(f)) for f in range(len(picks))]
 
 
@@ -229,7 +229,7 @@ def test_a_window_grown_past_2_63_raises_value_error_in_both_engines(monkeypatch
         ref.run_formation(Protocol.EPMAC, tree, RunConfig(), 2e18, 0)
     # the other formations of the block run on
     table = engine._sessions([tree, single_layer(1)])
-    block = engine._run_block(RunConfig(), table, (Protocol.EPMAC,) * 2, (0, 1), engine._Ratios([2e18]), (0, 0), (0, 0))
+    block = engine._run_block(RunConfig(), table, (1, 1), (0, 1), engine._Ratios([2e18]), (0, 0), (0, 0))
     got = [block.result(f) for f in range(2)]
     assert isinstance(got[0], ValueError)
     assert got[1] == ref.run_formation(Protocol.EPMAC, single_layer(1), RunConfig(), 2e18, 0)
@@ -638,8 +638,8 @@ def _watched(cfg, picks, cases, monkeypatch):
     protocol, tree = zip(*picks)
     with monkeypatch.context() as m:
         m.setattr(engine, "_draw_joins", watching)
-        block = engine._run_block(cfg, table, protocol, tree, engine._Ratios([cases[i][1] for i in tree]),
-                                  range(len(tree)), keys)
+        block = engine._run_block(cfg, table, list(map(engine._protocol_code, protocol)), tree,
+                                  engine._Ratios([cases[i][1] for i in tree]), range(len(tree)), keys)
     got = [_outcome(block.result(f)) for f in range(len(picks))]
     want = [_reference(p, cases[i][0], cfg, cases[i][1], key) for (p, i), key in zip(picks, keys)]
     return got, want, list(zip(steps, steps[1:]))
@@ -765,6 +765,24 @@ def test_random_bounds_that_are_not_floats_draw_the_rows_of_their_float_values(b
     rows = run_experiment(ExperimentPlan(**plan, ratio_random=bounds))
     assert rows == ref.run_experiment(ExperimentPlan(**plan, ratio_random=bounds))
     assert rows == run_experiment(ExperimentPlan(**plan, ratio_random=(0.5, 2.0)))
+
+
+def test_a_decimal_ratio_past_the_digits_str_prints_equals_the_reference_row_for_row():
+    # 1 + 10**-5001 was read through str() into a Fraction, which Python's int-to-str limit rejected as not finite
+    ratio = Decimal("1." + "0" * 5000 + "1")
+    plan = ExperimentPlan(protocols=P, n_values=(3, 12), ratio_grid=(ratio,), trials=2, seed=5, multi_layer=True)
+    assert run_experiment(plan) == ref.run_experiment(plan)
+
+
+@pytest.mark.parametrize("protocol", P)
+def test_a_growth_factor_past_the_floats_equals_the_reference(protocol):
+    # its float estimate failed every formation. Two E-PMAC STAs in one slot collide, and k2 grows their window past
+    # any draw; the other E-PMAC formation grows by k1 only, but still in Python ints
+    cfg = RunConfig(k2=Decimal("1e400"))
+    cases = [(single_layer(2), 0.5, 3), (single_layer(30), 1.0, 3)]
+    got = _block(protocol, cfg, cases)
+    assert got == [_reference(protocol, tree, cfg, ratio, key) for tree, ratio, key in cases]
+    assert (got[0] is ValueError) == (protocol is Protocol.EPMAC)
 
 
 def test_columns_priced_at_once_equal_cost_formation_by_formation(per_kind_timing):

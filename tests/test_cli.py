@@ -53,11 +53,14 @@ def test_write_csv_prints_each_ratio_as_given(tmp_path):
     )
 
 
-def test_sweep_output_is_byte_identical_across_runs_and_jobs(tmp_path):
+def test_sweep_output_is_byte_identical_across_runs_and_jobs(tmp_path, monkeypatch):
     args = ["sweep-single", "--n", "12", "--ratios", "0.5", "1.0", "--trials", "3", "--seed", "11"]
     paths = [tmp_path / f"{tag}.csv" for tag in ("a", "b", "c")]
     assert main(args + ["--out", str(paths[0])]) == 0
     assert main(args + ["--out", str(paths[1])]) == 0
+    monkeypatch.setattr(engine, "GROUP_STAS", 1)  # one (n, trial) pair per group, so --jobs 2 starts two workers
+    plan = ExperimentPlan(protocols=tuple(Protocol), n_values=(12,), ratio_grid=(0.5, 1.0), trials=3, seed=11)
+    assert len(engine._groups(plan)) >= 2
     assert main(args + ["--jobs", "2", "--out", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]

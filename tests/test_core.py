@@ -72,5 +72,13 @@ def test_run_config_integer_constants_must_be_integers(name):
             Protocol.EPMAC, single_layer(30), default, 1.0, 5)
 
 
+def test_a_timing_table_of_numpy_ints_stores_python_ints_and_prices_them_exactly():
+    # np.int64 lengths were rejected; stored as they came, their products would wrap past 2**63
+    table = TimingTable(**{name: np.int64(2**62) for name in TimingTable().to_dict()})
+    assert all(type(length) is int for length in table.to_dict().values())
+    assert table == TimingTable(**dict.fromkeys(TimingTable().to_dict(), 2**62))
+    assert table.cost((1, 2, 3, 4, 5, 6)) == 21 * 2**62
+
+
 def test_protocol_values():
     assert {p.value for p in Protocol} == {"epmac", "pmac", "ieee1901"}

@@ -18,6 +18,7 @@ from plcmac import (
     NonTermination,
     Protocol,
     RunConfig,
+    TimingTable,
     run_experiment,
     run_formation,
     single_layer,
@@ -230,7 +231,7 @@ def test_experiment_rows_follow_cell_order():
     assert all(r.layers == 1 for r in rows)
 
 
-def test_experiment_is_deterministic_and_job_count_invariant():
+def test_experiment_is_deterministic_and_job_count_invariant(monkeypatch):
     plan = ExperimentPlan(
         protocols=(Protocol.EPMAC, Protocol.IEEE1901),
         n_values=(15,),
@@ -242,6 +243,8 @@ def test_experiment_is_deterministic_and_job_count_invariant():
     )
     rows_a = run_experiment(plan)
     rows_b = run_experiment(plan)
+    monkeypatch.setattr(engine, "GROUP_STAS", 1)  # one (n, trial) pair per group, so jobs=2 starts two workers
+    assert len(engine._groups(plan)) >= 2
     rows_c = run_experiment(plan, jobs=2)
     assert rows_a == rows_b == rows_c
 
@@ -280,6 +283,19 @@ def test_jobs_below_one_are_rejected():
     plan = ExperimentPlan(protocols=(Protocol.PMAC,), n_values=(4,), ratio_grid=(1.0,), trials=1)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         run_experiment(plan, jobs=0)
+
+
+@pytest.mark.parametrize("jobs", [True, 2.5, np.float64(2.0)], ids=["True", "2.5", "np.float64(2.0)"])
+def test_jobs_that_are_not_integers_are_rejected_before_any_worker_starts(jobs, monkeypatch):
+    # jobs=2.5 started a pool of two workers on a plan of two groups
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers=None: pools.append(max_workers))
+    monkeypatch.setattr(engine, "GROUP_STAS", 4)  # one (n, trial) pair per group: two groups
+    plan = ExperimentPlan(protocols=(Protocol.PMAC,), n_values=(4,), ratio_grid=(1.0,), trials=2)
+    assert len(engine._groups(plan)) == 2
+    with pytest.raises(ValueError, match=rf"^jobs must be an integer, got {re.escape(repr(jobs))}$"):
+        run_experiment(plan, jobs=jobs)
+    assert pools == []
 
 
 def test_random_ratio_mode_draws_within_bounds():
@@ -380,6 +396,75 @@ def test_a_protocol_that_is_not_a_protocol_member_is_rejected_by_name():
         ExperimentPlan(protocols=(Protocol.PMAC, "epmac"), n_values=(3,), ratio_grid=(1.0,), trials=1)
 
 
+def test_run_formation_and_formation_key_reject_a_protocol_name_as_the_plan_does():
+    # both raised KeyError: 'epmac'
+    with pytest.raises(ValueError, match=r"^protocols must be Protocol members, got 'epmac'$"):
+        run_formation("epmac", _chain(), RunConfig(), 1.0, 0)
+    with pytest.raises(ValueError, match=r"^protocols must be Protocol members, got 'epmac'$"):
+        engine.formation_key(1, 5, 0, "epmac", 1.0)
+
+
+@pytest.mark.parametrize(
+    "word, value",
+    [("n_values", (True,)), ("trials", True), ("seed", False), ("max_layers", True), ("max_nc", True)],
+)
+def test_a_bool_is_not_an_integer_plan_word(word, value):
+    # each ran a sweep as the int of its value
+    plan = dict(protocols=(Protocol.PMAC,), n_values=(4,), ratio_grid=(1.0,), trials=2, seed=1)
+    got = value[0] if word == "n_values" else value
+    with pytest.raises(ValueError, match=rf"must be an integer, got {got}$"):
+        ExperimentPlan(**{**plan, word: value})
+
+
+def test_a_bool_is_not_an_integer_word_at_any_other_entry():
+    with pytest.raises(ValueError, match=r"^max_nc must be an integer, got True$"):
+        RunConfig(max_nc=True)
+    with pytest.raises(ValueError, match=r"^preamble_slot_us must be an integer, got True$"):
+        TimingTable(preamble_slot_us=True)
+    for words in ((True, 5, 0), (1, 5, False)):
+        with pytest.raises(ValueError, match=r"^a key word must be an integer, got (True|False)$"):
+            engine.formation_key(*words, Protocol.EPMAC, 1.0)
+    with pytest.raises(ValueError, match=r"^key must be an integer, got True$"):
+        run_formation(Protocol.EPMAC, _chain(), RunConfig(), 1.0, True)
+
+
+@pytest.mark.parametrize("ratio", ["1.5", "3/2", b"1.5", True, np.True_, None])
+def test_a_slot_ratio_that_is_not_a_number_is_rejected_at_every_entry(ratio):
+    # a string ratio ran a sweep, and "3/2" wrote a ratio field that summarize rejects
+    named = rf"^slot ratio must be positive and finite, got {re.escape(repr(ratio))}$"
+    base = dict(protocols=(Protocol.EPMAC,), n_values=(3,))
+    with pytest.raises(ValueError, match=named):
+        ExperimentPlan(**base, ratio_grid=(1.0, ratio))
+    for bounds in ((0.5, ratio), (ratio, 2.0)):
+        with pytest.raises(ValueError, match=named):
+            ExperimentPlan(**base, ratio_random=bounds)
+    with pytest.raises(ValueError, match=named):
+        run_formation(Protocol.EPMAC, _chain(), RunConfig(), ratio, 0)
+
+
+def test_a_slot_ratio_past_the_digits_str_prints_is_named_by_its_size():
+    # 10**5000 has more digits than Python's int-to-str limit, so the check raised that limit's error instead
+    named = r"^slot ratio <int of 16610 bits> gives 3 STA\(s\) a first window above 2\*\*63 slots"
+    with pytest.raises(ValueError, match=named):
+        ExperimentPlan(protocols=(Protocol.EPMAC,), n_values=(3,), ratio_grid=(10**5000,))
+    with pytest.raises(ValueError, match=named):
+        run_formation(Protocol.EPMAC, single_layer(3), RunConfig(), 10**5000, 0)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_a_ratio_past_the_floats_forms_a_tree_with_no_stas_in_no_time(protocol):
+    # the float estimate of 2**1100 raised OverflowError
+    assert run_formation(protocol, tree_from_parents({}), RunConfig(), 2**1100, 0) == FormationResult(0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("protocol", [Protocol.PMAC, Protocol.IEEE1901])
+def test_a_growth_factor_past_the_floats_leaves_the_protocols_without_a_controller_alone(protocol):
+    # k2 drives only E-PMAC's controller, but its float estimate of 1e400 raised OverflowError in every formation
+    tree = single_layer(30)
+    assert run_formation(protocol, tree, RunConfig(k2=Decimal("1e400")), 1.0, 5) == run_formation(
+        protocol, tree, RunConfig(), 1.0, 5)
+
+
 @pytest.mark.parametrize(
     "ratio", [2**53 + 1, np.float32(1.05), Fraction(1, 3), Decimal("1.10000000000000000001")],
     ids=["int-above-2**53", "float32", "fraction", "long-decimal"],
@@ -402,9 +487,7 @@ def test_a_float32_ratio_keys_its_rows_whatever_was_converted_before():
     x = np.float32(1.1)
     plan = ExperimentPlan(protocols=tuple(Protocol), n_values=(10, 20, 30), ratio_grid=(x,), trials=3, seed=5,
                           multi_layer=True)
-    slot_alloc._as_fraction.cache_clear()
     cold = run_experiment(plan)
-    slot_alloc._as_fraction.cache_clear()
     slot_alloc._as_fraction(float(x))
     assert run_experiment(plan) == cold
 

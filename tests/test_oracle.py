@@ -57,8 +57,8 @@ def test_single_layer_means_match_the_exact_oracle(protocol, n, ratio):
     cfg = RunConfig()
     # one block of TRIALS formations: the cells of a single-layer sweep at (SEED, protocol, n, ratio)
     keys = [formation_key(SEED, n, trial, protocol, ratio) for trial in range(TRIALS)]
-    block = engine._run_block(cfg, engine._sessions([single_layer(n)]), (protocol,) * TRIALS, (0,) * TRIALS,
-                              engine._Ratios([ratio]), (0,) * TRIALS, keys)
+    block = engine._run_block(cfg, engine._sessions([single_layer(n)]), (engine._protocol_code(protocol),) * TRIALS,
+                              (0,) * TRIALS, engine._Ratios([ratio]), (0,) * TRIALS, keys)
     runs = [block.result(f) for f in range(TRIALS)]
     exact = expected_single_layer(protocol, n, ratio, cfg)
     observed = (np.array([r.nc_count for r in runs], float), np.array([r.total_us for r in runs], float))
@@ -112,7 +112,8 @@ def multi_layer_runs():
     tree_of = {name: t for t, name in enumerate(MULTI_LAYER)}
     base = [formation_key(SEED, MULTI_LAYER[name][0].n_sta, 0, protocol, MULTI_LAYER[name][1]) for protocol, name in pairs]
     keys = engine._child_keys(np.repeat(np.array(base, dtype=np.uint64), TRIALS), np.tile(np.arange(TRIALS), len(pairs)))
-    block = engine._run_block(MULTI_CFG, engine._sessions(trees), np.repeat([p for p, _ in pairs], TRIALS),
+    codes = [engine._protocol_code(protocol) for protocol, _ in pairs]
+    block = engine._run_block(MULTI_CFG, engine._sessions(trees), np.repeat(codes, TRIALS),
                               np.repeat([tree_of[name] for _, name in pairs], TRIALS),
                               engine._Ratios([MULTI_LAYER[name][1] for _, name in pairs]),
                               np.repeat(np.arange(len(pairs)), TRIALS), keys)

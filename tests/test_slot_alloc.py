@@ -2,8 +2,8 @@
 
 import pytest
 
-from plcmac import ExperimentPlan, Protocol, RunConfig, run_experiment
-from plcmac.slot_alloc import SlotAllocState, ZeroSlots, _as_fraction, ceil_scale, fresh_state, next_slot_count, record_pte
+from plcmac import RunConfig
+from plcmac.slot_alloc import SlotAllocState, ZeroSlots, ceil_scale, fresh_state, next_slot_count, record_pte
 
 CFG = RunConfig()
 
@@ -23,16 +23,6 @@ CFG = RunConfig()
 )
 def test_ceil_scale_is_exact_for_decimal_factors(factor, n, expected):
     assert ceil_scale(factor, n) == expected
-
-
-def test_ratio_cache_stays_bounded_over_a_random_ratio_sweep():
-    maxsize = _as_fraction.cache_info().maxsize
-    assert maxsize is not None
-    plan = ExperimentPlan(protocols=(Protocol.EPMAC,), n_values=(5,), ratio_random=(0.5, 2.0),
-                          trials=3 * maxsize, seed=4)
-    rows = run_experiment(plan)
-    assert len({r.ratio for r in rows}) > maxsize
-    assert _as_fraction.cache_info().currsize <= maxsize
 
 
 def test_params_validation():
