@@ -12,6 +12,7 @@ import math
 import operator
 import os
 import sys
+from fractions import Fraction
 from typing import IO, Iterator, Sequence
 
 from .complexity import (
@@ -253,6 +254,21 @@ _INT_FIELDS = tuple(map(CSV_HEADER.index, (
 _PROTOCOL, _RATIO = CSV_HEADER.index("protocol"), CSV_HEADER.index("ratio")
 
 
+def _ratio(field: str) -> float:
+    """A ratio field as a float: a decimal as float reads it, a p/q fraction (write_csv's Fraction) as its nearest float."""
+    try:
+        return float(field)
+    except ValueError as exc:
+        try:
+            return float(Fraction(field))
+        except ZeroDivisionError:
+            raise ValueError(f"ratio {field!r} has a zero denominator") from None
+        except OverflowError:
+            return math.inf  # a fraction past the floats, refused as not finite
+        except ValueError:
+            raise exc from None
+
+
 def _columns(rows: list[list[str]], where: str) -> tuple[Sequence[str], list[int], list[float], list[int]]:
     """The protocol, n_node, ratio and elapsed_us columns of rows; a row that does not parse raises UsageError."""
     if any(len(raw) != len(CSV_HEADER) for raw in rows):
@@ -260,7 +276,7 @@ def _columns(rows: list[list[str]], where: str) -> tuple[Sequence[str], list[int
     columns = list(zip(*rows))
     try:
         n_node, elapsed_us, *_ = [list(map(int, columns[i])) for i in _INT_FIELDS]
-        ratio = list(map(float, columns[_RATIO]))
+        ratio = list(map(_ratio, columns[_RATIO]))
     except ValueError as exc:
         raise UsageError(f"{where}: {exc}") from exc
     if not all(map(math.isfinite, ratio)):

@@ -14,18 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import Protocol, RunConfig, TimingTable, _as_int
 from .slot_alloc import MAX_WINDOW, _as_fraction, check_first_window
-from .topology import CCO_ID, NetworkTree, generate_tree, single_layer
+from .topology import CCO_ID, Forest, NetworkTree, grow_tree, single_layer
 
-# bench/tracer.py looks these per-cycle names up on this module; the block engine does not call them
+# bench/tracer.py looks these names up on this module; the block engine does not call them (a sweep calls grow_tree)
 from .mac_protocols import simulate_nc_csma, simulate_nc_epmac, simulate_nc_pmac  # noqa: F401
 from .slot_alloc import ceil_scale, fresh_state, next_slot_count, record_pte  # noqa: F401
+from .topology import generate_tree  # noqa: F401
 
 
 class NonTermination(RuntimeError):
@@ -182,23 +183,20 @@ class _Table(NamedTuple):
     layers: np.ndarray     # the depth of the deepest STA
 
 
-def _sessions(trees: Sequence[NetworkTree]) -> _Table:
-    """The sessions of every tree, from one pass over all their nodes."""
-    sizes = np.array([len(t.parent) for t in trees], dtype=np.int64)
-    total = int(sizes.sum())
-    nodes = np.fromiter(chain(*(t.parent for t in trees), *(t.depth for t in trees)), np.int64, 2 * total)
-    parent, depth = nodes[:total], nodes[total:]  # every tree's nodes, one tree after another
+def _sessions(forest: Forest) -> _Table:
+    """The sessions of every tree of the forest, from one pass over all their nodes."""
+    sizes, total = forest.sizes, len(forest.parent)
     first = np.cumsum(sizes) - sizes  # each tree's CCO
-    owner = np.repeat(np.arange(len(trees)), sizes)
-    parent += first[owner]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    parent = forest.parent + first[owner]
     parent[first] = -1  # a CCO is no child
     children = np.bincount(parent[parent >= 0], minlength=total)
     coords = np.flatnonzero(children)
     coords = coords[np.argsort(2 * owner[coords] + (children[coords] < 2), kind="stable")]
     tree = owner[coords]
-    pending, depth = children[coords], depth[coords] + 1
-    start = np.zeros(len(trees) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tree, minlength=len(trees)), out=start[1:])
+    pending, depth = children[coords], forest.depth[coords] + 1
+    start = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tree, minlength=len(sizes)), out=start[1:])
     layers = np.maximum.reduceat(np.append(depth, 0), start[:-1]) * (start[1:] > start[:-1])  # 0 without sessions
 
     def per_tree(x: np.ndarray) -> np.ndarray:
@@ -206,8 +204,8 @@ def _sessions(trees: Sequence[NetworkTree]) -> _Table:
         np.cumsum(x, out=upto[1:])
         return upto[start[1:]] - upto[start[:-1]]
 
-    return _Table(coords - first[tree], pending, start, np.bincount(tree[pending > 1], minlength=len(trees)),
-                  np.array([t.n_sta for t in trees], dtype=np.int64), per_tree(pending), per_tree(pending * depth),
+    return _Table(coords - first[tree], pending, start, np.bincount(tree[pending > 1], minlength=len(sizes)),
+                  forest.n_sta, per_tree(pending), per_tree(pending * depth),
                   2 * per_tree(depth - 1), layers)
 
 
@@ -521,7 +519,8 @@ def run_formation(
     check_first_window(slot_ratio, tree.n_sta)
     if not 0 <= (key := _as_int("key", key)) <= _MASK:
         raise ValueError(f"key must be in [0, 2**64), got {key}")
-    block = _run_block(cfg, _sessions([tree]), [_protocol_code(protocol)], (0,), _Ratios([slot_ratio]), (0,), (key,))
+    table = _sessions(Forest.of([tree]))
+    block = _run_block(cfg, table, [_protocol_code(protocol)], (0,), _Ratios([slot_ratio]), (0,), (key,))
     if isinstance(result := block.result(0), Exception):
         raise result
     return result
@@ -590,7 +589,7 @@ class ExperimentPlan(RunConfig):
             if not lo <= hi:
                 raise ValueError("ratio_random bounds must satisfy 0 < lo <= hi")
             object.__setattr__(self, "ratio_random", (float(lo), float(hi)))  # every random ratio is drawn in float64
-        if not 1 <= self.max_layers <= _INT64_MAX:  # generate_tree draws the target depth below max_layers + 1
+        if not 1 <= self.max_layers <= _INT64_MAX:  # grow_tree draws the target depth below max_layers + 1
             raise ValueError(f"max_layers must lie in [1, 2**63 - 1], got {self.max_layers}")
         # every tree of two or more STAs has a session of two or more; once two are pending at a ratio of at most
         # 0.5, their window is one slot, and with csma_p = 1 both transmit in it every cycle
@@ -635,7 +634,8 @@ def _groups(plan: ExperimentPlan) -> list[Group]:
 def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, ResultRow]], list[tuple[int, Exception]]]:
     """Rows of every cell of the group's pairs, and every failure, each with its cell index.
 
-    The trees are built once and every protocol runs them in one block,
+    The trees are built once, grown into one forest (multi-layer) or
+    tabulated from stars, and every protocol runs them in one block,
     whose formations go in as columns, protocol by protocol in plan
     order, each over the cells of the pairs in group order. A pair whose
     tree fails ends the group's building: the pairs before it still run,
@@ -644,7 +644,7 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     group's first cell in row order.
     """
     failures: list[tuple[int, Exception]] = []
-    nets: list[NetworkTree] = []  # a single-layer plan's trials share their star
+    nets: list = []  # each pair's growth, or a star per size, shared by its trials
     tree: list[int] = []  # each built pair's tree, an index into nets
     drawn: list[float] = []  # each built pair's ratio, in random mode
     for n_idx, trial in group:
@@ -656,7 +656,7 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
                 lo, hi = plan.ratio_random
                 ratio = lo + (hi - lo) * rng.random()
             if plan.multi_layer:
-                nets.append(generate_tree(n, plan.max_layers, rng))
+                nets.append(grow_tree(n, plan.max_layers, rng))
             elif not nets or nets[-1].n_sta != n:
                 nets.append(single_layer(n))
         except Exception as exc:
@@ -683,7 +683,7 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     index = plan.cell_index(np.arange(protocols)[:, None], n_idx, ratio_idx, trial).ravel().tolist()
     ratio = [values[v] for v in value.tolist()]
     try:
-        table = _sessions(nets)
+        table = _sessions(Forest.grown(nets) if plan.multi_layer else Forest.of(nets))
         block = _run_block(plan, table, codes, np.tile(np.array(tree)[pair], protocols), fracs, np.tile(value, protocols),
                            keys)
     except Exception as exc:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,30 +113,94 @@ def single_layer(n_sta: int) -> NetworkTree:
     return NetworkTree((CCO_ID,) * (n_sta + 1), (0,) + (1,) * n_sta)
 
 
-def generate_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> NetworkTree:
-    """Random tree no deeper than max_layers with a coverage-bounded first layer.
+def grow_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> tuple:
+    """One random tree's draws and growth loop, as (n_sta, first, draws, eligible, events) for Forest.grown.
 
     A target depth is drawn uniformly from 1..max_layers, the first
-    layer gets a uniform size between the coverage bound and n_sta, and
-    every remaining STA attaches to a uniformly random already-placed
-    node whose depth still allows a child within the target.
+    layer gets a uniform size first between the coverage bound and
+    n_sta, and each later STA, first + 1..n_sta, attaches to the eligible
+    node int(u * len(eligible)) for its uniform u in draws. The eligible
+    nodes are the CCO, then the first layer unless the target is 1, then
+    each later STA whose depth still allows a child within the target,
+    as it attaches. The loop keeps only the eligible nodes' depths, and
+    in events the 0-based places of the later STAs that became eligible.
     """
     least = min_first_layer(n_sta, max_layers)  # checks n_sta and max_layers before any draw
-    target_depth = int(rng.integers(1, max_layers + 1))
+    target = int(rng.integers(1, max_layers + 1))
     first = int(rng.integers(least, n_sta + 1))
-    parent = [CCO_ID] * (first + 1)
-    depth = [1] * (first + 1)
-    depth[CCO_ID] = 0
-    eligible = [CCO_ID]
-    if target_depth > 1:
-        eligible.extend(range(1, first + 1))
-    # Python floats multiply exactly as numpy's float64 scalars do, only faster
-    draws = rng.random(n_sta - first).tolist()
-    for node, u in enumerate(draws, start=first + 1):
-        par = eligible[int(u * len(eligible))]
-        parent.append(par)
-        d = depth[par] + 1
-        depth.append(d)
-        if d < target_depth:
-            eligible.append(node)
-    return NetworkTree(tuple(parent), tuple(depth))
+    draws = rng.random(n_sta - first)
+    eligible, events = [0], []
+    if target > 1:  # else every later STA hangs off the CCO
+        eligible += [1] * first
+        # Python floats multiply exactly as numpy's float64 scalars do, only faster
+        for j, u in enumerate(draws.tolist()):
+            d = eligible[int(u * len(eligible))] + 1
+            if d < target:
+                eligible.append(d)
+                events.append(j)
+    return n_sta, first, draws, eligible, events
+
+
+class Forest(NamedTuple):
+    """Trees as int64 arrays, one tree after another: tree t's nodes, its CCO first, by tree-local node id."""
+
+    n_sta: np.ndarray   # each tree's STAs as its builder states them, which the engine checks its joins against
+    sizes: np.ndarray   # each tree's node count
+    parent: np.ndarray  # every node's parent id in its tree; a CCO's is CCO_ID
+    depth: np.ndarray   # every node's hops from its CCO
+
+    @classmethod
+    def of(cls, trees: Sequence[NetworkTree]) -> Forest:
+        """The forest of trees that hold their nodes as sequences, such as NetworkTrees."""
+        sizes = np.array([len(t.parent) for t in trees], dtype=np.int64)
+        total = int(sizes.sum())
+        nodes = np.fromiter(chain(*(t.parent for t in trees), *(t.depth for t in trees)), np.int64, 2 * total)
+        return cls(np.array([t.n_sta for t in trees], dtype=np.int64), sizes, nodes[:total], nodes[total:])
+
+    @classmethod
+    def grown(cls, growths: Sequence[tuple]) -> Forest:
+        """The forest of grow_tree's growths, every later STA's parent and depth derived at once for all trees.
+
+        When a later STA attached, its tree's eligible list held L0 nodes
+        (the CCO, and the first layer unless the target is 1) and then
+        the tree's events before it. Its parent is that list's entry
+        k = (u * length).astype(int64), the same float64 product as
+        grow_tree's int(u * len(eligible)): node k itself below L0, else
+        the STA of the tree's event k - L0, whose depth the loop kept.
+        """
+        n, first, draws, eligible, events = zip(*growths)
+        n, first = np.array(n, dtype=np.int64), np.array(first, dtype=np.int64)
+        count = np.array(list(map(len, events)), dtype=np.int64)
+        base = np.array(list(map(len, eligible)), dtype=np.int64) - count  # each tree's L0
+        later = n - first
+        starts, ev_starts = np.cumsum(later) - later, np.cumsum(count) - count
+        # every tree's events, one tree after another: each one's place among the later STAs, node id and depth
+        ev = np.fromiter(chain.from_iterable(events), np.int64, int(count.sum()))
+        ev_depth = np.fromiter(chain.from_iterable(e[b:] for e, b in zip(eligible, base.tolist())), np.int64, len(ev))
+        ev_id = ev + np.repeat(first + 1, count)
+        flags = np.zeros(int(later.sum()) + 1, dtype=np.int64)
+        flags[ev + np.repeat(starts + 1, count)] = 1
+        # each later STA's list length: L0 plus the events before it over all trees, less those of earlier trees
+        lo = np.repeat(ev_starts, later)
+        shift = np.repeat(base, later) - lo
+        k = (np.concatenate(draws) * (np.cumsum(flags[:-1]) + shift)).astype(np.int64)
+        picked = k - shift  # entry k from L0 on: the event k - L0, counted over all trees' events
+        late = picked >= lo
+        picked = picked[late]
+        par, dep = k, np.minimum(k, 1)  # below L0, node k: the CCO at depth 0 or a first-layer STA at depth 1
+        par[late] = ev_id.take(picked)
+        dep[late] = ev_depth.take(picked)
+        # every node: each tree's CCO at depth 0, its first layer at depth 1 under it, then its later STAs
+        sizes = n + 1
+        parent, depth = np.zeros(int(sizes.sum()), dtype=np.int64), np.ones(int(sizes.sum()), dtype=np.int64)
+        depth[np.cumsum(sizes) - sizes] = 0
+        at = np.repeat(np.cumsum(first + 1), later) + np.arange(len(par))
+        parent[at] = par
+        depth[at] = dep + 1
+        return cls(n, sizes, parent, depth)
+
+
+def generate_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> NetworkTree:
+    """Random tree no deeper than max_layers with a coverage-bounded first layer: grow_tree's forest of one."""
+    forest = Forest.grown([grow_tree(n_sta, max_layers, rng)])
+    return NetworkTree(tuple(forest.parent.tolist()), tuple(forest.depth.tolist()))

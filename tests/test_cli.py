@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from plcmac import ExperimentPlan, Protocol, cli, engine
+from plcmac import ExperimentPlan, Protocol, cli, engine, run_experiment
 from plcmac.cli import build_parser, main
 from plcmac.engine import CSV_HEADER
 from plcmac.topology import CCO_ID
@@ -192,7 +192,7 @@ def test_an_error_before_the_formation_names_its_cell(tmp_path, capsys, monkeypa
     def bad_tree(n, max_layers, rng):
         raise KeyError("no tree")
 
-    monkeypatch.setattr(engine, "generate_tree", bad_tree)
+    monkeypatch.setattr(engine, "grow_tree", bad_tree)
     argv = ["sweep-multi", "--protocols", "epmac", "--n", "4", "--ratios", "1.0", "--trials", "1"]
     assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
     assert capsys.readouterr().err == (
@@ -548,6 +548,39 @@ def test_summarize_rejects_rows_of_the_wrong_width(row, tmp_path, capsys):
     bad.write_text(",".join(CSV_HEADER) + "\nepmac,10,1.0,0,5,1,1,1,1\n" + row + "\n")
     assert main(["summarize", str(bad)]) == 2
     assert "line 3 does not have 9 fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [[], ["--best-ratio"], ["--pool-ratios"]])
+def test_summarize_reads_the_fraction_ratios_a_sweep_writes(mode, tmp_path, capsys):
+    # write_csv prints a Fraction ratio as p/q; summarize reads it as the float nearest its value
+    plan = ExperimentPlan(protocols=(Protocol.PMAC,), n_values=(3, 6), ratio_grid=(Fraction(1, 3), Fraction(1, 2)),
+                          trials=3, seed=2)
+    sweep = tmp_path / "fractions.csv"
+    with open(sweep, "w", encoding="utf-8", newline="") as fh:
+        cli.write_csv(run_experiment(plan), fh)
+    assert {row[2] for row in _read_csv(sweep)[1:]} == {"1/3", "1/2"}
+    assert main(["summarize", str(sweep), *mode]) == 0
+    out = list(csv.reader(capsys.readouterr().out.splitlines()))
+    groups = [(protocol, int(n), ratio, int(samples)) for protocol, n, ratio, samples, *_ in out[1:]]
+    if not mode:
+        assert groups == [("pmac", n, r, 3) for n in (3, 6) for r in (repr(1 / 3), "0.5")]
+    elif mode == ["--best-ratio"]:
+        assert [group[:2] for group in groups] == [("pmac", 3), ("pmac", 6)]
+        assert {group[2] for group in groups} <= {repr(1 / 3), "0.5"}
+    else:
+        assert groups == [("pmac", 3, "all", 6), ("pmac", 6, "all", 6)]
+
+
+@pytest.mark.parametrize("ratio,message", [
+    ("1/0", "ratio '1/0' has a zero denominator"),
+    ("1/x", "could not convert string to float: '1/x'"),
+    ("9" * 400 + "/1", f"ratio '{'9' * 400}/1' is not finite"),
+], ids=["zero denominator", "not a number", "past the floats"])
+def test_summarize_rejects_fractions_that_are_no_finite_number(ratio, message, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(",".join(CSV_HEADER) + f"\nepmac,10,1/3,0,5,1,1,1,1\nepmac,10,{ratio},0,5,1,1,1,1\n")
+    assert main(["summarize", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 3: {message}\n"
 
 
 @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plcmac import engine, slot_alloc
+from plcmac import engine, slot_alloc, topology
 from plcmac import (
     EmptySample,
     ExperimentPlan,
@@ -118,7 +118,7 @@ def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch,
     multi = ExperimentPlan(protocols=(protocol,), n_values=(12, 30), ratio_grid=(0.5, 1.0), trials=2, seed=4, multi_layer=True, max_layers=3)
     single = ExperimentPlan(protocols=(protocol,), n_values=(10, 20), ratio_grid=(0.5, 1.0), trials=2, seed=4)
     expected = [run_experiment(multi), run_experiment(single)]
-    names = _tracer().ENGINE_NAMES
+    names = (*_tracer().ENGINE_NAMES, "grow_tree")
     calls = dict.fromkeys(names, 0)
 
     def counting(name):
@@ -133,11 +133,48 @@ def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch,
     for name in names:
         monkeypatch.setattr(engine, name, counting(name))
     assert run_experiment(multi) == expected[0]
-    assert calls["generate_tree"] == 4  # one tree per (n, trial) pair, shared by both ratio cells
+    assert calls["grow_tree"] == 4  # one tree per (n, trial) pair, shared by both ratio cells
     assert run_experiment(single) == expected[1]
     assert calls["single_layer"] == 2  # one star per size, shared by its trials
     # the block engine prices every session itself: the per-cycle kernels and the controller go uncalled
-    assert {name: count for name, count in calls.items() if count} == {"generate_tree": 4, "single_layer": 2}
+    assert {name: count for name, count in calls.items() if count} == {"grow_tree": 4, "single_layer": 2}
+
+
+def test_a_pair_whose_growth_fails_ends_its_group_after_the_pairs_before_it(monkeypatch):
+    plan = ExperimentPlan(protocols=(Protocol.EPMAC, Protocol.IEEE1901), n_values=(5, 9), ratio_grid=(0.5, 1.0),
+                          trials=2, seed=3, multi_layer=True, max_layers=4)
+    expected = run_experiment(plan)
+    grown = []
+
+    def third_fails(n, max_layers, rng):
+        if len(grown) == 2:
+            raise KeyError("no tree")
+        grown.append(n)
+        return topology.grow_tree(n, max_layers, rng)
+
+    monkeypatch.setattr(engine, "grow_tree", third_fails)
+    [group] = engine._groups(plan)
+    rows, failures = engine._run_group(plan, group)
+    # the pairs (n 5, trial 0) and (n 5, trial 1) ran every protocol and ratio; (n 9, trial 0) failed and ended the group
+    assert sorted(rows) == [(i, row) for i, row in enumerate(expected) if row.n_node == 5]
+    assert [(i, type(exc)) for i, exc in failures] == [(plan.cell_index(0, 1, 0, 0), KeyError)]
+    grown.clear()
+    with pytest.raises(KeyError) as raised:
+        run_experiment(plan)
+    assert raised.value.cell == "protocol=epmac n=9 ratio_index=0 trial=0"
+
+
+def test_a_multi_layer_sweep_builds_no_network_tree(monkeypatch):
+    # grown trees reach the session table as arrays: no NetworkTree, so no tuple of Python ints per node
+    plan = ExperimentPlan(protocols=tuple(Protocol), n_values=(1, 30, 200), ratio_random=(0.5, 2.0), trials=3, seed=8,
+                          multi_layer=True, max_layers=6)
+    expected = run_experiment(plan)
+
+    def no_tree(*args):
+        raise AssertionError("a NetworkTree was built")
+
+    monkeypatch.setattr(topology, "NetworkTree", no_tree)
+    assert run_experiment(plan) == expected
 
 def test_every_run_joins_every_sta():
     # a run returns only once every session has drained, and raises if its sessions did not hold every STA

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plcmac import NetworkTree, generate_tree, min_first_layer, single_layer, tree_from_parents
-from plcmac.topology import CCO_ID
+from plcmac.topology import CCO_ID, Forest, grow_tree
 
 
 @pytest.mark.parametrize(
@@ -177,3 +177,63 @@ def test_generate_tree_validation():
         generate_tree(0, 6, np.random.default_rng(0))
     with pytest.raises(ValueError):
         generate_tree(10, 0, np.random.default_rng(0))
+
+
+def _reference_tree(n, max_layers, rng):
+    """The growth rule written plainly: parent and depth lists, node by node, eligible node ids in a list."""
+    least = min_first_layer(n, max_layers)
+    target = int(rng.integers(1, max_layers + 1))
+    first = int(rng.integers(least, n + 1))
+    parent, depth = [CCO_ID] * (first + 1), [0] + [1] * first
+    eligible = [CCO_ID] + (list(range(1, first + 1)) if target > 1 else [])
+    for node, u in enumerate(rng.random(n - first).tolist(), start=first + 1):
+        parent.append(eligible[int(u * len(eligible))])
+        depth.append(depth[parent[-1]] + 1)
+        if depth[-1] < target:
+            eligible.append(node)
+    return parent, depth
+
+
+def test_grown_forests_match_the_rule_tree_by_tree():
+    # mixed-size groups: n 1 (no draws), max_layers 1 (a target of 1, no loop, first = n), caps far above log2 n
+    # (chains of eligible STAs) and caps of 3 to 9 (the eligible list outgrows the first layer)
+    picks = np.random.default_rng(29)
+    groups, covered = [], set()
+    for _ in range(40):
+        group = []
+        for _ in range(int(picks.integers(1, 12))):
+            n = int(picks.choice([1, 2, 3, int(picks.integers(4, 40)), int(picks.integers(40, 700))]))
+            max_layers = int(picks.choice([1, 2, 3, int(picks.integers(4, 10)), 10**6]))
+            group.append((n, max_layers, int(picks.integers(2**32))))
+        groups.append(group)
+    trees = 0
+    for group in groups:
+        growths = [grow_tree(n, max_layers, np.random.default_rng(seed)) for n, max_layers, seed in group]
+        forest = Forest.grown(growths)
+        assert list(forest.n_sta) == [n for n, _, _ in group] and list(forest.sizes) == [n + 1 for n, _, _ in group]
+        at = 0
+        for (n, max_layers, seed), (_, first, _, eligible, _) in zip(group, growths):
+            parent, depth = _reference_tree(n, max_layers, np.random.default_rng(seed))
+            tree = generate_tree(n, max_layers, np.random.default_rng(seed))
+            assert forest.parent[at:at + n + 1].tolist() == list(tree.parent) == parent
+            assert forest.depth[at:at + n + 1].tolist() == list(tree.depth) == depth
+            tree.validate(max_layers=max_layers)
+            at += n + 1
+            trees += 1
+            cases = {"n=1": n == 1, "target 1": len(eligible) == 1, "first = n, n > 1": first == n > 1,
+                     "depth 2 eligible": max(eligible) >= 2, "chain past 6": max(depth) > 6 and max_layers == 10**6}
+            covered.update(case for case, hit in cases.items() if hit)
+        assert at == len(forest.parent) == len(forest.depth)
+    assert trees >= 200
+    assert covered == {"n=1", "target 1", "first = n, n > 1", "depth 2 eligible", "chain past 6"}
+
+
+def test_forest_of_trees_holds_their_nodes_one_tree_after_another():
+    trees = [tree_from_parents({}), generate_tree(1, 6, np.random.default_rng(0)), single_layer(3),
+             tree_from_parents({1: 0, 2: 1, 3: 1}), generate_tree(40, 4, np.random.default_rng(5))]
+    forest = Forest.of(trees)
+    assert forest.n_sta.tolist() == [t.n_sta for t in trees] == [0, 1, 3, 3, 40]
+    assert forest.sizes.tolist() == [1, 2, 4, 4, 41]
+    assert forest.parent.tolist() == [p for t in trees for p in t.parent]
+    assert forest.depth.tolist() == [d for t in trees for d in t.depth]
+    assert all(a.dtype == np.int64 for a in forest)
