@@ -279,9 +279,9 @@ def _columns(rows: list[list[str]], where: str) -> tuple[Sequence[str], list[int
         ratio = list(map(_ratio, columns[_RATIO]))
     except ValueError as exc:
         raise UsageError(f"{where}: {exc}") from exc
-    if not all(map(math.isfinite, ratio)):
-        bad = next(raw for raw, value in zip(columns[_RATIO], ratio) if not math.isfinite(value))
-        raise UsageError(f"{where}: ratio {bad!r} is not finite")
+    if not all(map(math.isfinite, ratio)) or min(ratio) <= 0:  # no sweep writes a ratio that is not positive
+        bad, value = next((raw, value) for raw, value in zip(columns[_RATIO], ratio) if not 0 < value < math.inf)
+        raise UsageError(f"{where}: ratio {bad!r} is {'not positive' if math.isfinite(value) else 'not finite'}")
     return columns[_PROTOCOL], n_node, ratio, elapsed_us
 
 

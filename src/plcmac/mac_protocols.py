@@ -2,7 +2,9 @@
 
 Each simulator runs one networking cycle for one coordinator session:
 slotted contention in the PTE window, then the protocol's framing for
-whoever got through. A cycle reports the slots it paid for by kind;
+whoever got through. A session is two ints: its pending count (>= 1;
+its STAs are exchangeable, so they have no ids) and their tree depth
+(>= 1). A cycle reports the slots it paid for by kind;
 core.TimingTable.cost turns slot counts into time, never frame air times.
 """
 
@@ -13,30 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import RunConfig
-
-
-class _PendingFields(NamedTuple):
-    count: int
-    depth: int = 1
-
-
-class PendingSet(_PendingFields):
-    """How many STAs still wait to join one session, all at the same tree depth (>= 1).
-
-    STAs of a session are exchangeable, so they have no ids here, only a count.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, count: int, depth: int = 1) -> PendingSet:
-        if count < 1:
-            raise ValueError("a pending set is never empty")
-        if depth < 1:
-            raise ValueError("depth starts at 1")
-        return tuple.__new__(cls, (count, depth))
-
-    # _replace builds through _make, so route it through the checks too
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 class NcOutcome(NamedTuple):
@@ -85,7 +63,7 @@ def contend(pending_count: int, n_slot: int, rng: np.random.Generator) -> int:
 
 
 def simulate_nc_epmac(
-    pending: PendingSet,
+    pending: int,
     n_slot: int,
     first_nc: bool,
     cfg: RunConfig,
@@ -96,9 +74,10 @@ def simulate_nc_epmac(
     Announcement (a slot-count data frame on the first cycle, a NET
     preamble afterwards), a PTE of n_slot preamble slots, then for the
     s winners: ceil(s/tdf_capacity) TDFs, s MAC-address frames,
-    ceil(s/sdf_capacity) SDFs, and one ACK preamble each.
+    ceil(s/sdf_capacity) SDFs, and one ACK preamble each. Depth is
+    not read: the caller charges a session's relays once.
     """
-    s = contend(pending.count, n_slot, rng)
+    s = contend(pending, n_slot, rng)
     # the announcement plus every PTE slot, landed or not
     data, preambles = (1, n_slot) if first_nc else (0, 1 + n_slot)
     if s:
@@ -108,7 +87,8 @@ def simulate_nc_epmac(
 
 
 def simulate_nc_pmac(
-    pending: PendingSet,
+    pending: int,
+    depth: int,
     n_slot: int,
     cfg: RunConfig,
     rng: np.random.Generator,
@@ -119,13 +99,14 @@ def simulate_nc_pmac(
     (time difference, MAC address, SID) each crossing k hops, and one
     ACK preamble per winner.
     """
-    s = contend(pending.count, n_slot, rng)
-    data = 3 * pending.depth * s
+    s = contend(pending, n_slot, rng)
+    data = 3 * depth * s
     return NcOutcome(s, (1 + n_slot + s, data, 0, 0, 0, 0), data)
 
 
 def simulate_nc_csma(
-    pending: PendingSet,
+    pending: int,
+    depth: int,
     n_slot: int,
     cfg: RunConfig,
     rng: np.random.Generator,
@@ -140,11 +121,11 @@ def simulate_nc_csma(
     """
     if n_slot < 1:
         raise ValueError("need at least one slot")
-    slots = rng.integers(0, n_slot, size=pending.count)
-    sending = rng.random(pending.count) < cfg.csma_p
+    slots = rng.integers(0, n_slot, size=pending)
+    sending = rng.random(pending) < cfg.csma_p
     s = _singletons(slots[sending], n_slot)
     transmitters = int(np.count_nonzero(sending))
-    relayed = s * (pending.depth - 1)  # a request/indication pair per winner per extra hop
+    relayed = s * (depth - 1)  # a request/indication pair per winner per extra hop
     req, ind = n_slot + relayed, s + relayed
-    counts = (0, 0, 1, 0, req, ind) if pending.depth == 1 else (0, 0, 0, 1, req, ind)
+    counts = (0, 0, 1, 0, req, ind) if depth == 1 else (0, 0, 0, 1, req, ind)
     return NcOutcome(s, counts, 1 + transmitters + s + 2 * relayed)

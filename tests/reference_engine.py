@@ -18,7 +18,7 @@ import numpy as np
 from plcmac import engine
 from plcmac.core import Protocol, RunConfig
 from plcmac.engine import ExperimentPlan, FormationResult, NonTermination, ResultRow
-from plcmac.mac_protocols import PendingSet, simulate_nc_csma, simulate_nc_epmac, simulate_nc_pmac
+from plcmac.mac_protocols import simulate_nc_csma, simulate_nc_epmac, simulate_nc_pmac
 from plcmac.slot_alloc import _as_fraction, ceil_scale, check_first_window, fresh_state, next_slot_count, record_pte
 from plcmac.topology import CCO_ID, NetworkTree, generate_tree, single_layer
 
@@ -135,20 +135,19 @@ def run_formation(protocol: Protocol, tree: NetworkTree, cfg: RunConfig, slot_ra
                     f"{protocol.value} run exceeded max_nc={cfg.max_nc} with "
                     f"{pending} STA(s) still pending at depth {depth_k}"
                 )
-            batch = PendingSet(pending, depth_k)
             rng = KeyedCycle(_cycle_key(key, node, cycle))
             if epmac:
                 n_slot = next_slot_count(state, cfg)
                 if n_slot == 0:
                     state = fresh_state(n0)
                     n_slot = next_slot_count(state, cfg)
-                joins, cycle_counts, frames = simulate_nc_epmac(batch, n_slot, state.t_pte == 0, cfg, rng)
+                joins, cycle_counts, frames = simulate_nc_epmac(pending, n_slot, state.t_pte == 0, cfg, rng)
                 state = record_pte(state, n_slot, joins)
             else:
                 n_slot = ceil_scale(slot_ratio, pending)
                 if pmac and n_slot < 2 and pending >= 2:
                     n_slot = 2
-                joins, cycle_counts, frames = kernel(batch, n_slot, cfg, rng)
+                joins, cycle_counts, frames = kernel(pending, depth_k, n_slot, cfg, rng)
             cycle += 1
             nc_count += 1
             paid.append(cycle_counts)

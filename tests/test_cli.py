@@ -575,7 +575,10 @@ def test_summarize_reads_the_fraction_ratios_a_sweep_writes(mode, tmp_path, caps
     ("1/0", "ratio '1/0' has a zero denominator"),
     ("1/x", "could not convert string to float: '1/x'"),
     ("9" * 400 + "/1", f"ratio '{'9' * 400}/1' is not finite"),
-], ids=["zero denominator", "not a number", "past the floats"])
+    ("0", "ratio '0' is not positive"),
+    ("-0.5", "ratio '-0.5' is not positive"),
+    ("-1/3", "ratio '-1/3' is not positive"),
+], ids=["zero denominator", "not a number", "past the floats", "zero", "negative", "negative fraction"])
 def test_summarize_rejects_fractions_that_are_no_finite_number(ratio, message, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(",".join(CSV_HEADER) + f"\nepmac,10,1/3,0,5,1,1,1,1\nepmac,10,{ratio},0,5,1,1,1,1\n")

@@ -121,6 +121,7 @@ def _corrupted(good, rng, count):
     yield "latin-1", with_field(0, "épmac".encode("latin-1"))
     yield "open-quote", good + b'"epmac,3'
     yield "nan-ratio", with_field(CSV_HEADER.index("ratio"), b"nan")
+    yield "nonpositive-ratio", with_field(CSV_HEADER.index("ratio"), b"-1/3")
     yield "5000-digit-int", with_field(CSV_HEADER.index("n_node"), b"9" * 5000)
     yield "cr", good.replace(b"\n", b"\r")
     yield "empty", b""

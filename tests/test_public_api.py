@@ -6,6 +6,7 @@ import types
 import pytest
 
 import plcmac
+from plcmac import mac_protocols, slot_alloc
 
 PUBLIC_NAMES = [
     "CSV_HEADER",
@@ -64,6 +65,26 @@ def test_public_names_are_pinned():
     )
     assert exported == PUBLIC_NAMES
 
+
+# the per-cycle layer the reference engine runs and bench/tracer.py wraps: the names each module defines
+LAYER_NAMES = {
+    mac_protocols: ["BINCOUNT_MAX_SLOTS", "NcOutcome", "contend", "simulate_nc_csma", "simulate_nc_epmac",
+                    "simulate_nc_pmac"],
+    slot_alloc: ["MAX_WINDOW", "SlotAllocState", "ZeroSlots", "ceil_scale", "check_first_window", "fresh_state",
+                 "next_slot_count", "record_pte"],
+}
+
+
+def test_per_cycle_layer_names_are_pinned():
+    for module, names in LAYER_NAMES.items():
+        defined = sorted(
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("_")
+            and not isinstance(value, types.ModuleType)
+            and getattr(value, "__module__", module.__name__) == module.__name__  # not an import
+        )
+        assert defined == names, module.__name__
 
 
 def test_formation_result_fields_are_pinned():
