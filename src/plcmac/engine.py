@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Protocol, RunConfig, TimingTable, _as_int
 from .slot_alloc import MAX_WINDOW, _as_fraction, check_first_window
-from .topology import CCO_ID, Forest, NetworkTree, grow_tree, single_layer
+from .topology import CCO_ID, Forest, NetworkTree, _grown_coordinators, grow_tree, single_layer
 
 # bench/tracer.py looks these names up on this module; the block engine does not call them (a sweep calls grow_tree)
 from .mac_protocols import simulate_nc_csma, simulate_nc_epmac, simulate_nc_pmac  # noqa: F401
@@ -191,22 +191,23 @@ def _sessions(forest: Forest) -> _Table:
     parent = forest.parent + first[owner]
     parent[first] = -1  # a CCO is no child
     children = np.bincount(parent[parent >= 0], minlength=total)
-    coords = np.flatnonzero(children)
-    coords = coords[np.argsort(2 * owner[coords] + (children[coords] < 2), kind="stable")]
+    coords = np.flatnonzero(children > 0)
     tree = owner[coords]
-    pending, depth = children[coords], forest.depth[coords] + 1
-    start = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tree, minlength=len(sizes)), out=start[1:])
-    layers = np.maximum.reduceat(np.append(depth, 0), start[:-1]) * (start[1:] > start[:-1])  # 0 without sessions
+    return _table(tree, coords - first[tree], children[coords], forest.depth[coords], forest.n_sta)
 
-    def per_tree(x: np.ndarray) -> np.ndarray:
-        upto = np.zeros(len(x) + 1, dtype=np.int64)
-        np.cumsum(x, out=upto[1:])
-        return upto[start[1:]] - upto[start[:-1]]
 
-    return _Table(coords - first[tree], pending, start, np.bincount(tree[pending > 1], minlength=len(sizes)),
-                  forest.n_sta, per_tree(pending), per_tree(pending * depth),
-                  2 * per_tree(depth - 1), layers)
+def _table(tree, nodes, pending, depth, n_sta) -> _Table:
+    """The table of coordinators given as columns (tree, node id, children, depth), tree by tree, each by node id."""
+    order = np.argsort(2 * tree + (pending < 2), kind="stable")
+    tree, nodes, pending, depth = tree[order], nodes[order], pending[order], depth[order] + 1
+    start = np.zeros(len(n_sta) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tree, minlength=len(n_sta)), out=start[1:])
+    columns = np.zeros((4, len(nodes) + 1), dtype=np.int64)  # a trailing 0, so that a tree without sessions sums to 0
+    columns[:, :-1] = pending, pending * depth, 2 * depth - 2, depth
+    some = start[1:] > start[:-1]
+    joins, hops, relays = np.add.reduceat(columns[:3], start[:-1], axis=1) * some
+    return _Table(nodes, pending, start, np.bincount(tree[pending > 1], minlength=len(n_sta)), n_sta, joins, hops,
+                  relays, np.maximum.reduceat(columns[3], start[:-1]) * some)
 
 
 class _Ratios:
@@ -683,7 +684,7 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     index = plan.cell_index(np.arange(protocols)[:, None], n_idx, ratio_idx, trial).ravel().tolist()
     ratio = [values[v] for v in value.tolist()]
     try:
-        table = _sessions(Forest.grown(nets) if plan.multi_layer else Forest.of(nets))
+        table = _table(*_grown_coordinators(nets)) if plan.multi_layer else _sessions(Forest.of(nets))
         block = _run_block(plan, table, codes, np.tile(np.array(tree)[pair], protocols), fracs, np.tile(value, protocols),
                            keys)
     except Exception as exc:

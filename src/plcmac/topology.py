@@ -114,7 +114,7 @@ def single_layer(n_sta: int) -> NetworkTree:
 
 
 def grow_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> tuple:
-    """One random tree's draws and growth loop, as (n_sta, first, draws, eligible, events) for Forest.grown.
+    """One random tree's draws and growth loop, as (n_sta, first, draws, eligible, events) for _picks.
 
     A target depth is drawn uniformly from 1..max_layers, the first
     layer gets a uniform size first between the coverage bound and
@@ -132,12 +132,19 @@ def grow_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> tuple:
     eligible, events = [0], []
     if target > 1:  # else every later STA hangs off the CCO
         eligible += [1] * first
-        # Python floats multiply exactly as numpy's float64 scalars do, only faster
-        for j, u in enumerate(draws.tolist()):
-            d = eligible[int(u * len(eligible))] + 1
+        # Python floats multiply exactly as numpy's float64 scalars do, only faster: int(u * length) is each pick
+        append, length = eligible.append, first + 1.0
+        if target > 2:
+            picks = enumerate(draws.tolist())
+        else:  # only a pick of the CCO makes an event; the list only grows, so only u * (1 + first) < 1 can be one
+            tried = np.flatnonzero(draws * length < 1)
+            picks = zip(tried.tolist(), draws[tried].tolist())
+        for j, u in picks:
+            d = eligible[int(u * length)] + 1
             if d < target:
-                eligible.append(d)
+                append(d)
                 events.append(j)
+                length += 1
     return n_sta, first, draws, eligible, events
 
 
@@ -159,45 +166,62 @@ class Forest(NamedTuple):
 
     @classmethod
     def grown(cls, growths: Sequence[tuple]) -> Forest:
-        """The forest of grow_tree's growths, every later STA's parent and depth derived at once for all trees.
-
-        When a later STA attached, its tree's eligible list held L0 nodes
-        (the CCO, and the first layer unless the target is 1) and then
-        the tree's events before it. Its parent is that list's entry
-        k = (u * length).astype(int64), the same float64 product as
-        grow_tree's int(u * len(eligible)): node k itself below L0, else
-        the STA of the tree's event k - L0, whose depth the loop kept.
-        """
-        n, first, draws, eligible, events = zip(*growths)
-        n, first = np.array(n, dtype=np.int64), np.array(first, dtype=np.int64)
-        count = np.array(list(map(len, events)), dtype=np.int64)
-        base = np.array(list(map(len, eligible)), dtype=np.int64) - count  # each tree's L0
+        """The forest of grow_tree's growths, every later STA's parent and depth derived at once for all trees."""
+        n, first, base, ev_at, ev_id, ev_depth, k = _picks(growths)
         later = n - first
-        starts, ev_starts = np.cumsum(later) - later, np.cumsum(count) - count
-        # every tree's events, one tree after another: each one's place among the later STAs, node id and depth
-        ev = np.fromiter(chain.from_iterable(events), np.int64, int(count.sum()))
-        ev_depth = np.fromiter(chain.from_iterable(e[b:] for e, b in zip(eligible, base.tolist())), np.int64, len(ev))
-        ev_id = ev + np.repeat(first + 1, count)
-        flags = np.zeros(int(later.sum()) + 1, dtype=np.int64)
-        flags[ev + np.repeat(starts + 1, count)] = 1
-        # each later STA's list length: L0 plus the events before it over all trees, less those of earlier trees
-        lo = np.repeat(ev_starts, later)
-        shift = np.repeat(base, later) - lo
-        k = (np.concatenate(draws) * (np.cumsum(flags[:-1]) + shift)).astype(np.int64)
-        picked = k - shift  # entry k from L0 on: the event k - L0, counted over all trees' events
-        late = picked >= lo
-        picked = picked[late]
+        late = k >= np.repeat(base, later)
+        picked = (k - np.repeat(base - ev_at, later))[late]  # entry k from L0 on: the event k - L0 over all trees
         par, dep = k, np.minimum(k, 1)  # below L0, node k: the CCO at depth 0 or a first-layer STA at depth 1
-        par[late] = ev_id.take(picked)
-        dep[late] = ev_depth.take(picked)
-        # every node: each tree's CCO at depth 0, its first layer at depth 1 under it, then its later STAs
-        sizes = n + 1
-        parent, depth = np.zeros(int(sizes.sum()), dtype=np.int64), np.ones(int(sizes.sum()), dtype=np.int64)
-        depth[np.cumsum(sizes) - sizes] = 0
-        at = np.repeat(np.cumsum(first + 1), later) + np.arange(len(par))
-        parent[at] = par
-        depth[at] = dep + 1
-        return cls(n, sizes, parent, depth)
+        par[late], dep[late] = ev_id[picked], ev_depth[picked]
+        # before each tree's later STAs, its CCO at depth 0 and its first layer at depth 1 under it
+        at, head = np.repeat(np.cumsum(later) - later, first + 1), np.ones(int((first + 1).sum()), dtype=np.int64)
+        head[np.cumsum(first + 1) - first - 1] = 0
+        return cls(n, n + 1, np.insert(par, at, 0), np.insert(dep + 1, at, head))
+
+
+def _picks(growths: Sequence[tuple]) -> tuple:
+    """Every later STA's pick over grow_tree's growths, as (n, first, base, ev_at, ev_id, ev_depth, k), per tree or STA.
+
+    A later STA's pick is entry k = (u * length).astype(int64) of its
+    tree's eligible list, the same float64 product as grow_tree's: the
+    list's first base entries, L0, are nodes 0..L0 - 1, and entry L0 + e
+    the STA of the tree's event e. ev_id and ev_depth hold every tree's
+    events, tree t's from ev_at[t] on, as node ids and the kept depths.
+    """
+    n, first, draws, eligible, events = zip(*growths)
+    n, first = np.array(n, dtype=np.int64), np.array(first, dtype=np.int64)
+    count = np.array(list(map(len, events)), dtype=np.int64)
+    base = np.array(list(map(len, eligible)), dtype=np.int64) - count
+    later = n - first
+    starts, ev_at = np.cumsum(later) - later, np.cumsum(count) - count
+    ev = np.fromiter(chain.from_iterable(events), np.int64, int(count.sum()))
+    ev_depth = np.fromiter(chain.from_iterable(e[b:] for e, b in zip(eligible, base.tolist())), np.int64, len(ev))
+    flags = np.zeros(int(later.sum()) + 1, dtype=np.int64)
+    flags[ev + np.repeat(starts + 1, count)] = 1
+    # each later STA's list length: L0 plus the events before it over all trees, less those of earlier trees
+    length = np.cumsum(flags[:-1]) + np.repeat(base - ev_at, later)
+    k = (np.concatenate(draws) * length).astype(np.int64)
+    return n, first, base, ev_at, ev + np.repeat(first + 1, count), ev_depth, k
+
+
+def _grown_coordinators(growths: Sequence[tuple]) -> tuple:
+    """The coordinators of grow_tree's growths from their picks alone, without any node's parent or depth: columns
+    (tree, node id, children, depth), tree by tree and each tree's by node id, and the trees' n_sta.
+
+    An eligible entry's children are the later STAs that picked it, and a CCO's also its first layer. Entries ascend
+    with node ids: entry i below L0 is node i at depth min(i, 1), any other the STA of its event at its kept depth.
+    """
+    n, first, base, ev_at, ev_id, ev_depth, k = _picks(growths)
+    at = np.cumsum(base) - base + ev_at  # each tree's entries, L0 and then its events, one tree after another
+    children = np.bincount(k + np.repeat(at, n - first), minlength=int(base.sum()) + len(ev_id))
+    children[at] += first
+    entry = np.flatnonzero(children > 0)
+    tree = np.searchsorted(at, entry, side="right") - 1
+    node = entry - at[tree]
+    late, depth = node >= base[tree], np.minimum(node, 1)
+    event = (node - base[tree] + ev_at[tree])[late]
+    node[late], depth[late] = ev_id[event], ev_depth[event]
+    return tree, node, children[entry], depth, n
 
 
 def generate_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> NetworkTree:

@@ -118,7 +118,7 @@ def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch,
     multi = ExperimentPlan(protocols=(protocol,), n_values=(12, 30), ratio_grid=(0.5, 1.0), trials=2, seed=4, multi_layer=True, max_layers=3)
     single = ExperimentPlan(protocols=(protocol,), n_values=(10, 20), ratio_grid=(0.5, 1.0), trials=2, seed=4)
     expected = [run_experiment(multi), run_experiment(single)]
-    names = (*_tracer().ENGINE_NAMES, "grow_tree")
+    names = (*_tracer().ENGINE_NAMES, "grow_tree", "_grown_coordinators")
     calls = dict.fromkeys(names, 0)
 
     def counting(name):
@@ -134,10 +134,12 @@ def test_engine_calls_every_wrapped_name_through_its_module_globals(monkeypatch,
         monkeypatch.setattr(engine, name, counting(name))
     assert run_experiment(multi) == expected[0]
     assert calls["grow_tree"] == 4  # one tree per (n, trial) pair, shared by both ratio cells
+    assert calls["_grown_coordinators"] == len(engine._groups(multi)) == 1  # one session table per group
     assert run_experiment(single) == expected[1]
     assert calls["single_layer"] == 2  # one star per size, shared by its trials
     # the block engine prices every session itself: the per-cycle kernels and the controller go uncalled
-    assert {name: count for name, count in calls.items() if count} == {"grow_tree": 4, "single_layer": 2}
+    assert {name: count for name, count in calls.items() if count} == {"grow_tree": 4, "_grown_coordinators": 1,
+                                                                         "single_layer": 2}
 
 
 def test_a_pair_whose_growth_fails_ends_its_group_after_the_pairs_before_it(monkeypatch):

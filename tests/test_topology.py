@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from plcmac import NetworkTree, generate_tree, min_first_layer, single_layer, tree_from_parents
-from plcmac.topology import CCO_ID, Forest, grow_tree
+from plcmac import NetworkTree, engine, generate_tree, min_first_layer, single_layer, tree_from_parents
+from plcmac.topology import CCO_ID, Forest, _grown_coordinators, grow_tree
 
 
 @pytest.mark.parametrize(
@@ -180,7 +180,7 @@ def test_generate_tree_validation():
 
 
 def _reference_tree(n, max_layers, rng):
-    """The growth rule written plainly: parent and depth lists, node by node, eligible node ids in a list."""
+    """The growth rule written plainly, node by node: parent and depth lists, eligible ids in a list; and the target."""
     least = min_first_layer(n, max_layers)
     target = int(rng.integers(1, max_layers + 1))
     first = int(rng.integers(least, n + 1))
@@ -191,41 +191,68 @@ def _reference_tree(n, max_layers, rng):
         depth.append(depth[parent[-1]] + 1)
         if depth[-1] < target:
             eligible.append(node)
-    return parent, depth
+    return parent, depth, target
 
 
-def test_grown_forests_match_the_rule_tree_by_tree():
-    # mixed-size groups: n 1 (no draws), max_layers 1 (a target of 1, no loop, first = n), caps far above log2 n
-    # (chains of eligible STAs) and caps of 3 to 9 (the eligible list outgrows the first layer)
-    picks = np.random.default_rng(29)
-    groups, covered = [], set()
-    for _ in range(40):
+def _mixed_groups(seed, count):
+    """Groups of 1 to 11 (n, max_layers, seed) trees: n 1 (no draws), max_layers 1 (a target of 1, no loop, first = n),
+    2 (targets of 2, whose growth visits only the draws that can pick the CCO), caps far above log2 n (chains of
+    eligible STAs) and caps of 3 to 9 (the eligible list outgrows the first layer)."""
+    picks = np.random.default_rng(seed)
+    groups = []
+    for _ in range(count):
         group = []
         for _ in range(int(picks.integers(1, 12))):
             n = int(picks.choice([1, 2, 3, int(picks.integers(4, 40)), int(picks.integers(40, 700))]))
             max_layers = int(picks.choice([1, 2, 3, int(picks.integers(4, 10)), 10**6]))
             group.append((n, max_layers, int(picks.integers(2**32))))
         groups.append(group)
-    trees = 0
-    for group in groups:
+    return groups
+
+
+def test_grown_forests_match_the_rule_tree_by_tree():
+    trees, covered = 0, set()
+    for group in _mixed_groups(29, 40):
         growths = [grow_tree(n, max_layers, np.random.default_rng(seed)) for n, max_layers, seed in group]
         forest = Forest.grown(growths)
         assert list(forest.n_sta) == [n for n, _, _ in group] and list(forest.sizes) == [n + 1 for n, _, _ in group]
         at = 0
-        for (n, max_layers, seed), (_, first, _, eligible, _) in zip(group, growths):
-            parent, depth = _reference_tree(n, max_layers, np.random.default_rng(seed))
+        for (n, max_layers, seed), (_, first, draws, eligible, _) in zip(group, growths):
+            parent, depth, target = _reference_tree(n, max_layers, np.random.default_rng(seed))
             tree = generate_tree(n, max_layers, np.random.default_rng(seed))
             assert forest.parent[at:at + n + 1].tolist() == list(tree.parent) == parent
             assert forest.depth[at:at + n + 1].tolist() == list(tree.depth) == depth
             tree.validate(max_layers=max_layers)
             at += n + 1
             trees += 1
+            # the draws a growth visits at a target of 2, the only ones that can pick the CCO: some meet a list grown
+            # past 1 + first by earlier picks of the CCO and pick a first-layer STA instead
+            tried = [j for j, u in enumerate(draws.tolist()) if u * (1 + first) < 1]
             cases = {"n=1": n == 1, "target 1": len(eligible) == 1, "first = n, n > 1": first == n > 1,
-                     "depth 2 eligible": max(eligible) >= 2, "chain past 6": max(depth) > 6 and max_layers == 10**6}
+                     "depth 2 eligible": max(eligible) >= 2, "chain past 6": max(depth) > 6 and max_layers == 10**6,
+                     "target 2, two CCO picks": target == 2 and parent[first + 1:].count(CCO_ID) >= 2,
+                     "target 2, a tried draw past the grown list": target == 2
+                     and any(parent[first + 1 + j] != CCO_ID for j in tried)}
             covered.update(case for case, hit in cases.items() if hit)
         assert at == len(forest.parent) == len(forest.depth)
     assert trees >= 200
-    assert covered == {"n=1", "target 1", "first = n, n > 1", "depth 2 eligible", "chain past 6"}
+    assert covered == {"n=1", "target 1", "first = n, n > 1", "depth 2 eligible", "chain past 6",
+                       "target 2, two CCO picks", "target 2, a tried draw past the grown list"}
+
+
+def test_session_tables_from_growths_match_those_from_their_forests():
+    covered = set()
+    for group in _mixed_groups(32, 48):
+        growths = [grow_tree(n, max_layers, np.random.default_rng(seed)) for n, max_layers, seed in group]
+        got, expected = engine._table(*_grown_coordinators(growths)), engine._sessions(Forest.grown(growths))
+        assert got._fields == expected._fields
+        for name, column, want in zip(got._fields, got, expected):
+            assert column.dtype == want.dtype == np.int64 and column.tolist() == want.tolist(), name
+        for (n, max_layers, _), (_, first, _, eligible, _) in zip(group, growths):
+            cases = {"n=1": n == 1, "target 1": len(eligible) == 1, "first = n": first == n,
+                     "chain past 6": max(eligible) > 6 and max_layers == 10**6}
+            covered.update(case for case, hit in cases.items() if hit)
+    assert covered == {"n=1", "target 1", "first = n", "chain past 6"}
 
 
 def test_forest_of_trees_holds_their_nodes_one_tree_after_another():
