@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import Protocol, RunConfig, TimingTable, _as_int
 from .slot_alloc import MAX_WINDOW, _as_fraction, check_first_window
-from .topology import CCO_ID, Forest, NetworkTree, _grown_coordinators, grow_tree, single_layer
+from .topology import CCO_ID, NetworkTree, _grown_coordinators, grow_tree, single_layer
 
 # bench/tracer.py looks these names up on this module; the block engine does not call them (a sweep calls grow_tree)
 from .mac_protocols import simulate_nc_csma, simulate_nc_epmac, simulate_nc_pmac  # noqa: F401
@@ -183,17 +183,20 @@ class _Table(NamedTuple):
     layers: np.ndarray     # the depth of the deepest STA
 
 
-def _sessions(forest: Forest) -> _Table:
-    """The sessions of every tree of the forest, from one pass over all their nodes."""
-    sizes, total = forest.sizes, len(forest.parent)
+def _sessions(trees: Sequence[NetworkTree]) -> _Table:
+    """The sessions of every tree, from one pass over all their nodes."""
+    sizes = np.array([len(t.parent) for t in trees], dtype=np.int64)
+    total = int(sizes.sum())
+    nodes = np.fromiter(chain(*(t.parent for t in trees), *(t.depth for t in trees)), np.int64, 2 * total)
     first = np.cumsum(sizes) - sizes  # each tree's CCO
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    parent = forest.parent + first[owner]
+    parent = nodes[:total] + first[owner]
     parent[first] = -1  # a CCO is no child
     children = np.bincount(parent[parent >= 0], minlength=total)
     coords = np.flatnonzero(children > 0)
     tree = owner[coords]
-    return _table(tree, coords - first[tree], children[coords], forest.depth[coords], forest.n_sta)
+    n_sta = np.array([t.n_sta for t in trees], dtype=np.int64)  # as each builder states it; joins are checked against it
+    return _table(tree, coords - first[tree], children[coords], nodes[total:][coords], n_sta)
 
 
 def _table(tree, nodes, pending, depth, n_sta) -> _Table:
@@ -517,11 +520,11 @@ def run_formation(
     slot_ratio is the experiment's free parameter (PTE slots per pending
     STA); the sweeps explore 0.5 to 2.0 but any positive finite value is legal.
     """
+    tree.validate()
     check_first_window(slot_ratio, tree.n_sta)
     if not 0 <= (key := _as_int("key", key)) <= _MASK:
         raise ValueError(f"key must be in [0, 2**64), got {key}")
-    table = _sessions(Forest.of([tree]))
-    block = _run_block(cfg, table, [_protocol_code(protocol)], (0,), _Ratios([slot_ratio]), (0,), (key,))
+    block = _run_block(cfg, _sessions([tree]), [_protocol_code(protocol)], (0,), _Ratios([slot_ratio]), (0,), (key,))
     if isinstance(result := block.result(0), Exception):
         raise result
     return result
@@ -684,7 +687,7 @@ def _run_group(plan: ExperimentPlan, group: Group) -> tuple[list[tuple[int, Resu
     index = plan.cell_index(np.arange(protocols)[:, None], n_idx, ratio_idx, trial).ravel().tolist()
     ratio = [values[v] for v in value.tolist()]
     try:
-        table = _table(*_grown_coordinators(nets)) if plan.multi_layer else _sessions(Forest.of(nets))
+        table = _table(*_grown_coordinators(nets)) if plan.multi_layer else _sessions(nets)
         block = _run_block(plan, table, codes, np.tile(np.array(tree)[pair], protocols), fracs, np.tile(value, protocols),
                            keys)
     except Exception as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,6 +67,8 @@ class NetworkTree:
         n_nodes = len(self.parent)
         if len(self.depth) != n_nodes:
             raise ValueError("parent and depth need one entry per node")
+        if not n_nodes:
+            raise ValueError("a tree needs its CCO, node 0")
         if self.parent[CCO_ID] != CCO_ID or self.depth[CCO_ID] != 0:
             raise ValueError("CCO must be the root, at depth 0")
         for child in range(1, n_nodes):
@@ -148,37 +150,6 @@ def grow_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> tuple:
     return n_sta, first, draws, eligible, events
 
 
-class Forest(NamedTuple):
-    """Trees as int64 arrays, one tree after another: tree t's nodes, its CCO first, by tree-local node id."""
-
-    n_sta: np.ndarray   # each tree's STAs as its builder states them, which the engine checks its joins against
-    sizes: np.ndarray   # each tree's node count
-    parent: np.ndarray  # every node's parent id in its tree; a CCO's is CCO_ID
-    depth: np.ndarray   # every node's hops from its CCO
-
-    @classmethod
-    def of(cls, trees: Sequence[NetworkTree]) -> Forest:
-        """The forest of trees that hold their nodes as sequences, such as NetworkTrees."""
-        sizes = np.array([len(t.parent) for t in trees], dtype=np.int64)
-        total = int(sizes.sum())
-        nodes = np.fromiter(chain(*(t.parent for t in trees), *(t.depth for t in trees)), np.int64, 2 * total)
-        return cls(np.array([t.n_sta for t in trees], dtype=np.int64), sizes, nodes[:total], nodes[total:])
-
-    @classmethod
-    def grown(cls, growths: Sequence[tuple]) -> Forest:
-        """The forest of grow_tree's growths, every later STA's parent and depth derived at once for all trees."""
-        n, first, base, ev_at, ev_id, ev_depth, k = _picks(growths)
-        later = n - first
-        late = k >= np.repeat(base, later)
-        picked = (k - np.repeat(base - ev_at, later))[late]  # entry k from L0 on: the event k - L0 over all trees
-        par, dep = k, np.minimum(k, 1)  # below L0, node k: the CCO at depth 0 or a first-layer STA at depth 1
-        par[late], dep[late] = ev_id[picked], ev_depth[picked]
-        # before each tree's later STAs, its CCO at depth 0 and its first layer at depth 1 under it
-        at, head = np.repeat(np.cumsum(later) - later, first + 1), np.ones(int((first + 1).sum()), dtype=np.int64)
-        head[np.cumsum(first + 1) - first - 1] = 0
-        return cls(n, n + 1, np.insert(par, at, 0), np.insert(dep + 1, at, head))
-
-
 def _picks(growths: Sequence[tuple]) -> tuple:
     """Every later STA's pick over grow_tree's growths, as (n, first, base, ev_at, ev_id, ev_depth, k), per tree or STA.
 
@@ -225,6 +196,11 @@ def _grown_coordinators(growths: Sequence[tuple]) -> tuple:
 
 
 def generate_tree(n_sta: int, max_layers: int, rng: np.random.Generator) -> NetworkTree:
-    """Random tree no deeper than max_layers with a coverage-bounded first layer: grow_tree's forest of one."""
-    forest = Forest.grown([grow_tree(n_sta, max_layers, rng)])
-    return NetworkTree(tuple(forest.parent.tolist()), tuple(forest.depth.tolist()))
+    """Random tree no deeper than max_layers with a coverage-bounded first layer, read off grow_tree's picks."""
+    _, first, base, _, ev_id, ev_depth, k = _picks([grow_tree(n_sta, max_layers, rng)])
+    late = k >= base
+    event = k[late] - base  # entry k from L0 on: the STA of event k - L0
+    par, dep = k, np.minimum(k, 1)  # below L0, node k: the CCO at depth 0 or a first-layer STA at depth 1
+    par[late], dep[late] = ev_id[event], ev_depth[event]
+    head = int(first[0]) + 1  # the CCO at depth 0 and the first layer at depth 1 under it, before the later STAs
+    return NetworkTree((CCO_ID,) * head + tuple(par.tolist()), (0,) + (1,) * (head - 1) + tuple((dep + 1).tolist()))

@@ -22,7 +22,6 @@ from plcmac import (
     single_layer,
     tree_from_parents,
 )
-from plcmac.topology import Forest
 from test_golden import GOLDEN
 
 P = tuple(Protocol)
@@ -41,7 +40,7 @@ def _reference(protocol, tree, cfg, ratio, key):
 
 def _mixed(cfg, picks, cases):
     """Every (protocol, case index) pick in one block, results in pick order, an error as its type."""
-    table = engine._sessions(Forest.of([tree for tree, _, _ in cases]))
+    table = engine._sessions([tree for tree, _, _ in cases])
     protocol, tree = zip(*picks)
     block = engine._run_block(cfg, table, list(map(engine._protocol_code, protocol)), tree,
                               engine._Ratios([cases[i][1] for i in tree]), range(len(tree)), [cases[i][2] for i in tree])
@@ -229,7 +228,7 @@ def test_a_window_grown_past_2_63_raises_value_error_in_both_engines(monkeypatch
     with pytest.raises(ValueError, match="above 2\\*\\*63"):
         ref.run_formation(Protocol.EPMAC, tree, RunConfig(), 2e18, 0)
     # the other formations of the block run on
-    table = engine._sessions(Forest.of([tree, single_layer(1)]))
+    table = engine._sessions([tree, single_layer(1)])
     block = engine._run_block(RunConfig(), table, (1, 1), (0, 1), engine._Ratios([2e18]), (0, 0), (0, 0))
     got = [block.result(f) for f in range(2)]
     assert isinstance(got[0], ValueError)
@@ -617,7 +616,7 @@ def _watched(cfg, picks, cases, monkeypatch):
 
     A session is told by its cycle key: the step's _child_keys of its coordinator's session key.
     """
-    table = engine._sessions(Forest.of([tree for tree, _, _ in cases]))
+    table = engine._sessions([tree for tree, _, _ in cases])
     keys = [7 * j + 1 for j in range(len(picks))]
     code = {protocol: c for c, protocol in enumerate(P)}
     session_keys, protocols = [], []

@@ -15,6 +15,7 @@ from plcmac import (
     EmptySample,
     ExperimentPlan,
     FormationResult,
+    NetworkTree,
     NonTermination,
     Protocol,
     RunConfig,
@@ -441,6 +442,22 @@ def test_run_formation_and_formation_key_reject_a_protocol_name_as_the_plan_does
         run_formation("epmac", _chain(), RunConfig(), 1.0, 0)
     with pytest.raises(ValueError, match=r"^protocols must be Protocol members, got 'epmac'$"):
         engine.formation_key(1, 5, 0, "epmac", 1.0)
+
+
+@pytest.mark.parametrize(
+    "parent, depth, named",
+    [
+        ((0, 1), (0, 1), "node 1 breaks depth"),  # its own parent: returned a FormationResult
+        ((0, 0, 1), (0, 1, 5), "node 2 breaks depth"),  # returned a FormationResult
+        ((0, 5), (0, 1), "node 1 has unknown parent 5"),  # raised IndexError
+        ((0, -1), (0, 1), "node 1 has unknown parent -1"),  # raised RuntimeError: formation ended with unjoined STAs
+        ((), (), "a tree needs its CCO"),  # raised IndexError
+        ((0, 0), (0,), "one entry per node"),
+    ],
+)
+def test_run_formation_rejects_a_malformed_tree_by_its_violation(parent, depth, named):
+    with pytest.raises(ValueError, match=named):
+        run_formation(Protocol.PMAC, NetworkTree(parent, depth), RunConfig(), 1.0, 0)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ import pytest
 from oracle import epmac_single_layer_exact, exact_singleton_pmf, expected_single_layer, expected_tree, singleton_pmfs
 from plcmac import Protocol, RunConfig, TimingTable, engine, single_layer, tree_from_parents
 from plcmac.engine import formation_key
-from plcmac.topology import Forest
 
 TRIALS = 2000
 SEED = 7
@@ -58,7 +57,7 @@ def test_single_layer_means_match_the_exact_oracle(protocol, n, ratio):
     cfg = RunConfig()
     # one block of TRIALS formations: the cells of a single-layer sweep at (SEED, protocol, n, ratio)
     keys = [formation_key(SEED, n, trial, protocol, ratio) for trial in range(TRIALS)]
-    block = engine._run_block(cfg, engine._sessions(Forest.of([single_layer(n)])), (engine._protocol_code(protocol),) * TRIALS,
+    block = engine._run_block(cfg, engine._sessions([single_layer(n)]), (engine._protocol_code(protocol),) * TRIALS,
                               (0,) * TRIALS, engine._Ratios([ratio]), (0,) * TRIALS, keys)
     runs = [block.result(f) for f in range(TRIALS)]
     exact = expected_single_layer(protocol, n, ratio, cfg)
@@ -114,7 +113,7 @@ def multi_layer_runs():
     base = [formation_key(SEED, MULTI_LAYER[name][0].n_sta, 0, protocol, MULTI_LAYER[name][1]) for protocol, name in pairs]
     keys = engine._child_keys(np.repeat(np.array(base, dtype=np.uint64), TRIALS), np.tile(np.arange(TRIALS), len(pairs)))
     codes = [engine._protocol_code(protocol) for protocol, _ in pairs]
-    block = engine._run_block(MULTI_CFG, engine._sessions(Forest.of(trees)), np.repeat(codes, TRIALS),
+    block = engine._run_block(MULTI_CFG, engine._sessions(trees), np.repeat(codes, TRIALS),
                               np.repeat([tree_of[name] for _, name in pairs], TRIALS),
                               engine._Ratios([MULTI_LAYER[name][1] for _, name in pairs]),
                               np.repeat(np.arange(len(pairs)), TRIALS), keys)

@@ -6,7 +6,7 @@ import types
 import pytest
 
 import plcmac
-from plcmac import mac_protocols, slot_alloc
+from plcmac import mac_protocols, slot_alloc, topology
 
 PUBLIC_NAMES = [
     "CSV_HEADER",
@@ -66,12 +66,15 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC_NAMES
 
 
-# the per-cycle layer the reference engine runs and bench/tracer.py wraps: the names each module defines
+# the per-cycle layer the reference engine runs and bench/tracer.py wraps, and the tree builders with their one tree
+# type: the names each module defines
 LAYER_NAMES = {
     mac_protocols: ["BINCOUNT_MAX_SLOTS", "NcOutcome", "contend", "simulate_nc_csma", "simulate_nc_epmac",
                     "simulate_nc_pmac"],
     slot_alloc: ["MAX_WINDOW", "SlotAllocState", "ZeroSlots", "ceil_scale", "check_first_window", "fresh_state",
                  "next_slot_count", "record_pte"],
+    topology: ["CCO_ID", "NetworkTree", "generate_tree", "grow_tree", "min_first_layer", "single_layer",
+               "tree_from_parents"],
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plcmac import NetworkTree, engine, generate_tree, min_first_layer, single_layer, tree_from_parents
-from plcmac.topology import CCO_ID, Forest, _grown_coordinators, grow_tree
+from plcmac.topology import CCO_ID, _grown_coordinators, grow_tree
 
 
 @pytest.mark.parametrize(
@@ -118,6 +118,7 @@ def test_validate_catches_corrupt_depth():
         ((0, 0, -1), (0, 1, 2)),  # negative ids do not wrap around
         ((1, 0), (1, 2)),  # the CCO must be the root
         ((0, 0), (0, 1, 2)),  # one depth per node
+        ((), ()),  # no CCO
     ],
 )
 def test_validate_catches_malformed_tuples(parent, depth):
@@ -210,20 +211,15 @@ def _mixed_groups(seed, count):
     return groups
 
 
-def test_grown_forests_match_the_rule_tree_by_tree():
+def test_generated_trees_match_the_rule_tree_by_tree():
     trees, covered = 0, set()
     for group in _mixed_groups(29, 40):
-        growths = [grow_tree(n, max_layers, np.random.default_rng(seed)) for n, max_layers, seed in group]
-        forest = Forest.grown(growths)
-        assert list(forest.n_sta) == [n for n, _, _ in group] and list(forest.sizes) == [n + 1 for n, _, _ in group]
-        at = 0
-        for (n, max_layers, seed), (_, first, draws, eligible, _) in zip(group, growths):
+        for n, max_layers, seed in group:
+            _, first, draws, eligible, _ = grow_tree(n, max_layers, np.random.default_rng(seed))
             parent, depth, target = _reference_tree(n, max_layers, np.random.default_rng(seed))
             tree = generate_tree(n, max_layers, np.random.default_rng(seed))
-            assert forest.parent[at:at + n + 1].tolist() == list(tree.parent) == parent
-            assert forest.depth[at:at + n + 1].tolist() == list(tree.depth) == depth
+            assert list(tree.parent) == parent and list(tree.depth) == depth
             tree.validate(max_layers=max_layers)
-            at += n + 1
             trees += 1
             # the draws a growth visits at a target of 2, the only ones that can pick the CCO: some meet a list grown
             # past 1 + first by earlier picks of the CCO and pick a first-layer STA instead
@@ -234,17 +230,18 @@ def test_grown_forests_match_the_rule_tree_by_tree():
                      "target 2, a tried draw past the grown list": target == 2
                      and any(parent[first + 1 + j] != CCO_ID for j in tried)}
             covered.update(case for case, hit in cases.items() if hit)
-        assert at == len(forest.parent) == len(forest.depth)
     assert trees >= 200
     assert covered == {"n=1", "target 1", "first = n, n > 1", "depth 2 eligible", "chain past 6",
                        "target 2, two CCO picks", "target 2, a tried draw past the grown list"}
 
 
-def test_session_tables_from_growths_match_those_from_their_forests():
+def test_session_tables_from_growths_match_those_of_the_rule_trees():
     covered = set()
     for group in _mixed_groups(32, 48):
         growths = [grow_tree(n, max_layers, np.random.default_rng(seed)) for n, max_layers, seed in group]
-        got, expected = engine._table(*_grown_coordinators(growths)), engine._sessions(Forest.grown(growths))
+        rule = [_reference_tree(n, max_layers, np.random.default_rng(seed)) for n, max_layers, seed in group]
+        got = engine._table(*_grown_coordinators(growths))
+        expected = engine._sessions([NetworkTree(tuple(parent), tuple(depth)) for parent, depth, _ in rule])
         assert got._fields == expected._fields
         for name, column, want in zip(got._fields, got, expected):
             assert column.dtype == want.dtype == np.int64 and column.tolist() == want.tolist(), name
@@ -255,12 +252,22 @@ def test_session_tables_from_growths_match_those_from_their_forests():
     assert covered == {"n=1", "target 1", "first = n", "chain past 6"}
 
 
-def test_forest_of_trees_holds_their_nodes_one_tree_after_another():
+def test_sessions_of_trees_hold_their_coordinators_one_tree_after_another():
     trees = [tree_from_parents({}), generate_tree(1, 6, np.random.default_rng(0)), single_layer(3),
              tree_from_parents({1: 0, 2: 1, 3: 1}), generate_tree(40, 4, np.random.default_rng(5))]
-    forest = Forest.of(trees)
-    assert forest.n_sta.tolist() == [t.n_sta for t in trees] == [0, 1, 3, 3, 40]
-    assert forest.sizes.tolist() == [1, 2, 4, 4, 41]
-    assert forest.parent.tolist() == [p for t in trees for p in t.parent]
-    assert forest.depth.tolist() == [d for t in trees for d in t.depth]
-    assert all(a.dtype == np.int64 for a in forest)
+    # generate_tree reads its tree off numpy picks: its ids and depths must still be Python ints
+    assert {type(v) for t in trees for v in t.parent + t.depth} == {int}
+    table = engine._sessions(trees)
+    assert table.n_sta.tolist() == [t.n_sta for t in trees] == [0, 1, 3, 3, 40]
+    assert all(column.dtype == np.int64 for column in table)
+    for t, tree in enumerate(trees):
+        part = slice(table.start[t], table.start[t + 1])
+        nodes, pending = table.nodes[part].tolist(), table.pending[part].tolist()
+        assert dict(zip(nodes, pending)) == {c: len(kids) for c, kids in tree.children.items()}
+        assert nodes == sorted(nodes, key=lambda c: (len(tree.children[c]) < 2, c))  # crowded first, each by id
+        depth = [tree.depth[c] + 1 for c in nodes]  # each session's STAs' depth
+        assert table.hops[t] == sum(p * d for p, d in zip(pending, depth))
+        assert table.relays[t] == sum(2 * d - 2 for d in depth)
+        assert table.layers[t] == max(depth, default=0) == tree.max_depth
+        assert table.joins[t] == tree.n_sta
+        assert table.crowded[t] == sum(p > 1 for p in pending)
